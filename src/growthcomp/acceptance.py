@@ -13,7 +13,6 @@ evaluation suite compares the two deliberately separate supremum routes.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -26,12 +25,13 @@ from .battery import is_q_dominated, standard_battery
 from .grids import default_grid
 from .relations import (bridge_pow_seq, bridge_triangle_seq, pow_routes,
                         triangle_routes)
-from .sequence_core import (DEFAULT_POLICY, WeightSequence, check_mg,
-                            check_mg_diag, check_om1_index, check_strong_2j,
-                            gevrey, log_convex_minorant, q_gevrey)
+from .sequence_core import (WeightSequence, check_mg, check_mg_diag,
+                            check_om1_index, check_strong_2j, gevrey,
+                            log_convex_minorant, q_gevrey)
 from .spaces import FLAVORS, SpaceSpec, membership, system_equiv
 from .special_functions import (ThetaFunction, bounds_check, monomial,
                                 theta_eval, theta_series)
+from .trend import DEFAULT_POLICY
 from .verdicts import fuse_unanimous
 from .weight_functions import (associated_sequence, check_om1_weight,
                                check_om6_weight, from_sequence, sandwich_check)
@@ -277,7 +277,6 @@ def suite_bridges(battery: tuple[WeightSequence, ...] | None = None) -> SuiteRes
     pow_decisive = 0
     violations = 0
     entry_mismatch = 0
-    t0 = time.perf_counter()
     for i, (M, N) in enumerate(pairs):
         routes_tri = triangle_routes(M, N)
         routes_pow = pow_routes(M, N)
@@ -295,7 +294,6 @@ def suite_bridges(battery: tuple[WeightSequence, ...] | None = None) -> SuiteRes
                 entry_mismatch += 1
             if bridge_pow_seq(M, N).state is not fused_pow.state:
                 entry_mismatch += 1
-    dt = time.perf_counter() - t0
     n = len(pairs)
     rate_tri = tri_decisive / n
     rate_pow = pow_decisive / n
@@ -303,7 +301,7 @@ def suite_bridges(battery: tuple[WeightSequence, ...] | None = None) -> SuiteRes
               and violations == 0 and entry_mismatch == 0)
     detail = (f"{n} ordered pairs: strong bridge decisive {rate_tri:.1%}, "
               f"power bridge decisive {rate_pow:.1%} (floor {UNANIMITY_FLOOR:.0%}); "
-              f"route contradictions {violations}; {dt:.1f}s")
+              f"route contradictions {violations}")
     if entry_mismatch:
         detail += f"; {entry_mismatch} entry-point mismatches"
     return SuiteResult("bridges", passed, detail)
@@ -423,7 +421,3 @@ def run_suite(name: str,
         raise KeyError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
     return SUITES[name](battery)
 
-
-def run_all(battery: tuple[WeightSequence, ...] | None = None) -> list[SuiteResult]:
-    battery = _battery(battery)
-    return [fn(battery) for fn in SUITES.values()]

@@ -29,8 +29,10 @@ from .sequence_core import WeightSequence, log_convex_minorant
 from .verdicts import Verdict, fails, holds, inconclusive
 
 OMEGA_MODES = ("closed_form", "sup_scan")
-OM6_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
-OM1_LADDER = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
+# the 2^k rungs of every exists-ladder: H in the shift-doubling condition, c in
+# the dilation and power comparison ladders and in inductive membership
+OM6_LADDER = tuple(float(2 ** k) for k in range(11))
+OM1_LADDER = OM6_LADDER[1:]
 LADDER_GRID_N = 2048
 LADDER_ATOL = 1e-9
 MIN_WINDOW_SPAN = 0.05
@@ -165,33 +167,6 @@ def legendre_recover(omega, J: int, grid: Grid | None = None,
                                 "origin_clamped": clamped})
 
 
-def auxiliary_seq(N: WeightSequence, c: int, grid: Grid | None = None,
-                  J: int | None = None) -> WeightSequence:
-    """Power-scaled recovery sup_t t^j / exp(c * omega_N(t)) for integer c >= 1.
-
-    Meta records the indices whose supremum sits on the grid boundary; those
-    entries are coarse-grid artifacts rather than converged values.
-    """
-    if not (isinstance(c, (int, np.integer)) and c >= 1):
-        raise ValueError("need an integer c >= 1")
-    if grid is None:
-        grid = default_grid()
-    aw = AssociatedWeight(N)
-    x = grid.log_t
-    kn = aw.knots[1:]
-    x = np.union1d(x, kn[(kn >= x[0]) & (kn <= x[-1])])
-    w = c * aw.omega_log(x)
-    J_out = N.J if J is None else J
-    j = np.arange(J_out + 1, dtype=float)
-    terms = j[:, None] * x[None, :] - w[None, :]
-    vals = terms.max(axis=1)
-    arg = terms.argmax(axis=1)
-    boundary = [int(i) for i in np.nonzero(arg == len(x) - 1)[0] if i > 0]
-    vals[0] = 0.0
-    return WeightSequence(vals, label=f"aux({N.label},{c})" if N.label else f"aux({c})",
-                          meta={"boundary_limited": boundary})
-
-
 # ---------------------------------------------------------------------------
 # doubling-condition ladders (shared by sequence and weight front ends)
 # ---------------------------------------------------------------------------
@@ -261,25 +236,10 @@ def om1_ladder(omega_log, x_hi: float, L_values=OM1_LADDER,
 def check_om6_omega(M: WeightSequence, n: int = LADDER_GRID_N) -> Verdict:
     """Doubling-with-shift condition read off the associated weight of M."""
     aw = AssociatedWeight(M)
-    return om6_ladder(lambda x: aw.omega_log(x), aw.log_mu_max, n=n)
+    return om6_ladder(aw.omega_log, aw.log_mu_max, n=n)
 
 
 def check_om1_omega(M: WeightSequence, n: int = LADDER_GRID_N) -> Verdict:
     """Multiplicative doubling condition read off the associated weight of M."""
     aw = AssociatedWeight(M)
-    return om1_ladder(lambda x: aw.omega_log(x), aw.log_mu_max, n=n)
-
-
-# ---------------------------------------------------------------------------
-# weight construction from a sequence
-# ---------------------------------------------------------------------------
-
-def v_weight(M: WeightSequence, kind: str = "dilate", c: float = 1.0):
-    """Decreasing weight exp(-omega_M(c t)) (dilate) or exp(-c omega_M(t)) (power)."""
-    from .weight_functions import from_sequence
-    base = from_sequence(M)
-    if kind == "dilate":
-        return base.dilate(c)
-    if kind == "power":
-        return base.power(c)
-    raise ValueError(f"unknown kind {kind!r}; expected 'dilate' or 'power'")
+    return om1_ladder(aw.omega_log, aw.log_mu_max, n=n)

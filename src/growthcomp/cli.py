@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -133,6 +134,8 @@ def parse_space(text: str, J: int) -> SpaceSpec:
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise UsageError(f"report value {float(x)} is not a finite number")
     return f"{float(x):.17g}"
 
 
@@ -255,7 +258,7 @@ def cmd_seq_compare(cfg: RunConfig, source_a: str, source_b: str) -> int:
 
 def _normalized_check(u: Weight, cfg: RunConfig) -> Verdict:
     x = np.linspace(np.log(cfg.t_min), 0.0, 64)
-    dev = np.abs(np.asarray(u.omega_log(x), dtype=float))
+    dev = np.abs(u.omega_log(x))
     k = int(np.argmax(dev))
     if dev[k] == 0.0:
         return holds(witnesses={"max_abs_low": 0.0},
@@ -269,16 +272,12 @@ def cmd_weight_analyze(cfg: RunConfig, source: str) -> int:
     pol = cfg.policy()
     g = cfg.grid(u)
     h_values = tuple(H for H in OM6_LADDER if H <= cfg.H_max)
-
-    def w(xs):
-        return np.asarray(u.omega_log(xs), dtype=float)
-
     checks = [("normalized", _normalized_check(u, cfg)),
               ("rapidly_decreasing", rapidly_decreasing(u, g, pol)),
               ("convex_in_log", is_convex_weight(u, g)),
-              ("om1_weight", om1_ladder(w, u.log_t_reliable,
+              ("om1_weight", om1_ladder(u.omega_log, u.log_t_reliable,
                                         L_values=OM1_LADDER, n=cfg.cond_n)),
-              ("om6_weight", om6_ladder(w, u.log_t_reliable,
+              ("om6_weight", om6_ladder(u.omega_log, u.log_t_reliable,
                                         H_values=h_values, n=cfg.cond_n)),
               ("sandwich", sandwich_check(u, grid=g, J=cfg.J, policy=pol))]
     Mu = associated_sequence(u, J=cfg.J, grid=g, safety=cfg.safety)

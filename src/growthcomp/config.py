@@ -54,9 +54,8 @@ class RunConfig:
         g = Grid.geometric(self.t_min, self.t_max, self.grid_n)
         if self.knot_augmented:
             for u in sources:
-                if u.knots_log is not None:
-                    kn = u.knots_log
-                    g = g.augment(kn[kn >= np.log(self.t_min)])
+                kn = u.knots_log
+                g = g.augment(kn[kn >= np.log(self.t_min)])
         return g
 
     def policy(self) -> TrendPolicy:

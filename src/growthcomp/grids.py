@@ -8,7 +8,7 @@ abscissa for the trend tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ class Grid:
     """Strictly increasing finite evaluation points in log t."""
 
     log_t: np.ndarray
-    policy: str = "geometric"
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.log_t, dtype=float)
@@ -45,7 +44,7 @@ class Grid:
             raise ValueError("need 0 < t_min < t_max")
         if n < 2:
             raise ValueError("need n >= 2")
-        return Grid(np.linspace(np.log(t_min), np.log(t_max), n), "geometric")
+        return Grid(np.linspace(np.log(t_min), np.log(t_max), n))
 
     @staticmethod
     def geometric_log(x_lo: float, x_hi: float, n: int) -> "Grid":
@@ -53,7 +52,7 @@ class Grid:
             raise ValueError("need x_lo < x_hi")
         if n < 2:
             raise ValueError("need n >= 2")
-        return Grid(np.linspace(x_lo, x_hi, n), "geometric")
+        return Grid(np.linspace(x_lo, x_hi, n))
 
     def augment(self, knots_log: np.ndarray) -> "Grid":
         """Union with the given log-knots that do not exceed the grid maximum.
@@ -65,7 +64,7 @@ class Grid:
         knots = knots[np.isfinite(knots)]
         knots = knots[knots <= self.log_t[-1]]
         merged = np.union1d(self.log_t, knots)
-        return Grid(merged, "knot_augmented")
+        return Grid(merged)
 
     def clip(self, x_lo: float | None = None, x_hi: float | None = None) -> "Grid | None":
         """Sub-grid inside [x_lo, x_hi]; None if fewer than two points remain."""
@@ -76,7 +75,7 @@ class Grid:
             pts = pts[pts <= x_hi]
         if len(pts) < 2:
             return None
-        return Grid(pts, self.policy)
+        return Grid(pts)
 
 
 def default_grid(t_min: float = 1e-3, t_max: float = 1e9, n: int = 4096) -> Grid:

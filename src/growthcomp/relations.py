@@ -15,15 +15,14 @@ from .associated_weight import AssociatedWeight
 from .grids import Grid, default_grid
 from .sequence_core import (WeightSequence, check_mg, index_trend, seq_approx,
                             seq_triangle)
-from .trend import Trend, TrendPolicy, classify
+from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
+                    classify)
 from .verdicts import Verdict, fails, fuse_unanimous, holds, inconclusive
 from .weight_functions import (_comparison_grid, from_sequence,
                                weight_preceq_all_dila, weight_triangle_dila,
                                weight_triangle_pow)
 
-DEFAULT_POLICY = TrendPolicy()
 COMPRESS_LADDER = (1, 2, 4, 8, 16)
-MIN_WINDOW_POINTS = 16
 
 
 # ---------------------------------------------------------------------------

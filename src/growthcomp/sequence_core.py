@@ -23,10 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .trend import Trend, TrendPolicy, classify, index_window
+from .trend import DEFAULT_POLICY, Trend, TrendPolicy, classify, index_window
 from .verdicts import Verdict, fails, fuse_conjunction, holds, inconclusive
 
-DEFAULT_POLICY = TrendPolicy()
 LADDER_MAX_INDEX = 16
 
 
@@ -438,6 +437,8 @@ def check_om1_index(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY,
     For each L the gap log(M_{Lj})/(Lj) - log(M_j)/j is examined on the trailing
     half-window; Holds at the first L whose windowed infimum clears
     log(1 + margin), Fails if every L has its windowed supremum below it.
+    The witness log_liminf_ratio is that infimum, kept in the log: the ratio
+    itself overflows for steep q-Gevrey sequences.
     """
     y = M.log_values
     thresh = float(np.log1p(policy.margin))
@@ -454,7 +455,7 @@ def check_om1_index(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY,
         w = gap[lo - 1:]
         if float(w.min()) > thresh:
             return holds(witnesses={"L": float(L),
-                                    "liminf_ratio": float(np.exp(w.min()))},
+                                    "log_liminf_ratio": float(w.min())},
                          evidence=((float(lo + int(np.argmin(w))), float(w.min())),),
                          note=f"windowed root gap clears margin at L={L}")
         if float(w.max()) > thresh:

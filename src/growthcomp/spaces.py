@@ -18,26 +18,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .associated_weight import check_om6_omega
+from .associated_weight import OM1_LADDER, OM6_LADDER, check_om6_omega
 from .grids import Grid, default_grid
 from .relations import pow_routes, tildestrong_check, triangle_routes
 from .sequence_core import (WeightSequence, check_mg, check_om1_index,
                             index_trend, is_LC)
-from .trend import Trend, TrendPolicy, classify
+from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
+                    classify)
 from .verdicts import (State, Verdict, fails, fuse_conjunction, fuse_unanimous,
                        holds, inconclusive)
-from .weight_functions import (EXIST_LADDER, FORALL_LADDER, Weight,
-                               associated_sequence, check_om1_weight,
-                               check_om6_weight, from_sequence,
-                               is_convex_weight, sandwich_check,
+from .weight_functions import (FORALL_LADDER, Weight, associated_sequence,
+                               check_om1_weight, check_om6_weight,
+                               from_sequence, is_convex_weight, sandwich_check,
                                strong_ratio_check, weight_preceq,
                                weight_triangle_dila, weight_triangle_pow)
 
-DEFAULT_POLICY = TrendPolicy()
 SINGLE_FLAVORS = ("SingleO", "SingleLittleO")
 SYSTEM_FLAVORS = ("InductiveDila", "ProjectiveDila", "InductivePow", "ProjectivePow")
 FLAVORS = SINGLE_FLAVORS + SYSTEM_FLAVORS
-MIN_WINDOW_POINTS = 16
 
 
 class RoutingError(Exception):
@@ -155,7 +153,7 @@ def _normalized_verdict(u: Weight) -> Verdict:
     if u.normalized:
         return holds(witnesses={"omega_at_1": 0.0}, note="constructed normalized")
     probe = np.array([-3.0, -1.0, 0.0])
-    w = np.asarray(u.omega_log(probe), dtype=float)
+    w = u.omega_log(probe)
     k = int(np.argmax(np.abs(w)))
     if float(np.max(np.abs(w))) <= 1e-9:
         return holds(witnesses={"omega_at_1": float(w[-1])},
@@ -177,7 +175,7 @@ def _o_collapse_gate(S: SpaceSpec, grid: Grid | None,
         return fails(evidence=conv.evidence,
                      note="collapse gate needs omega convex in log t")
     rungs_failed = True
-    for c in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
+    for c in OM1_LADDER:
         r = strong_ratio_check(u, c, 2.0, policy=policy)
         if r.holds:
             if conv.inconclusive:
@@ -483,7 +481,7 @@ def norm_estimate(f: PowerSeries, v: Weight, grid: Grid | None = None
         raise ValueError("faithful range leaves no usable grid")
     x = g.log_t
     logf, _ = log_series_eval(f, x)
-    w = np.asarray(v.omega_log(x), dtype=float)
+    w = v.omega_log(x)
     h = logf - w
     i = int(np.argmax(h))
     lower = float(h[i])
@@ -508,7 +506,7 @@ def _series_vs_weight(f: PowerSeries, v: Weight, grid: Grid,
         ev: tuple = ()
         if g0 is not None and len(g0) >= 2:
             vals, _ = log_series_eval(f, g0.log_t)
-            d0 = vals - np.asarray(v.omega_log(g0.log_t), dtype=float)
+            d0 = vals - v.omega_log(g0.log_t)
             k0 = int(np.argmax(d0))
             window_sup = float(d0[k0])
             ev = ((float(np.exp(g0.log_t[k0])), window_sup),)
@@ -526,7 +524,7 @@ def _series_vs_weight(f: PowerSeries, v: Weight, grid: Grid,
     if int(interior.sum()) < MIN_WINDOW_POINTS:
         return inconclusive("series truncation dominates the window")
     xs = x[interior]
-    d = logf[interior] - np.asarray(v.omega_log(xs), dtype=float)
+    d = logf[interior] - v.omega_log(xs)
     rep = classify(xs, d, policy)
     k = int(np.argmax(d))
     if little_o:
@@ -553,11 +551,11 @@ def membership(f: PowerSeries, S: SpaceSpec, grid: Grid | None = None,
                                  S.flavor == "SingleLittleO")
     v = from_sequence(S.source) if isinstance(S.source, WeightSequence) else S.source
     little = S.little_o
-    make = (lambda c: v.dilate(c)) if S.axis == "dila" else (lambda c: v.power(c))
+    make = v.dilate if S.axis == "dila" else v.power
     if S.mode == "inductive":
         undecided = False
         evid: list[tuple[float, float]] = []
-        for c in EXIST_LADDER:
+        for c in OM6_LADDER:
             r = _series_vs_weight(f, make(c), g, policy, little)
             if r.holds:
                 return holds(witnesses={"c": float(c), **r.witnesses},
@@ -570,7 +568,7 @@ def membership(f: PowerSeries, S: SpaceSpec, grid: Grid | None = None,
         if undecided:
             return inconclusive("some family members window-limited and none admitted")
         return fails(evidence=tuple(evid[:4]),
-                     note=f"no family member up to c={EXIST_LADDER[-1]:g} admits the series")
+                     note=f"no family member up to c={OM6_LADDER[-1]:g} admits the series")
     held: list[float] = []
     undecided = False
     for c in FORALL_LADDER:

@@ -49,6 +49,11 @@ class TrendPolicy:
             raise ValueError("window_fraction must lie in (0, 1]")
 
 
+DEFAULT_POLICY = TrendPolicy()
+# fewest grid points a windowed decision rests on; shorter windows abstain
+MIN_WINDOW_POINTS = 16
+
+
 @dataclass(frozen=True)
 class TrendReport:
     kind: Trend

@@ -1,11 +1,17 @@
 """Decreasing weight functions on (0, inf), handled in the log domain.
 
-A weight v is stored through omega = -log v as a function of x = log t.
-Dilation and power rescaling compose structurally: dilation shifts the
-argument (and shrinks the faithful range), power rescaling multiplies the
-value.  Every weight carries the end of its faithful range; comparison
-windows are clipped there so that sequence truncation or table ends never
-masquerade as asymptotics.
+A weight v is stored through omega = -log v as a function of x = log t, as
+plain data: a base (the associated weight of a sequence, or a table of
+omega against log t) plus a dilation shift, a power scale and an optional
+normalization offset, evaluated as
+
+    omega(x) = max(0, scale * base(x + shift) - offset).
+
+Dilation adds log c to the shift (and shrinks the faithful range by the same
+amount), power rescaling multiplies the scale, normalization sets the offset.
+The end of the faithful range and the knots of omega follow from the base
+and the shift; comparison windows are clipped at that end so that sequence
+truncation or table ends never masquerade as asymptotics.
 
 The comparison ladders classify each rung from two views of the same window:
 the difference diagnostic d (the quantity the claim bounds or sends to
@@ -17,23 +23,20 @@ never guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .associated_weight import AssociatedWeight, om1_ladder, om6_ladder
+from .associated_weight import (OM6_LADDER, AssociatedWeight, om1_ladder,
+                                om6_ladder)
 from .grids import Grid, default_grid
 from .sequence_core import WeightSequence
-from .trend import Trend, TrendPolicy, TrendReport, classify
+from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
+                    classify)
 from .verdicts import Verdict, fails, fuse_unanimous, holds, inconclusive
 
-DEFAULT_POLICY = TrendPolicy()
-DEFAULT_RELIABLE_LOG_T = float(np.log(1e15))
-EXIST_LADDER = tuple(float(2 ** k) for k in range(11))
 FORALL_LADDER = tuple(float(2.0 ** -k) for k in range(11))
 CONVEXITY_GRID_N = 1025
-MIN_WINDOW_POINTS = 16
 _RUNG_HOLDS, _RUNG_FAILS, _RUNG_SKIP = "holds", "fails", "window-limited"
 
 
@@ -42,81 +45,104 @@ _RUNG_HOLDS, _RUNG_FAILS, _RUNG_SKIP = "holds", "fails", "window-limited"
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class Weight:
-    """Weight exp(-omega(log t)); omega_fn maps arrays of x to arrays of omega."""
+class OmegaTable:
+    """Tabulated omega: linear interpolation in x = log t.
 
-    omega_fn: Callable[[np.ndarray], np.ndarray]
+    Below the table the first value extends flat; evaluation past the table
+    end raises, since nothing certifies the tail.
+    """
+
+    log_t: np.ndarray
+    omega: np.ndarray
+
+    def omega_log(self, xs: np.ndarray) -> np.ndarray:
+        if np.any(xs > self.log_t[-1] + 1e-12):
+            raise ValueError("evaluation beyond the tabulated range")
+        return np.interp(xs, self.log_t, self.omega, left=self.omega[0])
+
+
+@dataclass(frozen=True, eq=False)
+class Weight:
+    """Weight exp(-omega(log t)) held as data, with
+
+        omega(x) = max(0, scale * base(x + shift) - offset).
+
+    base is the AssociatedWeight of a sequence or an OmegaTable.  offset is
+    None for a weight that was never normalized; then omega is not clamped.
+    normalized records that omega is pinned to 0 on t <= 1.  Transforms
+    fold into the fields: a dilation of a dilation adds the shifts, a power
+    of a normalized weight scales the offset.
+    """
+
+    base: AssociatedWeight | OmegaTable
     label: str = ""
-    kind: str = "closed_form"
-    log_t_reliable: float = DEFAULT_RELIABLE_LOG_T
-    source: WeightSequence | None = None
-    arg_shift: float = 0.0
-    pow_scale: float = 1.0
+    shift: float = 0.0
+    scale: float = 1.0
+    offset: float | None = None
     normalized: bool = False
-    knots_log: np.ndarray | None = None
 
     def omega_log(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.asarray(self.omega_fn(xs), dtype=float)
+        out = self.scale * self.base.omega_log(xs + self.shift)
+        if self.offset is not None:
+            out = np.maximum(0.0, out - self.offset)
         return out if np.ndim(x) else float(out[0])
 
-    def value(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(ts <= 0):
-            raise ValueError("t must be positive")
-        out = np.exp(-self.omega_log(np.log(ts)))
-        return out if np.ndim(t) else float(out[0])
+    @property
+    def source(self) -> WeightSequence | None:
+        """The sequence behind a sequence-backed weight; None for a table."""
+        return self.base.source if isinstance(self.base, AssociatedWeight) else None
+
+    @property
+    def log_t_reliable(self) -> float:
+        """End of the faithful range in log t: the last quotient knot of the
+        sequence or the table end, moved by the dilation."""
+        if isinstance(self.base, AssociatedWeight):
+            end = self.base.log_mu_max
+        else:
+            end = float(self.base.log_t[-1])
+        return end - self.shift
+
+    @property
+    def knots_log(self) -> np.ndarray:
+        """Points in log t where omega may bend: the quotient knots of the
+        sequence or the table abscissae, moved by the dilation."""
+        if isinstance(self.base, AssociatedWeight):
+            knots = self.base.knots[1:]
+        else:
+            knots = self.base.log_t
+        return knots - self.shift
 
     @property
     def is_plain_sequence_weight(self) -> bool:
-        return (self.source is not None and self.arg_shift == 0.0
-                and self.pow_scale == 1.0)
+        return self.source is not None and self.shift == 0.0 and self.scale == 1.0
 
     def dilate(self, c: float) -> "Weight":
         """Weight t -> v(c t); the faithful range shrinks (or grows) by log c."""
         if not (c > 0 and np.isfinite(c)):
             raise ValueError("need finite c > 0")
-        a = float(np.log(c))
-        base = self.omega_fn
-        knots = None if self.knots_log is None else self.knots_log - a
-        return Weight(lambda xs, _b=base, _a=a: _b(xs + _a),
-                      label=f"dil({self.label},{c:g})", kind=self.kind,
-                      log_t_reliable=self.log_t_reliable - a,
-                      source=self.source, arg_shift=self.arg_shift + a,
-                      pow_scale=self.pow_scale,
-                      normalized=self.normalized and c <= 1.0,
-                      knots_log=knots)
+        return replace(self, label=f"dil({self.label},{c:g})",
+                       shift=self.shift + float(np.log(c)),
+                       normalized=self.normalized and c <= 1.0)
 
     def power(self, c: float) -> "Weight":
         """Weight t -> v(t)^c; omega rescales, the faithful range is unchanged."""
         if not (c > 0 and np.isfinite(c)):
             raise ValueError("need finite c > 0")
-        base = self.omega_fn
-        return Weight(lambda xs, _b=base, _c=float(c): _c * _b(xs),
-                      label=f"pow({self.label},{c:g})", kind=self.kind,
-                      log_t_reliable=self.log_t_reliable,
-                      source=self.source, arg_shift=self.arg_shift,
-                      pow_scale=self.pow_scale * float(c),
-                      normalized=self.normalized,
-                      knots_log=self.knots_log)
+        return replace(self, label=f"pow({self.label},{c:g})",
+                       scale=self.scale * float(c),
+                       offset=None if self.offset is None else self.offset * float(c))
 
 
 def from_sequence(M: WeightSequence) -> Weight:
     """The decreasing weight exp(-omega_M) of a sequence."""
-    aw = AssociatedWeight(M)
-    return Weight(lambda xs, _aw=aw: _aw.omega_log(xs),
-                  label=f"v({M.label})" if M.label else "v",
-                  kind="sequence", log_t_reliable=aw.log_mu_max, source=M,
-                  normalized=bool(np.all(M.log_values >= 0.0)),
-                  knots_log=np.asarray(aw.knots[1:], dtype=float))
+    return Weight(AssociatedWeight(M), label=f"v({M.label})" if M.label else "v",
+                  normalized=bool(np.all(M.log_values >= 0.0)))
 
 
 def from_table(t, omega, label: str = "") -> Weight:
-    """Tabulated weight: linear interpolation of omega in x = log t.
-
-    Below the table the first value extends flat; evaluation past the table
-    end raises, since nothing certifies the tail.
-    """
+    """Tabulated weight: linear interpolation of omega in x = log t, flat
+    below the table and undefined past its end (see OmegaTable)."""
     ts = np.asarray(t, dtype=float)
     ws = np.asarray(omega, dtype=float)
     if ts.ndim != 1 or ts.shape != ws.shape or len(ts) < 2:
@@ -125,46 +151,18 @@ def from_table(t, omega, label: str = "") -> Weight:
         raise ValueError("t must be positive and strictly increasing")
     if not np.all(np.isfinite(ws)):
         raise ValueError("omega must be finite")
-    xs_tab = np.log(ts)
-
-    def fn(xs: np.ndarray) -> np.ndarray:
-        if np.any(xs > xs_tab[-1] + 1e-12):
-            raise ValueError("evaluation beyond the tabulated range")
-        return np.interp(xs, xs_tab, ws, left=ws[0])
-
-    return Weight(fn, label=label, kind="tabulated",
-                  log_t_reliable=float(xs_tab[-1]),
-                  normalized=bool(ws[0] == 0.0 and ts[0] <= 1.0),
-                  knots_log=xs_tab.copy())
-
-
-def from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str = "",
-                  log_t_reliable: float = DEFAULT_RELIABLE_LOG_T,
-                  normalized: bool = False) -> Weight:
-    return Weight(fn, label=label, kind="closed_form",
-                  log_t_reliable=log_t_reliable, normalized=normalized)
-
-
-def dilate(v: Weight, c: float) -> Weight:
-    return v.dilate(c)
-
-
-def power(v: Weight, c: float) -> Weight:
-    return v.power(c)
+    return Weight(OmegaTable(np.log(ts), ws), label=label,
+                  normalized=bool(ws[0] == 0.0 and ts[0] <= 1.0))
 
 
 def normalize(v: Weight) -> Weight:
     """Pin omega to 0 at t = 1 and clamp below: max(0, omega(x) - omega(0))."""
     if v.normalized:
         return v
-    w0 = float(v.omega_log(0.0))
-    base = v.omega_fn
-    return Weight(lambda xs, _b=base, _w0=w0: np.maximum(0.0, _b(xs) - _w0),
-                  label=f"norm({v.label})" if v.label else "norm",
-                  kind=v.kind, log_t_reliable=v.log_t_reliable,
-                  source=v.source, arg_shift=v.arg_shift,
-                  pow_scale=v.pow_scale, normalized=True,
-                  knots_log=v.knots_log)
+    # omega(0) >= 0 once an offset clamps, so the two offsets add
+    offset = (v.offset or 0.0) + float(v.omega_log(0.0))
+    return replace(v, label=f"norm({v.label})" if v.label else "norm",
+                   offset=offset, normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +245,8 @@ def associated_sequence(u: Weight, J: int = 512, grid: Grid | None = None,
     if g is None or len(g) < 2:
         raise ValueError("faithful range leaves no usable grid")
     x = g.log_t
-    if u.knots_log is not None:
-        kn = u.knots_log
-        x = np.union1d(x, kn[(kn >= x[0]) & (kn <= x[-1])])
+    kn = u.knots_log
+    x = np.union1d(x, kn[(kn >= x[0]) & (kn <= x[-1])])
     w = u.omega_log(x)
     j = np.arange(J + 1, dtype=float)
     vals = (j[:, None] * x[None, :] - w[None, :]).max(axis=1)
@@ -304,27 +301,18 @@ def sandwich_check(u: Weight, grid: Grid | None = None, J: int = 512,
                  note="upper bound pointwise, lower constant stable on the window")
 
 
-def essential_approx(v: Weight, J: int = 512,
-                     grid: Grid | None = None) -> tuple[Weight, Verdict]:
-    """Best sequence-backed replacement of v plus the quality verdict."""
-    Mu = associated_sequence(v, J=J, grid=grid)
-    return from_sequence(Mu), sandwich_check(v, grid=grid, J=J)
-
-
 # ---------------------------------------------------------------------------
 # doubling conditions and iterated-ratio gate on weights
 # ---------------------------------------------------------------------------
 
 def check_om6_weight(u: Weight, n: int = 2048) -> Verdict:
     """Exists H >= 1 with 2 omega(t) <= omega(H t) + H, read off u directly."""
-    return om6_ladder(lambda xs: np.asarray(u.omega_log(xs), dtype=float),
-                      u.log_t_reliable, n=n)
+    return om6_ladder(u.omega_log, u.log_t_reliable, n=n)
 
 
 def check_om1_weight(u: Weight, n: int = 2048) -> Verdict:
     """Exists L with omega(2t) <= L (omega(t) + 1), read off u directly."""
-    return om1_ladder(lambda xs: np.asarray(u.omega_log(xs), dtype=float),
-                      u.log_t_reliable, n=n)
+    return om1_ladder(u.omega_log, u.log_t_reliable, n=n)
 
 
 def strong_ratio_check(u: Weight, c: float, d: float, n: int = 2048,
@@ -405,8 +393,8 @@ def _rung(claim: str, v: Weight, w: Weight, grid: Grid | None,
     if g is None or len(g) < MIN_WINDOW_POINTS:
         return _RUNG_SKIP, (float("nan"), float("nan")), float("nan")
     x = g.log_t
-    wv = np.asarray(v.omega_log(x), dtype=float)
-    ww = np.asarray(w.omega_log(x), dtype=float)
+    wv = v.omega_log(x)
+    ww = w.omega_log(x)
     if int(np.count_nonzero(ww > 1e-9)) < MIN_WINDOW_POINTS:
         # dormant rung: the dominating side has not risen above zero yet
         return _RUNG_SKIP, (float("nan"), float("nan")), float("nan")
@@ -416,8 +404,7 @@ def _rung(claim: str, v: Weight, w: Weight, grid: Grid | None,
     if int(awake.sum()) < MIN_WINDOW_POINTS:
         return _RUNG_SKIP, (float("nan"), float("nan")), float("nan")
     x, wv, ww = x[awake], wv[awake], ww[awake]
-    wb = ww if (w_base is None or w_base is w) else np.asarray(
-        w_base.omega_log(x), dtype=float)
+    wb = ww if (w_base is None or w_base is w) else w_base.omega_log(x)
     if claim == "preceq":
         d = wv - ww
         rep = classify(x, d, policy)
@@ -481,7 +468,7 @@ def _exists_ladder(claim: str, v: Weight, make_rung, grid: Grid | None,
     base = make_rung(1.0)
     undecided = False
     rung_evidence: list[tuple[float, float]] = []
-    for c in EXIST_LADDER:
+    for c in OM6_LADDER:
         state, point, sup_d = _rung(claim, v, make_rung(c), grid, policy, base)
         if state == _RUNG_HOLDS:
             return holds(witnesses={param_name: float(c),
@@ -495,7 +482,7 @@ def _exists_ladder(claim: str, v: Weight, make_rung, grid: Grid | None,
     if undecided:
         return inconclusive("some rungs window-limited and none held")
     return fails(evidence=tuple(rung_evidence),
-                 note=f"gap unbounded at every {param_name} <= {EXIST_LADDER[-1]:g}")
+                 note=f"gap unbounded at every {param_name} <= {OM6_LADDER[-1]:g}")
 
 
 def _forall_ladder(claim: str, v: Weight, make_rung, grid: Grid | None,
@@ -523,25 +510,25 @@ def _forall_ladder(claim: str, v: Weight, make_rung, grid: Grid | None,
 def weight_preceq_dila(v: Weight, w: Weight, grid: Grid | None = None,
                        policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq dilate(w, c)."""
-    return _exists_ladder("preceq", v, lambda c: w.dilate(c), grid, policy, "c")
+    return _exists_ladder("preceq", v, w.dilate, grid, policy, "c")
 
 
 def weight_preceq_pow(v: Weight, w: Weight, grid: Grid | None = None,
                       policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq w^c."""
-    return _exists_ladder("preceq", v, lambda c: w.power(c), grid, policy, "c")
+    return _exists_ladder("preceq", v, w.power, grid, policy, "c")
 
 
 def weight_triangle_dila(v: Weight, w: Weight, grid: Grid | None = None,
                          policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: omega_w(c t) - omega_v(t) -> +infinity (descending rungs)."""
-    return _forall_ladder("triangle", v, lambda c: w.dilate(c), grid, policy, "c")
+    return _forall_ladder("triangle", v, w.dilate, grid, policy, "c")
 
 
 def weight_preceq_all_dila(v: Weight, w: Weight, grid: Grid | None = None,
                            policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: v preceq dilate(w, c) (descending rungs)."""
-    return _forall_ladder("preceq", v, lambda c: w.dilate(c), grid, policy, "c")
+    return _forall_ladder("preceq", v, w.dilate, grid, policy, "c")
 
 
 def weight_triangle_pow(v: Weight, w: Weight, grid: Grid | None = None,
@@ -551,7 +538,7 @@ def weight_triangle_pow(v: Weight, w: Weight, grid: Grid | None = None,
     Computed along two deliberately distinct routes that must agree: divergence
     of the per-rung gap, and boundedness of v against every power of w.
     """
-    diverge = _forall_ladder("triangle", v, lambda c: w.power(c), grid, policy, "c")
-    bounded = _forall_ladder("preceq", v, lambda c: w.power(c), grid, policy, "c")
+    diverge = _forall_ladder("triangle", v, w.power, grid, policy, "c")
+    bounded = _forall_ladder("preceq", v, w.power, grid, policy, "c")
     return fuse_unanimous({"divergence_route": diverge, "bounded_route": bounded},
                           note_prefix="power-family comparison")

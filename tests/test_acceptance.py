@@ -9,64 +9,83 @@ from __future__ import annotations
 
 import time
 
-from growthcomp.acceptance import run_suite
+import pytest
+
+from growthcomp.acceptance import SUITES, run_suite
 
 RUNTIME_BUDGET_S = 60.0
 
-_durations: dict[str, float] = {}
+
+@pytest.fixture(scope="session")
+def timed_suite(battery):
+    """Runs a suite once per session and returns (result, seconds)."""
+    runs = {}
+
+    def run(name: str):
+        if name not in runs:
+            t0 = time.perf_counter()
+            result = run_suite(name, battery)
+            runs[name] = (result, time.perf_counter() - t0)
+        return runs[name]
+
+    return run
 
 
-def _check(name: str, battery) -> None:
-    t0 = time.perf_counter()
-    result = run_suite(name, battery)
-    _durations[name] = time.perf_counter() - t0
+def _check(name: str, timed_suite):
+    result, _ = timed_suite(name)
     print("\n" + result.line())
     assert result.passed, result.detail
+    return result
 
 
-def test_acceptance_roundtrip(battery):
-    _check("roundtrip", battery)
+def test_acceptance_roundtrip(timed_suite):
+    _check("roundtrip", timed_suite)
 
 
-def test_acceptance_envelope(battery):
-    _check("envelope", battery)
+def test_acceptance_envelope(timed_suite):
+    _check("envelope", timed_suite)
 
 
-def test_acceptance_dual_routes(battery):
-    _check("dual-routes", battery)
+def test_acceptance_dual_routes(timed_suite):
+    _check("dual-routes", timed_suite)
 
 
-def test_acceptance_growth_chains(battery):
-    _check("growth-chains", battery)
+def test_acceptance_growth_chains(timed_suite):
+    _check("growth-chains", timed_suite)
 
 
-def test_acceptance_theta_envelope(battery):
-    _check("theta-envelope", battery)
+def test_acceptance_theta_envelope(timed_suite):
+    _check("theta-envelope", timed_suite)
 
 
-def test_acceptance_fixed_point(battery):
-    _check("fixed-point", battery)
+def test_acceptance_fixed_point(timed_suite):
+    _check("fixed-point", timed_suite)
 
 
-def test_acceptance_bridges(battery):
-    _check("bridges", battery)
+def test_acceptance_bridges(timed_suite):
+    result = _check("bridges", timed_suite)
+    # the detail is deterministic: no wall-clock figure in it
+    assert result.detail == ("420 ordered pairs: strong bridge decisive 100.0%, "
+                             "power bridge decisive 100.0% (floor 90%); "
+                             "route contradictions 0")
 
 
-def test_acceptance_falsification(battery):
-    _check("falsification", battery)
+def test_acceptance_falsification(timed_suite):
+    _check("falsification", timed_suite)
 
 
-def test_acceptance_system_equivalence(battery):
-    _check("system-equivalence", battery)
+def test_acceptance_system_equivalence(timed_suite):
+    _check("system-equivalence", timed_suite)
 
 
-def test_acceptance_membership_matrix(battery):
-    _check("membership-matrix", battery)
+def test_acceptance_membership_matrix(timed_suite):
+    _check("membership-matrix", timed_suite)
 
 
-def test_acceptance_runtime_budget():
-    assert len(_durations) == 10
-    total = sum(_durations.values())
+def test_acceptance_runtime_budget(timed_suite):
+    durations = {name: timed_suite(name)[1] for name in SUITES}
+    assert len(durations) == 10
+    total = sum(durations.values())
     print(f"\nPASS  runtime: {total:.1f}s for 10 suites "
           f"(budget {RUNTIME_BUDGET_S:.0f}s)")
-    assert total < RUNTIME_BUDGET_S, _durations
+    assert total < RUNTIME_BUDGET_S, durations

@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+import growthcomp.cli
+from growthcomp import holds
 from growthcomp.cli import main
 
 # ---------------------------------------------------------------------------
@@ -31,6 +33,29 @@ def test_seq_analyze_report(capsys):
     states = {row["check"]: row["state"] for row in doc["results"]}
     assert states["mg"] == "Holds"
     assert states["strong_2j"] == "Fails"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in the report")
+
+
+def test_steep_qgevrey_report_is_strict_json(capsys):
+    # the index-doubling witness of a steep q-Gevrey base overflows exp()
+    code, out, _ = run(capsys, "seq", "analyze", "qgevrey:5", "--J", "2048")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    om1 = next(row for row in doc["results"] if row["check"] == "om1_index")
+    assert om1["witnesses"]["log_liminf_ratio"] > 709.0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_witness_exits_two(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(growthcomp.cli, "check_om1_index",
+                        lambda *a, **k: holds(witnesses={"L": float("nan")}))
+    code, out, err = run(capsys, "seq", "analyze", "gevrey:1", "--J", "64",
+                         "--format", fmt)
+    assert code == 2 and out == ""
+    assert "not a finite number" in err
 
 
 def test_seq_compare_report(capsys):

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcomp import (AssociatedWeight, associated_sequence,
-                        check_om1_weight, check_om6_weight, dilate,
-                        from_sequence, from_table, gevrey, is_convex_weight,
-                        normalize, power, q_gevrey, rapidly_decreasing,
-                        sandwich_check, strong_ratio_check, v_weight,
-                        weight_preceq)
+                        check_om1_weight, check_om6_weight, from_sequence,
+                        from_table, gevrey, is_convex_weight, normalize,
+                        q_gevrey, rapidly_decreasing, sandwich_check,
+                        strong_ratio_check, weight_preceq, weight_preceq_dila,
+                        weight_preceq_pow, weight_triangle)
 
 # ---------------------------------------------------------------------------
 # dilation and power algebra
@@ -27,7 +27,7 @@ def _xgrid():
 def test_dilation_shifts_the_argument(c):
     u = from_sequence(gevrey(1.0, 64))
     x = _xgrid()
-    np.testing.assert_allclose(dilate(u, c).omega_log(x),
+    np.testing.assert_allclose(u.dilate(c).omega_log(x),
                                u.omega_log(x + np.log(c)), rtol=0, atol=1e-12)
 
 
@@ -36,7 +36,7 @@ def test_dilation_shifts_the_argument(c):
 def test_power_scales_the_value(c):
     u = from_sequence(gevrey(1.0, 64))
     x = _xgrid()
-    np.testing.assert_allclose(power(u, c).omega_log(x),
+    np.testing.assert_allclose(u.power(c).omega_log(x),
                                c * np.asarray(u.omega_log(x)), rtol=0,
                                atol=1e-12)
 
@@ -44,26 +44,24 @@ def test_power_scales_the_value(c):
 def test_dilations_compose():
     u = from_sequence(gevrey(1.0, 64))
     x = _xgrid()
-    np.testing.assert_allclose(dilate(dilate(u, 2.0), 3.0).omega_log(x),
-                               dilate(u, 6.0).omega_log(x), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(u.dilate(2.0).dilate(3.0).omega_log(x),
+                               u.dilate(6.0).omega_log(x), rtol=0, atol=1e-9)
 
 
 def test_unit_parameters_change_nothing():
     u = from_sequence(gevrey(1.0, 64))
     x = _xgrid()
-    np.testing.assert_array_equal(dilate(u, 1.0).omega_log(x), u.omega_log(x))
-    np.testing.assert_array_equal(power(u, 1.0).omega_log(x), u.omega_log(x))
+    np.testing.assert_array_equal(u.dilate(1.0).omega_log(x), u.omega_log(x))
+    np.testing.assert_array_equal(u.power(1.0).omega_log(x), u.omega_log(x))
 
 
-def test_v_weight_matches_the_two_axes(g1):
+def test_sequence_weight_matches_the_two_axes(g1):
     aw = AssociatedWeight(g1)
     x = _xgrid()
-    np.testing.assert_array_equal(v_weight(g1, "dilate", 2.0).omega_log(x),
+    np.testing.assert_array_equal(from_sequence(g1).dilate(2.0).omega_log(x),
                                   aw.omega_log(x + np.log(2.0)))
-    np.testing.assert_array_equal(v_weight(g1, "power", 2.0).omega_log(x),
+    np.testing.assert_array_equal(from_sequence(g1).power(2.0).omega_log(x),
                                   2.0 * aw.omega_log(x))
-    with pytest.raises(ValueError, match="dilate"):
-        v_weight(g1, "pow", 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +81,18 @@ def test_normalize_pins_the_low_range():
     np.testing.assert_array_equal(ns.omega_log(np.array([-2.0, 0.0])),
                                   [0.0, 0.0])
     assert normalize(ns) is ns
+
+
+def test_transforms_of_a_normalized_weight_fold():
+    ns = normalize(from_table([0.1, 1.0, 10.0, 100.0], [0.3, 0.5, 2.0, 9.0]))
+    x = np.linspace(-2.0, 3.0, 41)
+    np.testing.assert_allclose(ns.power(2.0).omega_log(x),
+                               2.0 * ns.omega_log(x), rtol=0, atol=1e-12)
+    dn = ns.dilate(4.0)
+    assert not dn.normalized
+    want = np.maximum(0.0, dn.omega_log(x) - dn.omega_log(0.0))
+    np.testing.assert_allclose(normalize(dn).omega_log(x), want, rtol=0,
+                               atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +151,18 @@ def test_weight_comparison_orientation(g1, g2):
     assert weight_preceq(u1, u1).holds
     assert weight_preceq(u2, u1).holds
     assert weight_preceq(u1, u2).fails
+
+
+@pytest.mark.parametrize("J", [128, 512])
+def test_weight_ladders_on_settled_pairs(J):
+    # both sides settle inside the faithful window at either truncation
+    u1 = from_sequence(gevrey(1.0, J))
+    for v in (from_sequence(gevrey(2.0, J)), from_sequence(q_gevrey(1.5, J))):
+        assert weight_triangle(v, u1).holds
+        assert weight_triangle(u1, v).fails
+        for ladder in (weight_preceq_dila, weight_preceq_pow):
+            vd = ladder(v, u1)
+            assert vd.holds and vd.witnesses["c"] == 1.0
 
 
 # ---------------------------------------------------------------------------
