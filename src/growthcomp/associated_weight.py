@@ -11,6 +11,12 @@ Both routes share the bit-identical term expression j*x - P[j], so on
 log-convex input they agree to the last bit; they must never be collapsed
 into one implementation, since their agreement is itself a checked invariant.
 
+The scan route and both recoveries (legendre_recover here,
+associated_sequence for a weight) are one discrete Legendre conjugate run in
+two directions, so they share the blocked kernel ``conjugate``.  The scan
+forms its terms as x*j where the closed form forms j*x; IEEE multiplication
+is commutative and max is exact, so the two routes still agree bit for bit.
+
 For non-log-convex input the closed-form route works on the log-convex
 minorant (the associated weight cannot see the difference); the scan route
 keeps the raw values.
@@ -37,7 +43,7 @@ LADDER_GRID_N = 2048
 LADDER_ATOL = 1e-9
 MIN_WINDOW_SPAN = 0.05
 
-_SCAN_CHUNK = 512
+SCAN_CHUNK = 512
 _WINDOW_HALF_WIDTH = 3
 
 
@@ -70,7 +76,8 @@ class AssociatedWeight:
         """Associated weight at t = exp(x), for scalar or array x."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if mode == "sup_scan":
-            out = _sup_scan(self.source.log_values, xs)
+            P = self.source.log_values
+            out = conjugate(xs, np.arange(len(P), dtype=float), P)
         elif mode == "closed_form":
             out = _closed_form(self.hull.log_values, self.knots, xs)
         else:
@@ -97,13 +104,20 @@ class AssociatedWeight:
         return out if np.ndim(t) else out[0]
 
 
-def _sup_scan(P: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    j = np.arange(len(P), dtype=float)
-    out = np.empty(len(xs))
-    for lo in range(0, len(xs), _SCAN_CHUNK):
-        blk = xs[lo:lo + _SCAN_CHUNK]
-        terms = j[:, None] * blk[None, :] - P[:, None]
-        out[lo:lo + _SCAN_CHUNK] = terms.max(axis=0)
+def conjugate(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Discrete Legendre conjugate: out[i] = max_k (a[i] * b[k] - c[k]).
+
+    The rows of a go through in blocks of SCAN_CHUNK in one reused work
+    array of at most SCAN_CHUNK * len(b) terms (a fresh array per block
+    would be mapped and faulted in anew once it outgrows the heap).
+    """
+    out = np.empty(len(a))
+    buf = np.empty((min(SCAN_CHUNK, len(a)), len(b)))
+    for lo in range(0, len(a), SCAN_CHUNK):
+        blk = a[lo:lo + SCAN_CHUNK]
+        terms = np.multiply.outer(blk, b, out=buf[:len(blk)])
+        terms -= c
+        out[lo:lo + SCAN_CHUNK] = terms.max(axis=1)
     return out
 
 
@@ -128,38 +142,29 @@ def counting(M: WeightSequence, t):
 # Legendre-type recovery
 # ---------------------------------------------------------------------------
 
-def legendre_recover(omega, J: int, grid: Grid | None = None,
+def legendre_recover(omega: AssociatedWeight, J: int, grid: Grid | None = None,
                      safety: float = 0.5) -> WeightSequence:
     """Recover M_j = sup_t t^j / exp(omega(t)) on the grid, for j = 0..J.
 
-    ``omega`` is an AssociatedWeight or any object with an ``omega_log(x)``
-    method (a Weight).  For an AssociatedWeight the grid is augmented with the
-    quotient knots, which makes the recovery exact on the faithful range.
-    Indices beyond safety * (counting at the grid end) are grid-limited
-    underestimates; a warning is emitted when J exceeds that cap.
+    The grid is augmented with the quotient knots, which makes the recovery
+    exact on the faithful range.  Indices beyond safety * (counting at the
+    grid end) are grid-limited underestimates; a warning is emitted when J
+    exceeds that cap.  (A Weight recovers its sequence through
+    weight_functions.associated_sequence.)
     """
     if grid is None:
         grid = default_grid()
     x = grid.log_t
-    label = ""
-    if isinstance(omega, AssociatedWeight):
-        kn = omega.knots[1:]
-        x = np.union1d(x, kn[(kn >= x[0]) & (kn <= x[-1])])
-        k_end = float(omega.counting(np.exp(x[-1])))
-        label = f"recovered({omega.source.label})" if omega.source.label else "recovered"
-    else:
-        w_tail = omega.omega_log(x[-2:])
-        k_end = float((w_tail[1] - w_tail[0]) / (x[-1] - x[-2]))
-        src = getattr(omega, "label", "")
-        label = f"recovered({src})" if src else "recovered"
+    kn = omega.knots[1:]
+    x = np.union1d(x, kn[(kn >= x[0]) & (kn <= x[-1])])
+    k_end = float(omega.counting(np.exp(x[-1])))
+    label = f"recovered({omega.source.label})" if omega.source.label else "recovered"
     j_reliable = int(np.floor(max(0.0, k_end) * safety))
     if J > j_reliable:
         warnings.warn(f"recovery requested up to j={J} but the grid only "
                       f"supports j<={j_reliable}; higher indices are "
                       f"grid-limited underestimates", stacklevel=2)
-    w = omega.omega_log(x)
-    j = np.arange(J + 1, dtype=float)
-    vals = (j[:, None] * x[None, :] - w[None, :]).max(axis=1)
+    vals = conjugate(np.arange(J + 1, dtype=float), x, omega.omega_log(x))
     clamped = bool(vals[0] != 0.0)
     vals[0] = 0.0
     return WeightSequence(vals, label=label,

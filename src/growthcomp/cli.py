@@ -7,10 +7,10 @@ evaluation, and the end-to-end verification suites.
 
 Reports are deterministic: identical configuration and inputs produce
 byte-identical output.  Floats are printed with 17 significant digits, the
-effective configuration is echoed into every report, and nothing
-time-dependent is emitted.  Exit codes: 0 for a report produced as expected
-(for "verify": every suite passed), 1 when a verification suite fails, 2 for
-usage, input, or routing errors.
+configuration fields a command reads (and only those) are echoed into its
+report, and nothing time-dependent is emitted.  Exit codes: 0 for a report
+produced as expected (for "verify": every suite passed), 1 when a
+verification suite fails, 2 for usage, input, or routing errors.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .acceptance import SUITES, run_suite
 from .associated_weight import (OM1_LADDER, OM6_LADDER, om1_ladder, om6_ladder)
 from .battery import standard_battery
-from .config import BATTERIES, FORMATS, RunConfig, from_json
+from .config import FORMATS, RunConfig, from_json
 from .relations import bridge_pow_seq, bridge_triangle_seq
 from .sequence_core import (WeightSequence, check_56_alternative, check_mg,
                             check_mg_diag, check_om1_index, check_strong_2j,
@@ -43,6 +43,19 @@ from .weight_functions import (Weight, associated_sequence, from_sequence,
                                rapidly_decreasing, sandwich_check)
 
 SEQUENCE_SOURCES = "gevrey:S | qgevrey:Q | file:PATH"
+
+# the RunConfig fields each command reads: only these are offered as flags and
+# echoed into its report (a --config file may still set any field)
+COMMAND_FIELDS = {
+    "seq analyze": ("J", "margin", "L_max", "C_max", "fmt"),
+    "seq compare": ("J", "margin", "fmt"),
+    "weight analyze": ("t_min", "t_max", "grid_n", "knot_augmented", "J",
+                       "margin", "H_max", "fmt", "safety", "cond_n"),
+    "spaces decide": ("J", "margin", "fmt"),
+    "spaces system-equiv": ("J", "margin", "fmt"),
+    "theta eval": ("J", "fmt"),
+    "verify": ("J", "fmt"),
+}
 
 
 class UsageError(Exception):
@@ -212,15 +225,17 @@ def emit(doc: dict, cfg: RunConfig) -> None:
 
 
 def _base_doc(cfg: RunConfig, command: str, inputs: dict) -> dict:
-    return {"command": command, "config": cfg.to_dict(), "inputs": inputs}
+    return {"command": command,
+            "config": {k: getattr(cfg, k) for k in COMMAND_FIELDS[command]},
+            "inputs": inputs}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_seq_analyze(cfg: RunConfig, source: str) -> int:
-    M = parse_sequence(source, cfg.J)
+def cmd_seq_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
+    M = parse_sequence(args.source, cfg.J)
     pol = cfg.policy()
     checks = [("log_convex", is_log_convex(M)),
               ("LC", is_LC(M, pol)),
@@ -229,16 +244,16 @@ def cmd_seq_analyze(cfg: RunConfig, source: str) -> int:
               ("om1_index", check_om1_index(M, pol, L_max=cfg.L_max)),
               ("strong_2j", check_strong_2j(M, pol)),
               ("alternative_56", check_56_alternative(M, pol, C_max=cfg.C_max))]
-    doc = _base_doc(cfg, "seq analyze", {"source": source, "label": M.label,
+    doc = _base_doc(cfg, "seq analyze", {"source": args.source, "label": M.label,
                                          "J": M.J})
     doc["results"] = [_verdict_entry(name, vd) for name, vd in checks]
     emit(doc, cfg)
     return 0
 
 
-def cmd_seq_compare(cfg: RunConfig, source_a: str, source_b: str) -> int:
-    A = parse_sequence(source_a, cfg.J)
-    B = parse_sequence(source_b, cfg.J)
+def cmd_seq_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
+    A = parse_sequence(args.source_a, cfg.J)
+    B = parse_sequence(args.source_b, cfg.J)
     pol = cfg.policy()
     checks = [("preceq_ab", seq_preceq(A, B, pol)),
               ("preceq_ba", seq_preceq(B, A, pol)),
@@ -249,7 +264,7 @@ def cmd_seq_compare(cfg: RunConfig, source_a: str, source_b: str) -> int:
               ("bridge_triangle_ba", bridge_triangle_seq(B, A, policy=pol)),
               ("bridge_pow_ab", bridge_pow_seq(A, B, policy=pol)),
               ("bridge_pow_ba", bridge_pow_seq(B, A, policy=pol))]
-    doc = _base_doc(cfg, "seq compare", {"a": source_a, "b": source_b,
+    doc = _base_doc(cfg, "seq compare", {"a": args.source_a, "b": args.source_b,
                                          "label_a": A.label, "label_b": B.label})
     doc["results"] = [_verdict_entry(name, vd) for name, vd in checks]
     emit(doc, cfg)
@@ -267,8 +282,8 @@ def _normalized_check(u: Weight, cfg: RunConfig) -> Verdict:
                  note="not pinned to one below t = 1; normalize() repairs this")
 
 
-def cmd_weight_analyze(cfg: RunConfig, source: str) -> int:
-    u = parse_weight(source, cfg.J)
+def cmd_weight_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
+    u = parse_weight(args.source, cfg.J)
     pol = cfg.policy()
     g = cfg.grid(u)
     h_values = tuple(H for H in OM6_LADDER if H <= cfg.H_max)
@@ -282,7 +297,7 @@ def cmd_weight_analyze(cfg: RunConfig, source: str) -> int:
               ("sandwich", sandwich_check(u, grid=g, J=cfg.J, policy=pol))]
     Mu = associated_sequence(u, J=cfg.J, grid=g, safety=cfg.safety)
     doc = _base_doc(cfg, "weight analyze",
-                    {"source": source, "label": u.label,
+                    {"source": args.source, "label": u.label,
                      "faithful_log_t": float(u.log_t_reliable)})
     doc["results"] = [_verdict_entry(name, vd) for name, vd in checks]
     doc["associated_sequence"] = {
@@ -296,14 +311,14 @@ def cmd_weight_analyze(cfg: RunConfig, source: str) -> int:
     return 0
 
 
-def cmd_spaces_decide(cfg: RunConfig, left: str, right: str) -> int:
-    A = parse_space(left, cfg.J)
-    B = parse_space(right, cfg.J)
+def cmd_spaces_decide(cfg: RunConfig, args: argparse.Namespace) -> int:
+    A = parse_space(args.left, cfg.J)
+    B = parse_space(args.right, cfg.J)
     try:
         iv = decide_inclusion(A, B, policy=cfg.policy())
     except RoutingError as exc:
         raise UsageError(f"no decision route: {exc}") from exc
-    doc = _base_doc(cfg, "spaces decide", {"left": left, "right": right})
+    doc = _base_doc(cfg, "spaces decide", {"left": args.left, "right": args.right})
     doc["results"] = [_verdict_entry("inclusion", iv.verdict)]
     doc["route"] = iv.theorem_tag
     doc["sides"] = {k: _verdict_entry(k, v) for k, v in sorted(iv.sides.items())}
@@ -313,21 +328,21 @@ def cmd_spaces_decide(cfg: RunConfig, left: str, right: str) -> int:
     return 0
 
 
-def cmd_system_equiv(cfg: RunConfig, source: str) -> int:
-    M = parse_sequence(source, cfg.J)
+def cmd_system_equiv(cfg: RunConfig, args: argparse.Namespace) -> int:
+    M = parse_sequence(args.source, cfg.J)
     try:
         vd = system_equiv(M, cfg.policy())
     except RoutingError as exc:
         raise UsageError(str(exc)) from exc
-    doc = _base_doc(cfg, "spaces system-equiv", {"source": source,
+    doc = _base_doc(cfg, "spaces system-equiv", {"source": args.source,
                                                  "label": M.label})
     doc["results"] = [_verdict_entry("system_equiv", vd)]
     emit(doc, cfg)
     return 0
 
 
-def cmd_theta_eval(cfg: RunConfig, source: str, kind: str, c: float,
-                   points: str) -> int:
+def cmd_theta_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
+    source, kind, c, points = args.source, args.kind, args.c, args.t
     M = parse_sequence(source, cfg.J)
     try:
         ts = [float(p) for p in points.split(",") if p.strip()]
@@ -354,11 +369,11 @@ def cmd_theta_eval(cfg: RunConfig, source: str, kind: str, c: float,
     return 0
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     battery = standard_battery(cfg.J)
-    names = list(SUITES) if suite == "all" else [suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [run_suite(name, battery) for name in names]
-    doc = _base_doc(cfg, "verify", {"suite": suite})
+    doc = _base_doc(cfg, "verify", {"suite": args.suite})
     doc["results"] = [{"suite": r.name, "passed": r.passed, "detail": r.detail}
                       for r in results]
     doc["passed"] = all(r.passed for r in results)
@@ -370,30 +385,42 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    run = shared.add_argument_group("run configuration")
+_FLAGS = {
+    "t_min": ("--grid-min", {"type": float, "metavar": "T"}),
+    "t_max": ("--grid-max", {"type": float, "metavar": "T"}),
+    "grid_n": ("--grid-n", {"type": int, "metavar": "N"}),
+    "knot_augmented": ("--no-knots", {"action": "store_false", "default": None,
+                                      "help": "plain geometric grid, no knot points"}),
+    "J": ("--J", {"type": int, "metavar": "J",
+                  "help": "index range for constructed sequences"}),
+    "margin": ("--margin", {"type": float, "metavar": "M",
+                            "help": "trend slope threshold"}),
+    "L_max": ("--L-max", {"type": int, "metavar": "L"}),
+    "H_max": ("--H-max", {"type": float, "metavar": "H"}),
+    "C_max": ("--C-max", {"type": int, "metavar": "C"}),
+    "safety": ("--safety", {"type": float, "metavar": "S",
+                            "help": "reliable-range fraction for recovered sequences"}),
+    "cond_n": ("--cond-n", {"type": int, "metavar": "N",
+                            "help": "grid points per ladder-condition window"}),
+    "fmt": ("--format", {"choices": FORMATS}),
+}
+
+
+def _add_command(sub, name: str, command: str, handler,
+                 help: str) -> argparse.ArgumentParser:
+    """Subcommand parser offering --config and the flags of the fields it reads."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run_command=command, handler=handler)
+    run = p.add_argument_group("run configuration")
     run.add_argument("--config", metavar="PATH",
                      help="JSON file with RunConfig fields; flags override it")
-    run.add_argument("--grid-min", dest="t_min", type=float, metavar="T")
-    run.add_argument("--grid-max", dest="t_max", type=float, metavar="T")
-    run.add_argument("--grid-n", dest="grid_n", type=int, metavar="N")
-    run.add_argument("--no-knots", dest="knot_augmented", action="store_false",
-                     default=None, help="plain geometric grid, no knot points")
-    run.add_argument("--J", dest="J", type=int, metavar="J",
-                     help="index range for constructed sequences")
-    run.add_argument("--margin", dest="margin", type=float, metavar="M",
-                     help="trend slope threshold")
-    run.add_argument("--L-max", dest="L_max", type=int, metavar="L")
-    run.add_argument("--H-max", dest="H_max", type=float, metavar="H")
-    run.add_argument("--C-max", dest="C_max", type=int, metavar="C")
-    run.add_argument("--safety", dest="safety", type=float, metavar="S",
-                     help="reliable-range fraction for recovered sequences")
-    run.add_argument("--cond-n", dest="cond_n", type=int, metavar="N",
-                     help="grid points per ladder-condition window")
-    run.add_argument("--format", dest="fmt", choices=FORMATS)
-    run.add_argument("--battery", dest="battery", choices=BATTERIES)
+    for field in COMMAND_FIELDS[command]:
+        flag, kw = _FLAGS[field]
+        run.add_argument(flag, dest=field, **kw)
+    return p
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="growthcomp",
         description="Growth analysis and comparison of weight sequences, "
@@ -402,80 +429,59 @@ def build_parser() -> argparse.ArgumentParser:
 
     seq = sub.add_parser("seq", help="weight-sequence analyses")
     seq_sub = seq.add_subparsers(dest="subcommand", required=True)
-    p = seq_sub.add_parser("analyze", parents=[shared],
-                           help="growth conditions of one sequence")
+    p = _add_command(seq_sub, "analyze", "seq analyze", cmd_seq_analyze,
+                     help="growth conditions of one sequence")
     p.add_argument("source", help=SEQUENCE_SOURCES)
-    p = seq_sub.add_parser("compare", parents=[shared],
-                           help="comparison relations and bridges for a pair")
+    p = _add_command(seq_sub, "compare", "seq compare", cmd_seq_compare,
+                     help="comparison relations and bridges for a pair")
     p.add_argument("source_a", help=SEQUENCE_SOURCES)
     p.add_argument("source_b", help=SEQUENCE_SOURCES)
 
     weight = sub.add_parser("weight", help="weight-function analyses")
     weight_sub = weight.add_subparsers(dest="subcommand", required=True)
-    p = weight_sub.add_parser("analyze", parents=[shared],
-                              help="structure and growth of one weight")
+    p = _add_command(weight_sub, "analyze", "weight analyze", cmd_weight_analyze,
+                     help="structure and growth of one weight")
     p.add_argument("source",
                    help=f"{SEQUENCE_SOURCES} (file: tabulated 't,omega' rows)")
 
     spaces = sub.add_parser("spaces", help="space-level decisions")
     spaces_sub = spaces.add_subparsers(dest="subcommand", required=True)
-    p = spaces_sub.add_parser("decide", parents=[shared],
-                              help="decide one inclusion between spaces")
+    p = _add_command(spaces_sub, "decide", "spaces decide", cmd_spaces_decide,
+                     help="decide one inclusion between spaces")
     p.add_argument("--left", required=True, help="FLAVOR:SOURCE[:c=VALUE]")
     p.add_argument("--right", required=True, help="FLAVOR:SOURCE[:c=VALUE]")
-    p = spaces_sub.add_parser("system-equiv", parents=[shared],
-                              help="dilation family vs power family")
+    p = _add_command(spaces_sub, "system-equiv", "spaces system-equiv",
+                     cmd_system_equiv,
+                     help="dilation family vs power family")
     p.add_argument("--seq", required=True, dest="source", help=SEQUENCE_SOURCES)
 
     theta = sub.add_parser("theta", help="canonical series probes")
     theta_sub = theta.add_subparsers(dest="subcommand", required=True)
-    p = theta_sub.add_parser("eval", parents=[shared],
-                             help="certified evaluation of a probe")
+    p = _add_command(theta_sub, "eval", "theta eval", cmd_theta_eval,
+                     help="certified evaluation of a probe")
     p.add_argument("source", help=SEQUENCE_SOURCES)
     p.add_argument("--kind", choices=THETA_KINDS, default="dila")
     p.add_argument("--c", type=float, default=1.0, metavar="C")
     p.add_argument("--t", required=True, metavar="T1,T2,...",
                    help="comma-separated evaluation points")
 
-    p = sub.add_parser("verify", parents=[shared],
-                       help="run an end-to-end verification suite")
+    p = _add_command(sub, "verify", "verify", cmd_verify,
+                     help="run an end-to-end verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     return parser
 
 
-_CONFIG_FIELDS = ("t_min", "t_max", "grid_n", "knot_augmented", "J", "margin",
-                  "L_max", "C_max", "H_max", "safety", "cond_n", "fmt",
-                  "battery")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args.config,
-                              {k: getattr(args, k, None)
-                               for k in _CONFIG_FIELDS})
-        if args.command == "seq" and args.subcommand == "analyze":
-            return cmd_seq_analyze(cfg, args.source)
-        if args.command == "seq" and args.subcommand == "compare":
-            return cmd_seq_compare(cfg, args.source_a, args.source_b)
-        if args.command == "weight":
-            return cmd_weight_analyze(cfg, args.source)
-        if args.command == "spaces" and args.subcommand == "decide":
-            return cmd_spaces_decide(cfg, args.left, args.right)
-        if args.command == "spaces" and args.subcommand == "system-equiv":
-            return cmd_system_equiv(cfg, args.source)
-        if args.command == "theta":
-            return cmd_theta_eval(cfg, args.source, args.kind, args.c, args.t)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        parser.error(f"unhandled command {args.command!r}")
+        cfg = _resolve_config(args.config, {k: getattr(args, k)
+                                            for k in COMMAND_FIELDS[args.run_command]})
+        return args.handler(cfg, args)
     except UsageError as exc:
         print(f"growthcomp: error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         return 130
-    return 2
 
 
 if __name__ == "__main__":

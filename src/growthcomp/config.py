@@ -13,12 +13,11 @@ from .trend import TrendPolicy
 from .weight_functions import Weight
 
 FORMATS = ("json", "csv")
-BATTERIES = ("standard",)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective run parameters; echoed into every report."""
+    """Effective run parameters; each report echoes the ones its command reads."""
 
     t_min: float = 1e-3
     t_max: float = 1e9
@@ -30,7 +29,6 @@ class RunConfig:
     C_max: int = 16
     H_max: float = 1024.0
     fmt: str = "json"
-    battery: str = "standard"
     safety: float = 0.5
     cond_n: int = 2048
 
@@ -47,8 +45,6 @@ class RunConfig:
             raise ValueError("margin in (0,1), safety in (0,1]")
         if self.fmt not in FORMATS:
             raise ValueError(f"fmt must be one of {FORMATS}")
-        if self.battery not in BATTERIES:
-            raise ValueError(f"battery must be one of {BATTERIES}")
 
     def grid(self, *sources: Weight) -> Grid:
         g = Grid.geometric(self.t_min, self.t_max, self.grid_n)
@@ -60,9 +56,6 @@ class RunConfig:
 
     def policy(self) -> TrendPolicy:
         return TrendPolicy(margin=self.margin, ratio_margin=self.margin / 2.0)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def with_overrides(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **{k: v for k, v in kw.items() if v is not None})

@@ -34,10 +34,6 @@ class Grid:
     def __len__(self) -> int:
         return len(self.log_t)
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.exp(self.log_t)
-
     @staticmethod
     def geometric(t_min: float, t_max: float, n: int) -> "Grid":
         if not (t_min > 0 and t_max > t_min):

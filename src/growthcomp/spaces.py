@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .associated_weight import OM1_LADDER, OM6_LADDER, check_om6_omega
+from .associated_weight import (OM1_LADDER, OM6_LADDER, SCAN_CHUNK,
+                                check_om6_omega)
 from .grids import Grid, default_grid
 from .relations import pow_routes, tildestrong_check, triangle_routes
 from .sequence_core import (WeightSequence, check_mg, check_om1_index,
@@ -456,13 +457,13 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     js = idx.astype(float)
     vals = np.empty(len(x))
     args = np.empty(len(x), dtype=int)
-    for lo in range(0, len(x), 512):
-        blk = x[lo:lo + 512]
+    for lo in range(0, len(x), SCAN_CHUNK):
+        blk = x[lo:lo + SCAN_CHUNK]
         terms = cf[:, None] + js[:, None] * blk[None, :]
         k = terms.argmax(axis=0)
         m = terms[k, np.arange(terms.shape[1])]
-        vals[lo:lo + 512] = m + np.log(np.exp(terms - m[None, :]).sum(axis=0))
-        args[lo:lo + 512] = idx[k]
+        vals[lo:lo + SCAN_CHUNK] = m + np.log(np.exp(terms - m[None, :]).sum(axis=0))
+        args[lo:lo + SCAN_CHUNK] = idx[k]
     return vals, args
 
 

@@ -9,8 +9,9 @@ diagnostics then have slope near 0 while logarithmically divergent ones keep a
 slope of order one, so a single margin separates them at any window length.
 
 Alongside the half-window slope the classifier reports the slopes of the two
-half-window halves and of the final quarter; ladder deciders use these to
-detect curvature (accelerating vs decelerating trends) and late turnarounds.
+half-window halves and of the final quarter; ladder deciders read the final
+quarter (peak_inside) to detect late turnarounds; the two half-window slopes
+record the curvature of the trend for diagnostics.
 """
 
 from __future__ import annotations
@@ -64,14 +65,6 @@ class TrendReport:
     x_lo: float
     x_hi: float
     n_points: int
-
-    @property
-    def accelerating(self) -> bool:
-        """Signed slope increasing across the window (convex diagnostic)."""
-        return self.slope_second - self.slope_first > 0
-
-    def curvature_exceeds(self, tol: float) -> bool:
-        return abs(self.slope_second - self.slope_first) > tol
 
     @property
     def peak_inside(self) -> bool:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .associated_weight import (OM6_LADDER, AssociatedWeight, om1_ladder,
+from .associated_weight import (LADDER_GRID_N, MIN_WINDOW_SPAN, OM6_LADDER,
+                                AssociatedWeight, conjugate, om1_ladder,
                                 om6_ladder)
 from .grids import Grid, default_grid
 from .sequence_core import WeightSequence
@@ -248,8 +249,7 @@ def associated_sequence(u: Weight, J: int = 512, grid: Grid | None = None,
     kn = u.knots_log
     x = np.union1d(x, kn[(kn >= x[0]) & (kn <= x[-1])])
     w = u.omega_log(x)
-    j = np.arange(J + 1, dtype=float)
-    vals = (j[:, None] * x[None, :] - w[None, :]).max(axis=1)
+    vals = conjugate(np.arange(J + 1, dtype=float), x, w)
     shift = float(vals[0])
     vals = vals - shift
     vals[0] = 0.0
@@ -305,23 +305,23 @@ def sandwich_check(u: Weight, grid: Grid | None = None, J: int = 512,
 # doubling conditions and iterated-ratio gate on weights
 # ---------------------------------------------------------------------------
 
-def check_om6_weight(u: Weight, n: int = 2048) -> Verdict:
+def check_om6_weight(u: Weight, n: int = LADDER_GRID_N) -> Verdict:
     """Exists H >= 1 with 2 omega(t) <= omega(H t) + H, read off u directly."""
     return om6_ladder(u.omega_log, u.log_t_reliable, n=n)
 
 
-def check_om1_weight(u: Weight, n: int = 2048) -> Verdict:
+def check_om1_weight(u: Weight, n: int = LADDER_GRID_N) -> Verdict:
     """Exists L with omega(2t) <= L (omega(t) + 1), read off u directly."""
     return om1_ladder(u.omega_log, u.log_t_reliable, n=n)
 
 
-def strong_ratio_check(u: Weight, c: float, d: float, n: int = 2048,
+def strong_ratio_check(u: Weight, c: float, d: float, n: int = LADDER_GRID_N,
                        policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists C with d * omega(t) <= omega(c t) + C on t >= 1."""
     if not (c > 0 and d > 0):
         raise ValueError("need positive c and d")
     span = u.log_t_reliable - np.log(c)
-    if span <= 0.05:
+    if span <= MIN_WINDOW_SPAN:
         return inconclusive("faithful range too short for this dilation factor")
     x = np.linspace(0.0, span, n)
     gdiag = d * u.omega_log(x) - u.omega_log(x + np.log(c))

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcomp import (AssociatedWeight, check_om1_omega, check_om6_omega,
-                        counting, from_log_quotients, from_values, gevrey,
-                        is_log_convex, legendre_recover, log_convex_minorant,
-                        omega_eval, q_gevrey)
+from growthcomp import (AssociatedWeight, WeightSequence, associated_sequence,
+                        check_om1_omega, check_om6_omega, counting,
+                        default_grid, from_log_quotients, from_sequence,
+                        from_values, gevrey, is_log_convex, legendre_recover,
+                        log_convex_minorant, omega_eval, q_gevrey)
 from growthcomp.associated_weight import (OM1_LADDER, OM6_LADDER, OMEGA_MODES,
-                                          om1_ladder, om6_ladder)
+                                          SCAN_CHUNK, om1_ladder, om6_ladder)
 
 # ---------------------------------------------------------------------------
 # counting route
@@ -148,6 +152,67 @@ def test_recovery_warns_past_grid_support():
     with pytest.warns(UserWarning, match="grid only supports"):
         R = legendre_recover(aw, J=500)
     assert int(R.meta["reliable_max_index"]) < 500
+
+
+# ---------------------------------------------------------------------------
+# the blocked conjugate kernel behind the scan route and both recoveries
+# ---------------------------------------------------------------------------
+
+def _dense_sup(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return (a[:, None] * b[None, :] - c[None, :]).max(axis=1)
+
+
+def _with_knots(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    return np.union1d(x, knots[(knots >= x[0]) & (knots <= x[-1])])
+
+
+def test_suprema_across_kernel_blocks_match_a_dense_reference():
+    # J = 1100 spans three blocks of the kernel, with a partial last block
+    J = 1100
+    assert J + 1 > 2 * SCAN_CHUNK
+    rng = np.random.default_rng(11)
+    walk = np.concatenate(([0.0], np.cumsum(rng.normal(0.5, 2.0, J))))
+    M = WeightSequence(walk, label="walk")
+    aw = AssociatedWeight(M)
+    j = np.arange(J + 1, dtype=float)
+
+    xs = np.linspace(-5.0, 12.0, J)
+    np.testing.assert_array_equal(aw.omega_log(xs, mode="sup_scan"),
+                                  _dense_sup(xs, j, M.log_values))
+
+    x = _with_knots(default_grid().log_t, aw.knots[1:])
+    want = _dense_sup(j, x, aw.omega_log(x))
+    want[0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        R = legendre_recover(aw, J=J)
+    np.testing.assert_array_equal(R.log_values, want)
+
+    u = from_sequence(M)
+    x = _with_knots(default_grid().clip(None, u.log_t_reliable).log_t, u.knots_log)
+    vals = _dense_sup(j, x, u.omega_log(x))
+    shift = vals[0]
+    vals = vals - shift
+    vals[0] = 0.0
+    q = np.maximum.accumulate(np.diff(vals))
+    Mu = associated_sequence(u, J=J)
+    assert Mu.meta["origin_shift"] == shift
+    np.testing.assert_array_equal(Mu.log_values,
+                                  np.concatenate(([0.0], np.cumsum(q))))
+
+
+def test_large_recovery_stays_within_a_memory_bound():
+    # one dense (J+1) x n term matrix here would take about 0.5 GiB
+    M = gevrey(1.0, 4096)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            legendre_recover(AssociatedWeight(M), J=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,56 @@ def test_csv_format_shape(capsys):
 
 
 # ---------------------------------------------------------------------------
+# each command offers and echoes only the settings it reads
+# ---------------------------------------------------------------------------
+
+ECHOED = {
+    ("seq", "analyze", "gevrey:1"): {"J", "margin", "L_max", "C_max", "fmt"},
+    ("seq", "compare", "gevrey:1", "gevrey:2"): {"J", "margin", "fmt"},
+    ("weight", "analyze", "gevrey:1"): {"t_min", "t_max", "grid_n", "knot_augmented",
+                                        "J", "margin", "H_max", "safety", "cond_n",
+                                        "fmt"},
+    ("spaces", "decide", "--left", "InductiveDila:gevrey:2",
+     "--right", "ProjectiveDila:gevrey:1"): {"J", "margin", "fmt"},
+    ("spaces", "system-equiv", "--seq", "qgevrey:1.5"): {"J", "margin", "fmt"},
+    ("theta", "eval", "gevrey:1", "--t", "1"): {"J", "fmt"},
+    ("verify", "dual-routes"): {"J", "fmt"},
+}
+
+
+@pytest.mark.parametrize("argv", list(ECHOED), ids=lambda a: " ".join(a[:2]))
+def test_report_echoes_the_settings_its_command_reads(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--J", "64")
+    assert code == 0
+    assert set(json.loads(out)["config"]) == ECHOED[argv]
+
+
+def test_unread_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["seq", "compare", "gevrey:1", "gevrey:2", "--grid-n", "256"])
+    assert exc.value.code == 2
+    assert "--grid-n" in capsys.readouterr().err
+
+
+def test_grid_flag_changes_the_weight_report(capsys):
+    argv = ("weight", "analyze", "gevrey:1", "--J", "64")
+    _, plain, _ = run(capsys, *argv)
+    _, coarse, _ = run(capsys, *argv, "--grid-n", "256")
+    docs = [json.loads(out) for out in (plain, coarse)]
+    assert docs[1]["config"]["grid_n"] == 256
+    assert docs[0]["results"] != docs[1]["results"]
+
+
+def test_config_file_may_set_unread_fields(capsys, tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"J": 64, "margin": 0.05, "grid_n": 2048}))
+    code, out, _ = run(capsys, "spaces", "system-equiv", "--seq", "gevrey:1",
+                       "--config", str(p))
+    assert code == 0
+    assert json.loads(out)["config"] == {"J": 64, "margin": 0.05, "fmt": "json"}
+
+
+# ---------------------------------------------------------------------------
 # configuration layering
 # ---------------------------------------------------------------------------
 
