@@ -5,7 +5,9 @@ t = 0.  Two independent evaluation routes are kept deliberately distinct:
 
 * sup_scan:    the literal supremum of j*x - log M_j over all stored indices;
 * closed_form: locates the maximizing index through the quotient-counting
-  function and takes the same term expression on a small index window.
+  function and takes the same term expression on a small index window,
+  widened to the whole run where x ties with a run of equal quotients
+  (every index of the run can then win the float maximum).
 
 Both routes share the bit-identical term expression j*x - P[j], so on
 log-convex input they agree to the last bit; they must never be collapsed
@@ -122,12 +124,36 @@ def conjugate(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _closed_form(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Max of j*x - P[j] over the indices that can win it in float.
+
+    The exact maximum sits at the counting index k.  Rounding of the term
+    expression (and of the quotients against the differences of P) stays
+    below tie = 4 eps (J max|x| + max|P|), so any index that can still win
+    in float lies within the run of quotients inside [x - tie, x + tie].
+    The fixed window k +- _WINDOW_HALF_WIDTH holds that run except at x on
+    a longer run of (nearly) equal quotients; there the window widens to
+    the whole run, point by point.
+    """
     J = len(P) - 1
-    k = np.searchsorted(knots[1:], xs, side="right")
-    offsets = np.arange(-_WINDOW_HALF_WIDTH, _WINDOW_HALF_WIDTH + 1)
-    jw = np.clip(k[:, None] + offsets[None, :], 0, J)
+    q = knots[1:]
+    k = np.searchsorted(q, xs, side="right")
+    h = _WINDOW_HALF_WIDTH
+    jw = np.clip(k[:, None] + np.arange(-h, h + 1)[None, :], 0, J)
     terms = jw.astype(float) * xs[:, None] - P[jw]
-    return terms.max(axis=1)
+    out = terms.max(axis=1)
+    tie = 4.0 * np.finfo(float).eps * (J * float(np.abs(xs).max(initial=0.0))
+                                       + float(np.abs(P).max()))
+    # indexed by k: log mu_{k-h} + tie and log mu_{k+h+1} - tie (q[i] is
+    # log mu_{i+1}); the infinite pads stand for the ends of the index range
+    pad = np.full(h + 1, np.inf)
+    left = np.concatenate((-pad, q + tie))
+    right = np.concatenate((q[h:] - tie, pad, pad[:h]))
+    for i in np.flatnonzero((left[k] >= xs) | (right[k] <= xs)):
+        lo = min(int(np.searchsorted(q, xs[i] - tie, side="left")), k[i] - h)
+        hi = max(int(np.searchsorted(q, xs[i] + tie, side="right")), k[i] + h)
+        j = np.arange(max(lo, 0), min(hi, J) + 1)
+        out[i] = (j.astype(float) * xs[i] - P[j]).max()
+    return out
 
 
 def omega_eval(M: WeightSequence, t, mode: str = "closed_form"):

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .associated_weight import AssociatedWeight
-from .grids import Grid, default_grid
+from .grids import Grid
 from .sequence_core import (WeightSequence, check_mg, index_trend, seq_approx,
                             seq_triangle)
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
                     classify)
 from .verdicts import Verdict, fails, fuse_unanimous, holds, inconclusive
-from .weight_functions import (_comparison_grid, from_sequence,
-                               weight_preceq_all_dila, weight_triangle_dila,
-                               weight_triangle_pow)
+from .weight_functions import (ForallSamples, forall_ladder, from_sequence,
+                               power_gap)
 
 COMPRESS_LADDER = (1, 2, 4, 8, 16)
 
@@ -81,13 +79,16 @@ def omega_little_o(A: WeightSequence, B: WeightSequence,
                    grid: Grid | None = None,
                    policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """omega_A = o(omega_B) on the shared faithful window."""
-    awA, awB = AssociatedWeight(A), AssociatedWeight(B)
-    g = _comparison_grid(grid, from_sequence(A), from_sequence(B))
-    if g is None or len(g) < MIN_WINDOW_POINTS:
+    return _little_o(ForallSamples(from_sequence(A), from_sequence(B), "power", grid),
+                     policy)
+
+
+def _little_o(samples: ForallSamples, policy: TrendPolicy) -> Verdict:
+    """omega_little_o read off the window of a sample set: omega_A is its v
+    side (wv) and omega_B its w side (wb), both on the full grid."""
+    if samples.x is None:
         return inconclusive("shared faithful range leaves no window")
-    x = g.log_t
-    wa = awA.omega_log(x)
-    wb = awB.omega_log(x)
+    x, wa, wb = samples.x, samples.wv, samples.wb
     pos = wb > 1e-9
     if int(pos.sum()) < MIN_WINDOW_POINTS:
         return inconclusive("denominator weight vanishes on the window")
@@ -116,13 +117,16 @@ def omega_little_o(A: WeightSequence, B: WeightSequence,
 def triangle_routes(M: WeightSequence, N: WeightSequence,
                     grid: Grid | None = None,
                     policy: TrendPolicy = DEFAULT_POLICY) -> dict[str, Verdict]:
-    """Independent routes for the strong relation of M below N."""
-    vM = from_sequence(M)
-    vN = from_sequence(N)
+    """Independent routes for the strong relation of M below N.
+
+    The two dilation routes (weight_triangle_dila and weight_preceq_all_dila
+    of v_N against v_M) classify the same rung samples, each with its own
+    claim."""
+    dilations = ForallSamples(from_sequence(N), from_sequence(M), "dilate", grid)
     return {
         "roots": seq_triangle(M, N, policy),
-        "dilation_gap": weight_triangle_dila(vN, vM, grid, policy),
-        "dilation_bounds": weight_preceq_all_dila(vN, vM, grid, policy),
+        "dilation_gap": forall_ladder("triangle", dilations, policy),
+        "dilation_bounds": forall_ladder("preceq", dilations, policy),
     }
 
 
@@ -137,13 +141,16 @@ def bridge_triangle_seq(M: WeightSequence, N: WeightSequence,
 def pow_routes(M: WeightSequence, N: WeightSequence,
                grid: Grid | None = None,
                policy: TrendPolicy = DEFAULT_POLICY) -> dict[str, Verdict]:
-    """Independent routes for the power-family strong relation."""
-    vM = from_sequence(M)
-    vN = from_sequence(N)
+    """Independent routes for the power-family strong relation.
+
+    power_gap (weight_triangle_pow of v_N against v_M) and omega_ratio
+    (omega_little_o(N, M)) read the same window, so they share one set of
+    power rung samples."""
+    powers = ForallSamples(from_sequence(N), from_sequence(M), "power", grid)
     return {
         "compressed_roots": tildestrong_check(M, N, policy),
-        "power_gap": weight_triangle_pow(vN, vM, grid, policy),
-        "omega_ratio": omega_little_o(N, M, grid, policy),
+        "power_gap": power_gap(powers, policy),
+        "omega_ratio": _little_o(powers, policy),
     }
 
 

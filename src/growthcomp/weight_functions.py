@@ -19,6 +19,16 @@ infinity) and the race between the rung's drag and the baseline gap of the
 undilated family member.  A rung whose visible trend is drag-driven while
 the baseline wins the race asymptotically is window-limited and skipped,
 never guessed.
+
+The forall ladders (every c in FORALL_LADDER = 2^0..2^-10) sample each pair
+once and hand the same rung arrays to every claim on it (ForallSamples).
+Two facts make that exact.  The window does not change across rungs: for
+c <= 1 a dilation only raises w's faithful end and a power leaves it, so
+every rung sees the grid of v against w itself.  And no rung needs a new
+evaluation of v or the base: a dilation rung adds one evaluation of
+w.dilate(c), and a power rung is c * w(x), exact because each c is a power
+of two.  The exists-ladders (c >= 1) shrink the window on every rung and
+sample each rung on its own.
 """
 
 from __future__ import annotations
@@ -371,40 +381,117 @@ def _escape_kind(x: np.ndarray, d: np.ndarray, policy: TrendPolicy) -> Trend:
                     margin=policy.ratio_margin).kind
 
 
-def _rung(claim: str, v: Weight, w: Weight, grid: Grid | None,
-          policy: TrendPolicy,
-          w_base: Weight | None = None) -> tuple[str, tuple[float, float], float]:
-    """Evaluate one comparison rung.  Returns (state, witness_point, sup_d).
+_SKIPPED = (_RUNG_SKIP, (float("nan"), float("nan")), float("nan"))
 
-    preceq claim: omega_v - omega_w bounded above (w = O(v)).
-    triangle claim: omega_w - omega_v -> +infinity (w = o(v)).
-    In both, w is the side whose omega must dominate.  w_base is the family
-    member the rung was derived from; the baseline gap against it separates
-    window-limited rungs (dilation or power drag still masking a divergent
-    baseline) from genuine failures.
+
+def _awake(wv: np.ndarray, ww: np.ndarray) -> np.ndarray | None:
+    """Mask of the window past the plateau, or None for a rung to skip.
+
+    A rung is dormant while the dominating side ww has not risen above
+    zero; otherwise the dead zone where both weights still sit at their
+    plateau is dropped, since it carries no comparison information and
+    drowns the trailing-window fits."""
+    if int(np.count_nonzero(ww > 1e-9)) < MIN_WINDOW_POINTS:
+        return None
+    awake = (wv > 1e-9) | (ww > 1e-9)
+    if int(awake.sum()) < MIN_WINDOW_POINTS:
+        return None
+    return awake
+
+
+def _rung_samples(v: Weight, w: Weight, grid: Grid | None,
+                  w_base: Weight | None = None) -> tuple | None:
+    """Samples (x, wv, ww, wb) of one rung on its own window, past the
+    plateau; None when the rung is to be skipped.
+
+    w_base is the family member the rung was derived from (None: w itself).
+    The window is clipped to the faithful range of every participant,
+    including the undilated baseline: the race quotient is meaningless where
+    the baseline has already saturated at its top slope.  Serves the single
+    comparisons and the exists-ladders, whose rungs each move the window.
     """
-    # clip to the faithful window of every participant, including the
-    # undilated baseline: the race quotient below is meaningless where the
-    # baseline has already saturated at its top slope
-    if w_base is None or w_base is w:
-        g = _comparison_grid(grid, v, w)
-    else:
-        g = _comparison_grid(grid, v, w, w_base)
+    same = w_base is None or w_base is w
+    g = _comparison_grid(grid, v, w) if same else _comparison_grid(grid, v, w, w_base)
     if g is None or len(g) < MIN_WINDOW_POINTS:
-        return _RUNG_SKIP, (float("nan"), float("nan")), float("nan")
+        return None
     x = g.log_t
     wv = v.omega_log(x)
     ww = w.omega_log(x)
-    if int(np.count_nonzero(ww > 1e-9)) < MIN_WINDOW_POINTS:
-        # dormant rung: the dominating side has not risen above zero yet
-        return _RUNG_SKIP, (float("nan"), float("nan")), float("nan")
-    # drop the dead zone where both weights still sit at their plateau; it
-    # carries no comparison information and drowns the trailing-window fits
-    awake = (wv > 1e-9) | (ww > 1e-9)
-    if int(awake.sum()) < MIN_WINDOW_POINTS:
-        return _RUNG_SKIP, (float("nan"), float("nan")), float("nan")
+    awake = _awake(wv, ww)
+    if awake is None:
+        return None
     x, wv, ww = x[awake], wv[awake], ww[awake]
-    wb = ww if (w_base is None or w_base is w) else w_base.omega_log(x)
+    return x, wv, ww, ww if same else w_base.omega_log(x)
+
+
+class ForallSamples:
+    """Samples of v against every rung of one forall family of w, on one grid.
+
+    family is "dilate" (rung c is w.dilate(c)) or "power" (w.power(c)); the
+    baseline is w itself.  Every rung of FORALL_LADDER is read off one
+    grid and one evaluation of v and w, and each claim on the pair reads the
+    same rung arrays.  Two facts make the sharing exact:
+
+    * the window does not change across rungs: for c <= 1 a dilation only
+      raises w's faithful end (the shift falls, monotonically in float) and
+      a power leaves it, so the grid of every rung is _comparison_grid(grid,
+      v, w) bit for bit;
+    * no rung needs a new evaluation of v or the baseline: a dilation rung
+      adds one w.dilate(c).omega_log(x), and a power rung is c * w(x), equal
+      to w.power(c).omega_log(x) because every rung c is a power of two.
+
+    Rungs are filled on first use, so a ladder that fails at its first rung
+    evaluates no other.  x is the grid, and wv and wb are v and w on it;
+    all three are None when the window is too short.
+    """
+
+    def __init__(self, v: Weight, w: Weight, family: str, grid: Grid | None = None):
+        self.w = w
+        self.family = family
+        self.rungs: dict[float, tuple | None] = {}  # c -> (ww, awake) or None
+        g = _comparison_grid(grid, v, w)
+        self.x = self.wv = self.wb = None
+        if g is not None and len(g) >= MIN_WINDOW_POINTS:
+            self.x = g.log_t
+            self.wv = v.omega_log(self.x)
+            self.wb = w.omega_log(self.x)
+
+    def rung(self, c: float) -> tuple | None:
+        """Samples (x, wv, ww, wb) of rung c past the plateau; None to skip."""
+        if c not in self.rungs:
+            self.rungs[c] = self._sample(c)
+        if self.rungs[c] is None:
+            return None
+        ww, awake = self.rungs[c]
+        return self.x[awake], self.wv[awake], ww[awake], self.wb[awake]
+
+    def _sample(self, c: float) -> tuple | None:
+        """(ww, awake mask) of rung c on the full grid; None to skip."""
+        if self.x is None:
+            return None
+        if c == 1.0:
+            ww = self.wb
+        elif self.family == "power":
+            ww = c * self.wb
+        else:
+            ww = self.w.dilate(c).omega_log(self.x)
+        awake = _awake(self.wv, ww)
+        return None if awake is None else (ww, awake)
+
+
+def _classify_rung(claim: str, samples: tuple | None,
+                   policy: TrendPolicy) -> tuple[str, tuple[float, float], float]:
+    """Classify one comparison rung.  Returns (state, witness_point, sup_d).
+
+    preceq claim: omega_v - omega_w bounded above (w = O(v)).
+    triangle claim: omega_w - omega_v -> +infinity (w = o(v)).
+    In both, w is the side whose omega must dominate.  The baseline gap
+    against wb separates window-limited rungs (dilation or power drag still
+    masking a divergent baseline) from genuine failures.
+    """
+    if samples is None:
+        return _SKIPPED
+    x, wv, ww, wb = samples
     if claim == "preceq":
         d = wv - ww
         rep = classify(x, d, policy)
@@ -438,7 +525,7 @@ def _rung(claim: str, v: Weight, w: Weight, grid: Grid | None,
 def weight_preceq(v: Weight, w: Weight, grid: Grid | None = None,
                   policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = O(v): omega_v - omega_w bounded above on the shared faithful window."""
-    state, point, sup_d = _rung("preceq", v, w, grid, policy)
+    state, point, sup_d = _classify_rung("preceq", _rung_samples(v, w, grid), policy)
     if state == _RUNG_HOLDS:
         return holds(witnesses={"C": float(np.exp(max(0.0, sup_d)))},
                      evidence=(point,), note="gap bounded above on the window")
@@ -450,7 +537,7 @@ def weight_preceq(v: Weight, w: Weight, grid: Grid | None = None,
 def weight_triangle(v: Weight, w: Weight, grid: Grid | None = None,
                     policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = o(v): omega_w - omega_v -> +infinity on the shared faithful window."""
-    state, point, _ = _rung("triangle", v, w, grid, policy)
+    state, point, _ = _classify_rung("triangle", _rung_samples(v, w, grid), policy)
     if state == _RUNG_HOLDS:
         return holds(witnesses={"gap_at_window_end": point[1]}, evidence=(point,),
                      note="gap diverges on the window")
@@ -464,17 +551,16 @@ def weight_triangle(v: Weight, w: Weight, grid: Grid | None = None,
 # ---------------------------------------------------------------------------
 
 def _exists_ladder(claim: str, v: Weight, make_rung, grid: Grid | None,
-                   policy: TrendPolicy, param_name: str) -> Verdict:
+                   policy: TrendPolicy) -> Verdict:
     base = make_rung(1.0)
     undecided = False
     rung_evidence: list[tuple[float, float]] = []
     for c in OM6_LADDER:
-        state, point, sup_d = _rung(claim, v, make_rung(c), grid, policy, base)
+        samples = _rung_samples(v, make_rung(c), grid, base)
+        state, point, sup_d = _classify_rung(claim, samples, policy)
         if state == _RUNG_HOLDS:
-            return holds(witnesses={param_name: float(c),
-                                    "C": float(np.exp(max(0.0, sup_d)))},
-                         evidence=(point,),
-                         note=f"first clean rung at {param_name}={c:g}")
+            return holds(witnesses={"c": float(c), "C": float(np.exp(max(0.0, sup_d)))},
+                         evidence=(point,), note=f"first clean rung at c={c:g}")
         if state == _RUNG_SKIP:
             undecided = True
         else:
@@ -482,63 +568,68 @@ def _exists_ladder(claim: str, v: Weight, make_rung, grid: Grid | None,
     if undecided:
         return inconclusive("some rungs window-limited and none held")
     return fails(evidence=tuple(rung_evidence),
-                 note=f"gap unbounded at every {param_name} <= {OM6_LADDER[-1]:g}")
+                 note=f"gap unbounded at every c <= {OM6_LADDER[-1]:g}")
 
 
-def _forall_ladder(claim: str, v: Weight, make_rung, grid: Grid | None,
-                   policy: TrendPolicy, param_name: str) -> Verdict:
-    base = make_rung(1.0)
+def forall_ladder(claim: str, samples: ForallSamples, policy: TrendPolicy) -> Verdict:
+    """The claim at every rung c of FORALL_LADDER, read off shared samples."""
     held: list[float] = []
     skipped: list[float] = []
     for c in FORALL_LADDER:
-        state, point, sup_d = _rung(claim, v, make_rung(c), grid, policy, base)
+        state, point, sup_d = _classify_rung(claim, samples.rung(c), policy)
         if state == _RUNG_FAILS:
             return fails(evidence=((float(c), point[0]), point),
-                         note=f"rung {param_name}={c:g} fails at log t={point[0]:.4g}")
+                         note=f"rung c={c:g} fails at log t={point[0]:.4g}")
         if state == _RUNG_HOLDS:
             held.append(c)
         else:
             skipped.append(c)
     if held:
-        note = f"all decidable rungs hold down to {param_name}={min(held):g}"
+        note = f"all decidable rungs hold down to c={min(held):g}"
         if skipped:
             note += f" ({len(skipped)} rung(s) window-limited)"
-        return holds(witnesses={"hardest_" + param_name: float(min(held))}, note=note)
+        return holds(witnesses={"hardest_c": float(min(held))}, note=note)
     return inconclusive("every rung window-limited")
+
+
+def power_gap(samples: ForallSamples, policy: TrendPolicy) -> Verdict:
+    """weight_triangle_pow on the rungs of a power sample set.
+
+    Computed along two deliberately distinct routes that must agree: divergence
+    of the per-rung gap, and boundedness of v against every power of w.  Only
+    the samples are shared; each route classifies them with its own claim.
+    """
+    diverge = forall_ladder("triangle", samples, policy)
+    bounded = forall_ladder("preceq", samples, policy)
+    return fuse_unanimous({"divergence_route": diverge, "bounded_route": bounded},
+                          note_prefix="power-family comparison")
 
 
 def weight_preceq_dila(v: Weight, w: Weight, grid: Grid | None = None,
                        policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq dilate(w, c)."""
-    return _exists_ladder("preceq", v, w.dilate, grid, policy, "c")
+    return _exists_ladder("preceq", v, w.dilate, grid, policy)
 
 
 def weight_preceq_pow(v: Weight, w: Weight, grid: Grid | None = None,
                       policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq w^c."""
-    return _exists_ladder("preceq", v, w.power, grid, policy, "c")
+    return _exists_ladder("preceq", v, w.power, grid, policy)
 
 
 def weight_triangle_dila(v: Weight, w: Weight, grid: Grid | None = None,
                          policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: omega_w(c t) - omega_v(t) -> +infinity (descending rungs)."""
-    return _forall_ladder("triangle", v, w.dilate, grid, policy, "c")
+    return forall_ladder("triangle", ForallSamples(v, w, "dilate", grid), policy)
 
 
 def weight_preceq_all_dila(v: Weight, w: Weight, grid: Grid | None = None,
                            policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: v preceq dilate(w, c) (descending rungs)."""
-    return _forall_ladder("preceq", v, w.dilate, grid, policy, "c")
+    return forall_ladder("preceq", ForallSamples(v, w, "dilate", grid), policy)
 
 
 def weight_triangle_pow(v: Weight, w: Weight, grid: Grid | None = None,
                         policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
-    """For every c > 0: c omega_w(t) - omega_v(t) -> +infinity.
-
-    Computed along two deliberately distinct routes that must agree: divergence
-    of the per-rung gap, and boundedness of v against every power of w.
-    """
-    diverge = _forall_ladder("triangle", v, w.power, grid, policy, "c")
-    bounded = _forall_ladder("preceq", v, w.power, grid, policy, "c")
-    return fuse_unanimous({"divergence_route": diverge, "bounded_route": bounded},
-                          note_prefix="power-family comparison")
+    """For every c > 0: c omega_w(t) - omega_v(t) -> +infinity (see power_gap)."""
+    return power_gap(ForallSamples(v, w, "power", grid), policy)

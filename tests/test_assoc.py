@@ -67,6 +67,17 @@ def test_evaluation_routes_agree_exactly(mu, xs):
         assert got == pytest.approx(_brute_omega(M.log_values, xi), abs=1e-12)
 
 
+def test_evaluation_routes_agree_along_a_long_run_of_tied_quotients():
+    # forty equal quotients: at x on the run every index ties in exact
+    # arithmetic, and rounding may put the float maximum anywhere in the run
+    M = from_log_quotients(np.concatenate(([0.0], np.full(40, 0.3))))
+    aw = AssociatedWeight(M)
+    x = np.array([0.3, np.nextafter(0.3, 0.0), np.nextafter(0.3, 1.0), 0.0])
+    np.testing.assert_array_equal(aw.omega_log(x, mode="closed_form"),
+                                  aw.omega_log(x, mode="sup_scan"))
+    assert aw.omega_log(0.3) == 0.3000000000000025
+
+
 def test_evaluation_routes_agree_on_non_convex_input():
     # near-zero values whose re-derived quotients are not monotone in float:
     # the routes see different sequences, so they agree only closely

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from growthcomp import (Verdict, bridge_pow_seq, bridge_triangle_seq,
+from growthcomp import (Verdict, Weight, bridge_pow_seq, bridge_triangle_seq,
                         check_mg, fails, fuse_conjunction, fuse_unanimous,
                         holds, inconclusive, mg_transfer_check, mixture,
                         omega_little_o, pow_routes, product, scale_pow,
@@ -52,6 +52,26 @@ def test_bridge_agrees_with_its_routes(g1, q15):
 # ---------------------------------------------------------------------------
 # transfer and ordering results
 # ---------------------------------------------------------------------------
+
+def test_one_pair_samples_each_forall_ladder_once(ghalf, g1, monkeypatch):
+    # both dilation routes share one grid and one evaluation of v and w plus
+    # one per dilation rung below 1; the power routes and the omega ratio add
+    # one more v and w and nothing per rung: at most 2 + 10 + 2 calls
+    calls = []
+    evaluate = Weight.omega_log
+
+    def counted(self, x):
+        calls.append(self.label)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Weight, "omega_log", counted)
+    tri = triangle_routes(ghalf, g1)
+    pw = pow_routes(ghalf, g1)
+    # every dilation rung is visited: the ladder holds with no failing rung
+    assert tri["dilation_gap"].holds and tri["dilation_bounds"].holds
+    assert pw["power_gap"].holds
+    assert len(calls) <= 14, calls
+
 
 def test_mg_transfers_along_equivalence(g1, g2):
     assert mg_transfer_check(g1, scale_pow(g1, 2.0)).holds

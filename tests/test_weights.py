@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcomp import (AssociatedWeight, associated_sequence,
-                        check_om1_weight, check_om6_weight, from_sequence,
-                        from_table, gevrey, is_convex_weight, normalize,
-                        q_gevrey, rapidly_decreasing, sandwich_check,
-                        strong_ratio_check, weight_preceq, weight_preceq_dila,
-                        weight_preceq_pow, weight_triangle)
+                        check_om1_weight, check_om6_weight, from_log_quotients,
+                        from_sequence, from_table, gevrey, is_convex_weight,
+                        normalize, q_gevrey, rapidly_decreasing,
+                        sandwich_check, strong_ratio_check, weight_preceq,
+                        weight_preceq_dila, weight_preceq_pow, weight_triangle)
+from growthcomp.weight_functions import (FORALL_LADDER, ForallSamples,
+                                         _comparison_grid, _rung_samples)
 
 # ---------------------------------------------------------------------------
 # dilation and power algebra
@@ -163,6 +165,46 @@ def test_weight_ladders_on_settled_pairs(J):
         for ladder in (weight_preceq_dila, weight_preceq_pow):
             vd = ladder(v, u1)
             assert vd.holds and vd.witnesses["c"] == 1.0
+
+
+def _table_weight():
+    log_t = np.linspace(-2.0, 8.0, 200)
+    return from_table(np.exp(log_t), 0.5 * np.maximum(log_t, 0.0) ** 2, label="table")
+
+
+@pytest.mark.parametrize("kind", ["sequence", "normalized", "table", "shifted_scaled"])
+@pytest.mark.parametrize("family", ["dilate", "power"])
+def test_shared_forall_samples_equal_the_per_rung_samples(kind, family):
+    # the shared rung arrays must be the per-rung ones bit for bit: the same
+    # window, and the same rung values without re-evaluating the family; the
+    # q-Gevrey pair spans past the grid top, so its window is resampled
+    w = {"sequence": lambda: from_sequence(q_gevrey(1.5, 128)),
+         "normalized": lambda: normalize(from_sequence(
+             from_log_quotients(np.linspace(-1.0, 4.0, 128)))),
+         "table": _table_weight,
+         "shifted_scaled": lambda: normalize(_table_weight()).dilate(0.3).power(1.7),
+         }[kind]()
+    assert kind != "normalized" or w.offset
+    assert kind != "shifted_scaled" or (w.shift != 0.0 and w.scale != 1.0)
+    for v in (from_sequence(gevrey(2.0, 128)), from_sequence(q_gevrey(2.0, 128))):
+        make_rung = getattr(w, family)
+        base = make_rung(1.0)
+        shared = ForallSamples(v, w, family)
+        for c in FORALL_LADDER:
+            rung = make_rung(c)
+            np.testing.assert_array_equal(
+                shared.x, _comparison_grid(None, v, rung, base).log_t)
+            direct = rung.omega_log(shared.x)
+            if family == "power":
+                np.testing.assert_array_equal(c * w.omega_log(shared.x), direct)
+            got = shared.rung(c)
+            want = _rung_samples(v, rung, None, base)
+            assert (got is None) == (want is None)
+            for a, b in zip(got or (), want or ()):
+                np.testing.assert_array_equal(a, b)
+            if got is not None:
+                awake = np.isin(shared.x, got[0])
+                np.testing.assert_array_equal(got[2], direct[awake])
 
 
 # ---------------------------------------------------------------------------
