@@ -449,21 +449,53 @@ class PowerSeries:
         return int(np.max(np.nonzero(np.isfinite(self.log_abs_coeffs))[0]))
 
 
+# exp(z) is exactly 0.0 for z below about -745.13, so a term that lies more
+# than SERIES_CUT under its column maximum adds exactly 0.0 to the sum
+SERIES_CUT = 746.0
+
+
 def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log sum_j |a_j| t^j at x = log t, plus the dominant index per point."""
+    """log sum_j |a_j| t^j at x = log t, plus the dominant index per point.
+
+    Every column sums its terms row by row in index order, so the value at
+    x_i depends on (f, x_i) alone, whatever the block around it.  Each block
+    of SCAN_CHUNK points forms only the rows that can come within SERIES_CUT
+    of the column maximum; the rows left out would add exactly 0.0, and the
+    first-occurrence argmax lies inside the band, so values and indices equal
+    those of the full terms matrix bit for bit.
+    """
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series evaluation needs finite log t")
     c = f.log_abs_coeffs
     idx = np.nonzero(np.isfinite(c))[0]
     cf = c[idx]
     js = idx.astype(float)
     vals = np.empty(len(x))
     args = np.empty(len(x), dtype=int)
+    # the terms and the bound below each carry a rounding error of a few eps
+    # times the largest |cf_j| + j |x|; the cut leaves room for both
+    cut = SERIES_CUT + 8.0 * np.finfo(float).eps * (
+        np.max(np.abs(cf)) + js[-1] * np.max(np.abs(x), initial=0.0))
     for lo in range(0, len(x), SCAN_CHUNK):
         blk = x[lo:lo + SCAN_CHUNK]
-        terms = cf[:, None] + js[:, None] * blk[None, :]
+        n = len(blk)
+        if n == 1:
+            # numpy sums a lone column pairwise; a pair of columns sums by row
+            blk = np.repeat(blk, 2)
+        # m(x) >= term_k(x) for the rows k dominating the block's ends, and
+        # term_j - term_k is linear in x, so its larger end value bounds
+        # term_j - m on the whole block
+        ends = np.array([blk.min(), blk.max()])
+        k = (cf[:, None] + js[:, None] * ends).argmax(axis=0)
+        bound = ((cf[:, None, None] - cf[k][:, None])
+                 + (js[:, None, None] - js[k][:, None]) * ends).max(axis=2).min(axis=1)
+        keep = np.nonzero(bound >= -cut)[0]
+        a, b = keep[0], keep[-1] + 1
+        terms = cf[a:b, None] + js[a:b, None] * blk
         k = terms.argmax(axis=0)
-        m = terms[k, np.arange(terms.shape[1])]
-        vals[lo:lo + SCAN_CHUNK] = m + np.log(np.exp(terms - m[None, :]).sum(axis=0))
-        args[lo:lo + SCAN_CHUNK] = idx[k]
+        m = terms[k, np.arange(len(blk))]
+        vals[lo:lo + n] = (m + np.log(np.exp(terms - m).sum(axis=0)))[:n]
+        args[lo:lo + n] = idx[a + k[:n]]
     return vals, args
 
 
@@ -495,33 +527,37 @@ def norm_estimate(f: PowerSeries, v: Weight, grid: Grid | None = None
     return lower, upper
 
 
-def _series_vs_weight(f: PowerSeries, v: Weight, grid: Grid,
+def _series_vs_weight(f: PowerSeries, v: Weight, x: np.ndarray,
+                      logf: np.ndarray, args: np.ndarray,
                       policy: TrendPolicy, little_o: bool) -> Verdict:
+    """Judge the series against one weight on v's faithful window.
+
+    x is a grid prefix reaching at least v's faithful end, and (logf, args)
+    is log_series_eval(f, x); the window is the prefix of the three arrays
+    up to that end.
+    """
+    n = int(np.searchsorted(x, v.log_t_reliable, side="right"))
+    x, logf, args = x[:n], logf[:n], args[:n]
     if f.complete and v.source is not None:
         # a polynomial against any sequence-backed weight: the sequence's
         # roots diverge, so omega outruns every fixed power of t and the
         # weighted modulus decays; the grid supremum is reported as a floor
         # for the norm, not as a certified bound
-        g0 = grid.clip(None, v.log_t_reliable)
         window_sup = 0.0
         ev: tuple = ()
-        if g0 is not None and len(g0) >= 2:
-            vals, _ = log_series_eval(f, g0.log_t)
-            d0 = vals - v.omega_log(g0.log_t)
+        if n >= 2:
+            d0 = logf - v.omega_log(x)
             k0 = int(np.argmax(d0))
             window_sup = float(d0[k0])
-            ev = ((float(np.exp(g0.log_t[k0])), window_sup),)
+            ev = ((float(np.exp(x[k0])), window_sup),)
         return holds(witnesses={"top_index": float(f.top_index),
                                 "window_sup": window_sup},
                      evidence=ev,
                      note="polynomial modulus decays against every weight "
                           "backed by a sequence with diverging roots")
-    g = grid.clip(None, v.log_t_reliable)
-    if g is None or len(g) < MIN_WINDOW_POINTS:
+    if n < MIN_WINDOW_POINTS:
         return inconclusive("faithful range leaves no window")
-    x = g.log_t
-    logf, args = log_series_eval(f, x)
-    interior = np.ones(len(x), dtype=bool) if f.complete else args < f.top_index
+    interior = np.ones(n, dtype=bool) if f.complete else args < f.top_index
     if int(interior.sum()) < MIN_WINDOW_POINTS:
         return inconclusive("series truncation dominates the window")
     xs = x[interior]
@@ -545,19 +581,34 @@ def _series_vs_weight(f: PowerSeries, v: Weight, grid: Grid,
 
 def membership(f: PowerSeries, S: SpaceSpec, grid: Grid | None = None,
                policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
-    """Does the series belong to the space, judged on the faithful window."""
+    """Does the series belong to the space, judged on the faithful window.
+
+    The series is evaluated once, on the grid up to the widest faithful end
+    among the members the check may visit; each member reads its prefix.
+    """
     g = grid if grid is not None else default_grid()
+    little = S.little_o or S.flavor == "SingleLittleO"
     if S.is_single:
-        return _series_vs_weight(f, S.weight(), g, policy,
-                                 S.flavor == "SingleLittleO")
-    v = from_sequence(S.source) if isinstance(S.source, WeightSequence) else S.source
-    little = S.little_o
-    make = v.dilate if S.axis == "dila" else v.power
+        members = [(None, S.weight())]
+    else:
+        v = from_sequence(S.source) if isinstance(S.source, WeightSequence) else S.source
+        make = v.dilate if S.axis == "dila" else v.power
+        ladder = OM6_LADDER if S.mode == "inductive" else FORALL_LADDER
+        members = [(c, make(c)) for c in ladder]
+    x_end = max(u.log_t_reliable for _, u in members)
+    x = g.log_t[:int(np.searchsorted(g.log_t, x_end, side="right"))]
+    logf, args = log_series_eval(f, x)
+
+    def judge(u: Weight) -> Verdict:
+        return _series_vs_weight(f, u, x, logf, args, policy, little)
+
+    if S.is_single:
+        return judge(members[0][1])
     if S.mode == "inductive":
         undecided = False
         evid: list[tuple[float, float]] = []
-        for c in OM6_LADDER:
-            r = _series_vs_weight(f, make(c), g, policy, little)
+        for c, u in members:
+            r = judge(u)
             if r.holds:
                 return holds(witnesses={"c": float(c), **r.witnesses},
                              evidence=r.evidence,
@@ -572,8 +623,8 @@ def membership(f: PowerSeries, S: SpaceSpec, grid: Grid | None = None,
                      note=f"no family member up to c={OM6_LADDER[-1]:g} admits the series")
     held: list[float] = []
     undecided = False
-    for c in FORALL_LADDER:
-        r = _series_vs_weight(f, make(c), g, policy, little)
+    for c, u in members:
+        r = judge(u)
         if r.fails:
             return fails(evidence=r.evidence,
                          note=f"rejected at family member c={c:g}")

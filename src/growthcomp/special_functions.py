@@ -102,6 +102,8 @@ def _tail_log(T: ThetaFunction, x: np.ndarray | float) -> np.ndarray | float:
 def theta_eval(T: ThetaFunction, t: float) -> tuple[float, float]:
     """(log of the stored partial sum, err) with the true log value inside
     [partial, partial + err].  Raises outside the certified radius."""
+    if math.isnan(t):
+        raise ValueError("t must be a number, got nan")
     if t < 0.0:
         raise ValueError("the probe is evaluated on t >= 0")
     if t == 0.0:

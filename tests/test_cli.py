@@ -112,6 +112,12 @@ def test_theta_eval_report(capsys):
     assert got[100.0] == pytest.approx(50.0, rel=1e-9)
 
 
+def test_theta_eval_rejects_nan(capsys):
+    code, out, err = run(capsys, "theta", "eval", "gevrey:1", "--t", "1,nan")
+    assert code == 2 and out == ""
+    assert "t must be a number, got nan" in err
+
+
 def test_verify_exit_zero_on_pass(capsys):
     code, out, _ = run(capsys, "verify", "dual-routes", "--J", "64")
     assert code == 0

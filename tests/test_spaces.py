@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import growthcomp.spaces
 from growthcomp import (FLAVORS, PowerSeries, RoutingError, SpaceSpec,
-                        ThetaFunction, decide_inclusion, from_sequence,
-                        from_values, gevrey, log_series_eval, membership,
-                        monomial, norm_estimate, seq_preceq, system_equiv,
-                        system_equiv_weight, theta_series)
+                        ThetaFunction, decide_inclusion, default_grid,
+                        from_sequence, from_values, gevrey, log_series_eval,
+                        membership, monomial, norm_estimate, seq_preceq,
+                        system_equiv, system_equiv_weight, theta_series)
+from growthcomp.acceptance import THETA_PROBES
 from growthcomp.associated_weight import OM6_LADDER
 
 # ---------------------------------------------------------------------------
@@ -142,6 +144,24 @@ def test_theta_separates_the_dilation_modes(g1):
     assert membership(f, SpaceSpec("ProjectiveDila", g1)).fails
 
 
+def test_membership_evaluates_the_series_once(g1, monkeypatch):
+    calls = []
+    evaluate = growthcomp.spaces.log_series_eval
+
+    def counted(f, x):
+        calls.append(len(x))
+        return evaluate(f, x)
+
+    monkeypatch.setattr(growthcomp.spaces, "log_series_eval", counted)
+    probe = theta_series(ThetaFunction(g1, "dila", 2.0))
+    cases = ((probe, "InductiveDila", "Holds"), (probe, "ProjectiveDila", "Fails"),
+             (monomial(3), "ProjectiveDila", "Holds"))
+    for f, flavor, want in cases:
+        calls.clear()
+        assert membership(f, SpaceSpec(flavor, g1)).state.value == want
+        assert len(calls) == 1, (flavor, calls)
+
+
 def test_norm_estimate_brackets(g1):
     lo, hi = norm_estimate(monomial(2), from_sequence(g1))
     assert lo <= hi and np.isfinite(hi)
@@ -154,6 +174,67 @@ def test_series_evaluation_of_monomials():
     np.testing.assert_allclose(val, np.log(2.0) + 3.0 * x, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(arg, [3, 3, 3])
     assert f.complete and f.top_index == 3
+
+
+def test_series_evaluation_rejects_non_finite_points():
+    for bad in (-np.inf, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            log_series_eval(monomial(2), np.array([0.0, bad]))
+
+
+def _dense_log_series(f, x):
+    """Reference kernel: the full terms matrix, its first-occurrence argmax
+    and an explicit row-by-row sum."""
+    c = f.log_abs_coeffs
+    idx = np.nonzero(np.isfinite(c))[0]
+    terms = c[idx][:, None] + idx.astype(float)[:, None] * x[None, :]
+    k = terms.argmax(axis=0)
+    m = terms[k, np.arange(len(x))]
+    e = np.exp(terms - m)
+    s = e[0].copy()
+    for row in e[1:]:
+        s = s + row
+    return m + np.log(s), idx[k]
+
+
+@pytest.fixture(scope="module")
+def battery_probes(battery):
+    return [theta_series(ThetaFunction(M, kind, c))
+            for M in battery for kind, c in THETA_PROBES]
+
+
+def test_series_values_do_not_depend_on_the_rest_of_the_grid(battery_probes):
+    x = default_grid().log_t
+    for f in battery_probes:
+        vals, args = log_series_eval(f, x)
+        for m in (1, 2, 511, 512, 513, 1025, 2049, 4095):
+            pv, pa = log_series_eval(f, x[:m])
+            np.testing.assert_array_equal(pv, vals[:m], err_msg=f"{f.label} m={m}")
+            np.testing.assert_array_equal(pa, args[:m], err_msg=f"{f.label} m={m}")
+
+
+def test_banded_series_kernel_equals_the_dense_sum(battery_probes, g1):
+    x = default_grid().log_t
+    rng = np.random.default_rng(7)
+    j = np.arange(400)
+    rough = -0.1 * j ** 1.5 + rng.normal(0.0, 20.0, len(j))
+    rough[rng.random(len(j)) < 0.3] = -np.inf
+    cases = [(f, x) for f in battery_probes] + [
+        # -inf holes between the stored powers
+        (theta_series(ThetaFunction(g1, "pow", 3.0)), x),
+        (monomial(5, log_scale=1.5), x),
+        # gaps and noise: not log-concave
+        (PowerSeries(rough), x),
+        (theta_series(ThetaFunction(g1, "dila", 1.0)), rng.permutation(x)),
+        # the top index dominates the upper part of the grid
+        (theta_series(ThetaFunction(gevrey(1.0, 64), "dila", 1.0)),
+         np.linspace(-10.0, 60.0, 1500)),
+    ]
+    for f, xs in cases:
+        vals, args = log_series_eval(f, xs)
+        ref_vals, ref_args = _dense_log_series(f, xs)
+        np.testing.assert_array_equal(vals, ref_vals, err_msg=f.label)
+        np.testing.assert_array_equal(args, ref_args, err_msg=f.label)
 
 
 def test_power_series_guards():

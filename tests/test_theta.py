@@ -60,6 +60,8 @@ def test_evaluation_edges(g1):
     assert theta_eval(T, 0.0) == (0.0, 0.0)
     with pytest.raises(ValueError, match="t >= 0"):
         theta_eval(T, -1.0)
+    with pytest.raises(ValueError, match="nan"):
+        theta_eval(T, float("nan"))
 
 
 def test_certified_radius_is_enforced():
