@@ -4,14 +4,14 @@ The associated weight of M at t > 0 is sup_j log(t^j / M_j), taken as 0 at
 t = 0.  Two independent evaluation routes are kept deliberately distinct:
 
 * sup_scan:    the literal supremum of j*x - log M_j over all stored indices;
-* closed_form: locates the maximizing index through the quotient-counting
-  function and takes the same term expression on a small index window,
-  widened to the whole run where x ties with a run of equal quotients
-  (every index of the run can then win the float maximum).
+* closed_form: the counting-function form, the same terms over the indices
+  whose quotients lie within rounding of x: the counting index alone except
+  where x ties with a run of (nearly) equal quotients, then the whole run.
 
 Both routes share the bit-identical term expression j*x - P[j], so on
-log-convex input they agree to the last bit; they must never be collapsed
-into one implementation, since their agreement is itself a checked invariant.
+log-convex input they agree to the last bit, bar the sign of a zero where
+terms tie at 0; they must never be collapsed into one implementation,
+since their agreement is itself a checked invariant.
 
 The scan route and both recoveries (legendre_recover here,
 associated_sequence for a weight) are one discrete Legendre conjugate run in
@@ -46,7 +46,6 @@ LADDER_ATOL = 1e-9
 MIN_WINDOW_SPAN = 0.05
 
 SCAN_CHUNK = 512
-_WINDOW_HALF_WIDTH = 3
 
 
 # ---------------------------------------------------------------------------
@@ -126,33 +125,28 @@ def conjugate(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _closed_form(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Max of j*x - P[j] over the indices that can win it in float.
 
-    The exact maximum sits at the counting index k.  Rounding of the term
-    expression (and of the quotients against the differences of P) stays
-    below tie = 4 eps (J max|x| + max|P|), so any index that can still win
-    in float lies within the run of quotients inside [x - tie, x + tie].
-    The fixed window k +- _WINDOW_HALF_WIDTH holds that run except at x on
-    a longer run of (nearly) equal quotients; there the window widens to
-    the whole run, point by point.
+    Rounding of the term expression (and of the quotients against the
+    differences of P) stays below tie = 4 eps (J max|x| + max|P|).  With q
+    the log quotients, the terms rise by more than that up to
+    a = #{q < x - tie} and fall by more than that past b = #{q <= x + tie},
+    so the float maximum over all indices is the maximum over [a, b].  The
+    counting index lies in that window, and b = a unless a quotient lies
+    within tie of x; those few points fold in a+1..b in one ragged gather.
     """
     J = len(P) - 1
     q = knots[1:]
-    k = np.searchsorted(q, xs, side="right")
-    h = _WINDOW_HALF_WIDTH
-    jw = np.clip(k[:, None] + np.arange(-h, h + 1)[None, :], 0, J)
-    terms = jw.astype(float) * xs[:, None] - P[jw]
-    out = terms.max(axis=1)
-    tie = 4.0 * np.finfo(float).eps * (J * float(np.abs(xs).max(initial=0.0))
-                                       + float(np.abs(P).max()))
-    # indexed by k: log mu_{k-h} + tie and log mu_{k+h+1} - tie (q[i] is
-    # log mu_{i+1}); the infinite pads stand for the ends of the index range
-    pad = np.full(h + 1, np.inf)
-    left = np.concatenate((-pad, q + tie))
-    right = np.concatenate((q[h:] - tie, pad, pad[:h]))
-    for i in np.flatnonzero((left[k] >= xs) | (right[k] <= xs)):
-        lo = min(int(np.searchsorted(q, xs[i] - tie, side="left")), k[i] - h)
-        hi = max(int(np.searchsorted(q, xs[i] + tie, side="right")), k[i] + h)
-        j = np.arange(max(lo, 0), min(hi, J) + 1)
-        out[i] = (j.astype(float) * xs[i] - P[j]).max()
+    # a non-finite x must not widen (or poison) the window of the others
+    x_max = float(np.abs(xs).max(initial=0.0, where=np.isfinite(xs)))
+    tie = 4.0 * np.finfo(float).eps * (J * x_max + float(np.abs(P).max()))
+    a = np.searchsorted(q, xs - tie, side="left")
+    b = np.searchsorted(q, xs + tie, side="right")
+    out = a.astype(float) * xs - P[a]
+    wide = np.flatnonzero(b > a)
+    if len(wide):
+        width = b[wide] - a[wide]
+        i = np.repeat(wide, width)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width, width) + a[i] + 1
+        np.maximum.at(out, i, j.astype(float) * xs[i] - P[j])
     return out
 
 
@@ -180,9 +174,7 @@ def legendre_recover(omega: AssociatedWeight, J: int, grid: Grid | None = None,
     """
     if grid is None:
         grid = default_grid()
-    x = grid.log_t
-    kn = omega.knots[1:]
-    x = np.union1d(x, kn[(kn >= x[0]) & (kn <= x[-1])])
+    x = grid.augment(omega.knots[1:]).log_t
     k_end = float(omega.counting(np.exp(x[-1])))
     label = f"recovered({omega.source.label})" if omega.source.label else "recovered"
     j_reliable = int(np.floor(max(0.0, k_end) * safety))

@@ -119,7 +119,8 @@ def _read_pairs(path: Path) -> list[tuple[float, float]]:
 
 
 def parse_space(text: str, J: int) -> SpaceSpec:
-    """FLAVOR:SOURCE with an optional trailing ':c=VALUE' member selector."""
+    """FLAVOR:SOURCE with an optional trailing ':c=VALUE', which dilates the
+    weight of a single space (SingleO, SingleLittleO)."""
     parts = text.split(":")
     if len(parts) < 2:
         raise UsageError(f"space spec {text!r} needs FLAVOR:SOURCE")
@@ -448,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     spaces_sub = spaces.add_subparsers(dest="subcommand", required=True)
     p = _add_command(spaces_sub, "decide", "spaces decide", cmd_spaces_decide,
                      help="decide one inclusion between spaces")
-    p.add_argument("--left", required=True, help="FLAVOR:SOURCE[:c=VALUE]")
-    p.add_argument("--right", required=True, help="FLAVOR:SOURCE[:c=VALUE]")
+    p.add_argument("--left", required=True, help="FLAVOR:SOURCE[:c=VALUE], c for single spaces")
+    p.add_argument("--right", required=True, help="FLAVOR:SOURCE[:c=VALUE], c for single spaces")
     p = _add_command(spaces_sub, "system-equiv", "spaces system-equiv",
                      cmd_system_equiv,
                      help="dilation family vs power family")

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .grids import Grid
 from .trend import TrendPolicy
 from .weight_functions import Weight
 
 FORMATS = ("json", "csv")
+# exact types, since bool is a subclass of int
+_ADMITS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,11 @@ class RunConfig:
     cond_n: int = 2048
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if type(v) not in _ADMITS[f.type] or (f.type == "float" and not math.isfinite(v)):
+                kind = "a finite number" if f.type == "float" else f.type
+                raise ValueError(f"{f.name} must be {kind}, got {v!r}")
         if not (0.0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
         if self.grid_n < 16 or self.cond_n < 16:
@@ -50,8 +56,7 @@ class RunConfig:
         g = Grid.geometric(self.t_min, self.t_max, self.grid_n)
         if self.knot_augmented:
             for u in sources:
-                kn = u.knots_log
-                g = g.augment(kn[kn >= np.log(self.t_min)])
+                g = g.augment(u.knots_log)
         return g
 
     def policy(self) -> TrendPolicy:

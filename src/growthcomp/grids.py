@@ -51,16 +51,14 @@ class Grid:
         return Grid(np.linspace(x_lo, x_hi, n))
 
     def augment(self, knots_log: np.ndarray) -> "Grid":
-        """Union with the given log-knots that do not exceed the grid maximum.
+        """Union with the given log-knots that lie in [log_t[0], log_t[-1]].
 
         Knot augmentation makes suprema over the grid exact at the points where
         a sequence-backed weight attains its Legendre extremes.
         """
         knots = np.asarray(knots_log, dtype=float)
-        knots = knots[np.isfinite(knots)]
-        knots = knots[knots <= self.log_t[-1]]
-        merged = np.union1d(self.log_t, knots)
-        return Grid(merged)
+        knots = knots[(knots >= self.log_t[0]) & (knots <= self.log_t[-1])]
+        return Grid(np.union1d(self.log_t, knots))
 
     def clip(self, x_lo: float | None = None, x_hi: float | None = None) -> "Grid | None":
         """Sub-grid inside [x_lo, x_hi]; None if fewer than two points remain."""

@@ -52,8 +52,9 @@ class SpaceSpec:
     """One weighted space or weight-system space.
 
     source is a WeightSequence (the weight is its associated decreasing
-    weight) or a Weight directly.  c names a single family member where a
-    flavor needs one; little_o marks the o-growth variant of a system.
+    weight) or a Weight directly.  c dilates the weight of a single space (a
+    system ranges over its whole family, so it takes no c); little_o marks
+    the o-growth variant of a system.
     """
 
     flavor: str
@@ -68,6 +69,8 @@ class SpaceSpec:
             raise ValueError("source must be a WeightSequence or a Weight")
         if self.little_o and self.flavor in SINGLE_FLAVORS:
             raise ValueError("little_o applies to systems; use SingleLittleO instead")
+        if self.c is not None and self.flavor not in SINGLE_FLAVORS:
+            raise ValueError(f"c applies to single spaces, not {self.flavor}")
 
     @property
     def is_single(self) -> bool:
@@ -91,11 +94,12 @@ class SpaceSpec:
 
     def weight(self) -> Weight:
         w = from_sequence(self.source) if isinstance(self.source, WeightSequence) else self.source
-        if self.c is not None:
-            w = w.dilate(self.c) if self.axis != "pow" else w.power(self.c)
-        return w
+        return w if self.c is None else w.dilate(self.c)
 
     def sequence(self) -> WeightSequence | None:
+        """The sequence behind the weight, or None (also when c dilates it)."""
+        if self.c not in (None, 1.0):
+            return None
         if isinstance(self.source, WeightSequence):
             return self.source
         if self.source.is_plain_sequence_weight:

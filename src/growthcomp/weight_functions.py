@@ -255,9 +255,7 @@ def associated_sequence(u: Weight, J: int = 512, grid: Grid | None = None,
     g = _clipped(grid, u)
     if g is None or len(g) < 2:
         raise ValueError("faithful range leaves no usable grid")
-    x = g.log_t
-    kn = u.knots_log
-    x = np.union1d(x, kn[(kn >= x[0]) & (kn <= x[-1])])
+    x = g.augment(u.knots_log).log_t
     w = u.omega_log(x)
     vals = conjugate(np.arange(J + 1, dtype=float), x, w)
     shift = float(vals[0])

@@ -14,7 +14,8 @@ from growthcomp import (AssociatedWeight, WeightSequence, associated_sequence,
                         check_om1_omega, check_om6_omega, counting,
                         default_grid, from_log_quotients, from_sequence,
                         from_values, gevrey, is_log_convex, legendre_recover,
-                        log_convex_minorant, omega_eval, q_gevrey)
+                        log_convex_minorant, omega_eval, q_gevrey,
+                        standard_battery)
 from growthcomp.associated_weight import (OM1_LADDER, OM6_LADDER, OMEGA_MODES,
                                           SCAN_CHUNK, om1_ladder, om6_ladder)
 
@@ -76,6 +77,26 @@ def test_evaluation_routes_agree_along_a_long_run_of_tied_quotients():
     np.testing.assert_array_equal(aw.omega_log(x, mode="closed_form"),
                                   aw.omega_log(x, mode="sup_scan"))
     assert aw.omega_log(0.3) == 0.3000000000000025
+
+
+def test_closed_form_window_reaches_both_ends_of_every_tie_run():
+    # runs of 1..12 equal quotients, probed on each quotient, one float step
+    # to either side and half way between quotients: a window that drops
+    # either end of the run, or keeps only the counting index, misses the
+    # float maximum the scan finds
+    rng = np.random.default_rng(20240817)
+    seqs = list(standard_battery(512))
+    for _ in range(300):
+        mu = np.sort(rng.normal(0.0, 2.0, rng.integers(3, 40)))
+        seqs.append(from_log_quotients(np.repeat(mu, rng.integers(1, 13, len(mu)))))
+    for M in seqs:
+        aw = AssociatedWeight(M)
+        q = aw.knots[1:]
+        x = np.concatenate((q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf),
+                            (q[1:] + q[:-1]) / 2.0))
+        np.testing.assert_array_equal(aw.omega_log(x, mode="closed_form"),
+                                      aw.omega_log(x, mode="sup_scan"),
+                                      err_msg=M.label)
 
 
 def test_evaluation_routes_agree_on_non_convex_input():

@@ -233,6 +233,24 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
     assert "growthcomp: error:" in err and "bogus" in err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"grid_n": 2048.5}, "grid_n must be int"),
+    ({"J": 300.5}, "J must be int"),
+    ({"knot_augmented": "no"}, "knot_augmented must be bool"),
+    ({"J": 64, "margin": True}, "margin must be a finite number"),
+    ({"t_max": float("inf")}, "t_max must be a finite number"),
+])
+def test_config_value_of_the_wrong_type_rejected(capsys, tmp_path, fields, message):
+    # a float count was rounded or crashed numpy, a string flag read as true
+    # and an infinite grid end crashed, while the report echoed the value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(fields))
+    code, out, err = run(capsys, "weight", "analyze", "gevrey:1",
+                         "--config", str(p))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------
@@ -249,6 +267,14 @@ def test_unrouted_spaces_exit_two(capsys):
                        "--right", "InductiveDila:gevrey:1", "--J", "64")
     assert code == 2
     assert "no decision route" in err
+
+
+def test_member_selector_on_a_system_exits_two(capsys):
+    code, out, err = run(capsys, "spaces", "decide",
+                         "--left", "InductiveDila:gevrey:2:c=64",
+                         "--right", "ProjectiveDila:gevrey:1", "--J", "64")
+    assert code == 2 and out == ""
+    assert "applies to single spaces" in err
 
 
 def test_bad_theta_points(capsys):

@@ -34,6 +34,17 @@ def test_spec_validation(g1):
         SpaceSpec("SingleLittleO", g1, little_o=True)
 
 
+def test_member_selector_dilates_a_single_space(g1, g2):
+    with pytest.raises(ValueError, match="single spaces"):
+        SpaceSpec("InductiveDila", g1, c=64.0)
+    assert SpaceSpec("SingleO", g2, c=1.0).sequence() is g2
+    A = SpaceSpec("SingleO", g2, c=2.0)
+    assert A.sequence() is None
+    iv = decide_inclusion(A, SpaceSpec("SingleO", g1, c=1.0))
+    assert iv.theorem_tag == "weighted sup-norm comparison"
+    assert iv.verdict.holds
+
+
 def test_spec_describe(g1):
     assert SpaceSpec("SingleO", g1, c=2.0).describe() == "SingleO(gevrey(1), c=2)"
 
