@@ -76,6 +76,8 @@ class AssociatedWeight:
     def omega_log(self, x, mode: str = "closed_form") -> np.ndarray:
         """Associated weight at t = exp(x), for scalar or array x."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.isfinite(xs).all():
+            raise ValueError("associated weight needs finite log t")
         if mode == "sup_scan":
             P = self.source.log_values
             out = conjugate(xs, np.arange(len(P), dtype=float), P)
@@ -87,8 +89,8 @@ class AssociatedWeight:
 
     def omega(self, t, mode: str = "closed_form") -> np.ndarray:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(ts < 0):
-            raise ValueError("t must be non-negative")
+        if not np.all((ts >= 0) & (ts < np.inf)):
+            raise ValueError("t must be finite and non-negative")
         out = np.zeros_like(ts)
         pos = ts > 0
         if np.any(pos):
@@ -132,14 +134,23 @@ def _closed_form(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> np.ndarray
     so the float maximum over all indices is the maximum over [a, b].  The
     counting index lies in that window, and b = a unless a quotient lies
     within tie of x; those few points fold in a+1..b in one ragged gather.
+
+    a and b are counted by one search per point, or, when the points are
+    sorted and outnumber the quotients, by placing each quotient among the
+    points (xs - tie and xs + tie stay sorted, since rounding is monotone)
+    and summing the placements: the same comparisons, so the same integers.
     """
     J = len(P) - 1
     q = knots[1:]
-    # a non-finite x must not widen (or poison) the window of the others
-    x_max = float(np.abs(xs).max(initial=0.0, where=np.isfinite(xs)))
-    tie = 4.0 * np.finfo(float).eps * (J * x_max + float(np.abs(P).max()))
-    a = np.searchsorted(q, xs - tie, side="left")
-    b = np.searchsorted(q, xs + tie, side="right")
+    n = len(xs)
+    tie = 4.0 * np.finfo(float).eps * (J * float(np.abs(xs).max(initial=0.0))
+                                       + float(np.abs(P).max()))
+    if n > J and not (xs[1:] < xs[:-1]).any():
+        a = np.bincount((xs - tie).searchsorted(q, "right"), minlength=n + 1)[:n].cumsum()
+        b = np.bincount((xs + tie).searchsorted(q, "left"), minlength=n + 1)[:n].cumsum()
+    else:
+        a = q.searchsorted(xs - tie, "left")
+        b = q.searchsorted(xs + tie, "right")
     out = a.astype(float) * xs - P[a]
     wide = np.flatnonzero(b > a)
     if len(wide):

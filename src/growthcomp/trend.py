@@ -12,6 +12,12 @@ Alongside the half-window slope the classifier reports the slopes of the two
 half-window halves and of the final quarter; ladder deciders read the final
 quarter (peak_inside) to detect late turnarounds; the two half-window slopes
 record the curvature of the trend for diagnostics.
+
+The abscissa is non-decreasing, so every window (the trailing window, its
+two halves and its final quarter) is a contiguous slice that starts where
+searchsorted places the window's threshold; the threshold is the same float
+expression a mask comparison would use, so each fit sees the same elements
+in the same order.
 """
 
 from __future__ import annotations
@@ -74,31 +80,25 @@ class TrendReport:
 
 def ls_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y against x; 0.0 for degenerate windows."""
-    if len(x) < 2:
+    n = len(x)
+    if n < 2:
         return 0.0
-    xm = x - x.mean()
-    denom = float(np.dot(xm, xm))
+    # np.add.reduce(x) / n is the arithmetic of x.mean() and xm.dot that of
+    # np.dot, each without its Python wrapper
+    xm = x - np.add.reduce(x) / n
+    denom = float(xm.dot(xm))
     if denom == 0.0:
         return 0.0
-    return float(np.dot(xm, y - y.mean()) / denom)
-
-
-def trailing_mask(x: np.ndarray, fraction: float) -> np.ndarray:
-    """Mask selecting the trailing `fraction` of the abscissa RANGE (not count)."""
-    if len(x) == 0:
-        return np.zeros(0, dtype=bool)
-    lo, hi = float(x[0]), float(x[-1])
-    if hi <= lo:
-        return np.ones(len(x), dtype=bool)
-    return x >= hi - fraction * (hi - lo)
+    return float(xm.dot(y - np.add.reduce(y) / n) / denom)
 
 
 def classify(x: np.ndarray, y: np.ndarray, policy: TrendPolicy,
              margin: float | None = None) -> TrendReport:
     """Classify the trailing-window trend of diagnostic y over abscissa x.
 
-    x must be non-decreasing.  The window is the trailing `window_fraction` of
-    the abscissa range; the classification margin defaults to policy.margin.
+    x must be non-decreasing once non-finite points are dropped.  The window
+    is the trailing `window_fraction` of the abscissa range (not count); the
+    classification margin defaults to policy.margin.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -106,30 +106,32 @@ def classify(x: np.ndarray, y: np.ndarray, policy: TrendPolicy,
         raise ValueError("abscissa and diagnostic must have equal shape")
     m = policy.margin if margin is None else margin
     keep = np.isfinite(x) & np.isfinite(y)
-    x, y = x[keep], y[keep]
+    if not keep.all():
+        x, y = x[keep], y[keep]
+    if (x[1:] < x[:-1]).any():
+        raise ValueError("abscissa must be non-decreasing")
     if len(x) < 2:
         return TrendReport(Trend.FLAT, 0.0, 0.0, 0.0, 0.0,
                            float(x[0]) if len(x) else 0.0,
                            float(x[-1]) if len(x) else 0.0, len(x))
-    mask = trailing_mask(x, policy.window_fraction)
-    xw, yw = x[mask], y[mask]
-    if len(xw) < 2:
-        xw, yw = x, y
+    lo, hi = float(x[0]), float(x[-1])
+    k = x.searchsorted(hi - policy.window_fraction * (hi - lo), "left")
+    xw, yw = (x[k:], y[k:]) if len(x) - k >= 2 else (x, y)
     slope = ls_slope(xw, yw)
-    mid = xw[0] + 0.5 * (xw[-1] - xw[0])
-    first = xw <= mid
-    second = ~first
-    s1 = ls_slope(xw[first], yw[first]) if first.sum() >= 2 else slope
-    s2 = ls_slope(xw[second], yw[second]) if second.sum() >= 2 else slope
-    qmask = xw >= xw[0] + 0.75 * (xw[-1] - xw[0])
-    sq = ls_slope(xw[qmask], yw[qmask]) if qmask.sum() >= 2 else s2
+    n = len(xw)
+    lo, hi = xw[0], xw[-1]
+    k = xw.searchsorted(lo + 0.5 * (hi - lo), "right")
+    s1 = ls_slope(xw[:k], yw[:k]) if k >= 2 else slope
+    s2 = ls_slope(xw[k:], yw[k:]) if n - k >= 2 else slope
+    k = xw.searchsorted(lo + 0.75 * (hi - lo), "left")
+    sq = ls_slope(xw[k:], yw[k:]) if n - k >= 2 else s2
     if slope > m:
         kind = Trend.RISING
     elif slope < -m:
         kind = Trend.FALLING
     else:
         kind = Trend.FLAT
-    return TrendReport(kind, slope, s1, s2, sq, float(xw[0]), float(xw[-1]), len(xw))
+    return TrendReport(kind, slope, s1, s2, sq, float(lo), float(hi), n)
 
 
 def index_window(j_lo: int, j_hi: int) -> tuple[int, int]:

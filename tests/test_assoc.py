@@ -99,6 +99,43 @@ def test_closed_form_window_reaches_both_ends_of_every_tie_run():
                                       err_msg=M.label)
 
 
+def test_sorted_points_give_the_shuffled_points_bit_for_bit():
+    # sorted points that outnumber the quotients are counted by placing the
+    # quotients among them, everything else by one search per point; both
+    # counts must give the same omega to the last bit, signed zeros included
+    rng = np.random.default_rng(20241018)
+    seqs = [M for J in (64, 512, 4096) for M in standard_battery(J)]
+    for _ in range(40):
+        mu = np.sort(rng.normal(0.0, 2.0, rng.integers(3, 40)))
+        seqs.append(from_log_quotients(np.repeat(mu, rng.integers(1, 13, len(mu)))))
+    for M in seqs:
+        aw = AssociatedWeight(M)
+        q = aw.knots[1:]
+        x = np.sort(np.concatenate((q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf),
+                                    (q[1:] + q[:-1]) / 2.0,
+                                    np.linspace(q[0] - 1.0, q[-1] + 1.0, 97))))
+        for xs in (x, x[::len(x) // len(q) + 1]):
+            perm = rng.permutation(len(xs))
+            shuffled = np.empty(len(xs))
+            shuffled[perm] = aw.omega_log(xs[perm])
+            np.testing.assert_array_equal(aw.omega_log(xs).view(np.int64),
+                                          shuffled.view(np.int64), err_msg=M.label)
+
+
+@pytest.mark.parametrize("mode", OMEGA_MODES)
+def test_omega_rejects_non_finite_points(g1, mode):
+    aw = AssociatedWeight(g1)
+    for x in ([np.nan, 2.0], [1.0, np.inf], -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            aw.omega_log(x, mode=mode)
+    for t in ([np.nan, 2.0], np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            aw.omega(t, mode=mode)
+    with pytest.raises(ValueError, match="finite"):
+        omega_eval(g1, [np.nan, 2.0], mode=mode)
+    assert aw.omega(0.0, mode=mode) == 0.0
+
+
 def test_evaluation_routes_agree_on_non_convex_input():
     # near-zero values whose re-derived quotients are not monotone in float:
     # the routes see different sequences, so they agree only closely

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import growthcomp.associated_weight
 import growthcomp.spaces
 from growthcomp import (FLAVORS, PowerSeries, RoutingError, SpaceSpec,
                         ThetaFunction, decide_inclusion, default_grid,
@@ -171,6 +172,26 @@ def test_membership_evaluates_the_series_once(g1, monkeypatch):
         calls.clear()
         assert membership(f, SpaceSpec(flavor, g1)).state.value == want
         assert len(calls) == 1, (flavor, calls)
+
+
+def test_projective_polynomial_membership_evaluates_no_omega(g1, monkeypatch):
+    # a polynomial holds on every sequence-backed member, and the projective
+    # verdict reads no member witness
+    calls = []
+    closed_form = growthcomp.associated_weight._closed_form
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return closed_form(*args)
+
+    monkeypatch.setattr(growthcomp.associated_weight, "_closed_form", counted)
+    for flavor in ("ProjectiveDila", "ProjectivePow"):
+        calls.clear()
+        got = membership(monomial(3), SpaceSpec(flavor, g1))
+        assert calls == [], flavor
+        assert repr(got) == (
+            "Verdict(state=<State.HOLDS: 'Holds'>, witnesses={'hardest_c': 0.0009765625}, "
+            "evidence=(), note='admitted at every family member down to c=0.000976562')")
 
 
 def test_norm_estimate_brackets(g1):
