@@ -15,14 +15,13 @@ from .grids import Grid, default_grid
 from .relations import (bridge_pow_seq, bridge_triangle_seq, mg_transfer_check,
                         omega_little_o, pow_routes, tildestrong_check,
                         triangle_routes)
-from .sequence_core import (QuotientSequence, WeightSequence,
-                            check_56_alternative, check_mg, check_mg_diag,
-                            check_om1_index, check_strong_2j, from_file,
-                            from_log_quotients, from_quotients, from_values,
-                            gevrey, is_LC, is_log_convex, log_convex_minorant,
-                            log_factorials, mixture, product, q_gevrey,
-                            quotients, scale_pow, seq_approx, seq_preceq,
-                            seq_triangle, tilde)
+from .sequence_core import (WeightSequence, check_56_alternative, check_mg,
+                            check_mg_diag, check_om1_index, check_strong_2j,
+                            from_file, from_log_quotients, from_quotients,
+                            from_values, gevrey, is_LC, is_log_convex,
+                            log_convex_minorant, log_factorials, mixture,
+                            product, q_gevrey, scale_pow, seq_approx,
+                            seq_preceq, seq_triangle, tilde)
 from .spaces import (FLAVORS, InclusionVerdict, PowerSeries, RoutingError,
                      SpaceSpec, decide_inclusion, log_series_eval, membership,
                      norm_estimate, system_equiv, system_equiv_weight)
@@ -44,8 +43,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociatedWeight", "FLAVORS", "Grid", "InclusionVerdict", "PowerSeries",
-    "QuotientSequence", "RoutingError", "RunConfig", "SpaceSpec", "State",
-    "ThetaFunction", "Trend", "TrendPolicy", "TrendReport", "Verdict",
+    "RoutingError", "RunConfig", "SpaceSpec", "State", "ThetaFunction",
+    "Trend", "TrendPolicy", "TrendReport", "Verdict",
     "Weight", "WeightSequence", "associated_sequence", "bounds_check",
     "bridge_pow_seq", "bridge_triangle_seq", "check_56_alternative",
     "check_mg", "check_mg_diag", "check_om1_index", "check_om1_omega",
@@ -58,7 +57,7 @@ __all__ = [
     "legendre_recover", "log_convex_minorant", "log_factorials",
     "log_series_eval", "membership", "mg_transfer_check", "mixture",
     "monomial", "norm_estimate", "normalize", "omega_eval", "omega_little_o",
-    "pow_routes", "product", "q_gevrey", "quotients", "rapidly_decreasing",
+    "pow_routes", "product", "q_gevrey", "rapidly_decreasing",
     "sandwich_check", "scale_pow", "seq_approx", "seq_preceq", "seq_triangle",
     "standard_battery", "strong_ratio_check", "system_equiv",
     "system_equiv_weight", "theta_eval", "theta_series", "tilde",

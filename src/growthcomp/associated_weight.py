@@ -98,8 +98,13 @@ class AssociatedWeight:
         return out if np.ndim(t) else out[0]
 
     def counting(self, t) -> np.ndarray:
-        """Number of quotients mu_j <= t (j >= 1); the local growth exponent."""
+        """Number of quotients mu_j <= t (j >= 1); the local growth exponent.
+
+        t = inf counts every quotient: legendre_recover passes exp of a grid
+        end that may overflow."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all(ts >= 0):
+            raise ValueError("t must be non-negative")
         out = np.zeros(ts.shape, dtype=int)
         pos = ts > 0
         if np.any(pos):

@@ -82,45 +82,6 @@ class WeightSequence:
         q.flags.writeable = False
         return q
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "log_values": [float(v) for v in self.log_values]}
-
-
-@dataclass(frozen=True, eq=False)
-class QuotientSequence:
-    """Quotient view log mu_j of a weight sequence; index 0 holds log mu_0 = 0.
-
-    The source log-values are carried so that to_sequence() reproduces them
-    bit-for-bit; a fresh prefix sum of the quotients agrees only up to rounding.
-    """
-
-    log_quotients: np.ndarray
-    label: str = ""
-    source_log_values: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.log_quotients, dtype=float)
-        if q.ndim != 1 or len(q) < 3:
-            raise ValueError("need at least three entries")
-        if q[0] != 0.0:
-            raise ValueError("log_quotients[0] must be 0 (mu_0 = 1)")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("log_quotients must be finite")
-        q = q.copy()
-        q.flags.writeable = False
-        object.__setattr__(self, "log_quotients", q)
-
-    def to_sequence(self) -> WeightSequence:
-        if self.source_log_values is not None:
-            return WeightSequence(self.source_log_values, self.label,
-                                  log_quotients=self.log_quotients)
-        vals = np.concatenate(([0.0], np.cumsum(self.log_quotients[1:])))
-        return WeightSequence(vals, self.label, log_quotients=self.log_quotients)
-
-
-def quotients(M: WeightSequence) -> QuotientSequence:
-    return QuotientSequence(M.quotient_array, M.label, source_log_values=M.log_values)
-
 
 # ---------------------------------------------------------------------------
 # constructors

@@ -126,14 +126,6 @@ class InclusionVerdict:
         if self.verdict.state is not State.INCONCLUSIVE and not self.theorem_tag:
             raise ValueError("a decisive inclusion must name its route")
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.to_dict(),
-            "theorem_tag": self.theorem_tag,
-            "sides": {k: v.to_dict() for k, v in self.sides.items()},
-            "preconditions": {k: v.to_dict() for k, v in self.preconditions.items()},
-        }
-
 
 # ---------------------------------------------------------------------------
 # routing helpers

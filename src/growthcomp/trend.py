@@ -8,13 +8,12 @@ log j for index-based diagnostics and log t for grid-based ones: bounded
 diagnostics then have slope near 0 while logarithmically divergent ones keep a
 slope of order one, so a single margin separates them at any window length.
 
-Alongside the half-window slope the classifier reports the slopes of the two
-half-window halves and of the final quarter; ladder deciders read the final
-quarter (peak_inside) to detect late turnarounds; the two half-window slopes
-record the curvature of the trend for diagnostics.
+A rising trend is fitted once more, on the final quarter of the window:
+ladder deciders read that slope (peak_inside) to detect late turnarounds.
+A flat or falling trend needs no second fit.
 
 The abscissa is non-decreasing, so every window (the trailing window, its
-two halves and its final quarter) is a contiguous slice that starts where
+second half and its final quarter) is a contiguous slice that starts where
 searchsorted places the window's threshold; the threshold is the same float
 expression a mask comparison would use, so each fit sees the same elements
 in the same order.
@@ -63,19 +62,12 @@ MIN_WINDOW_POINTS = 16
 
 @dataclass(frozen=True)
 class TrendReport:
+    """kind and slope of the trailing window; peak_inside: rising on the
+    window but no longer rising in its final quarter."""
+
     kind: Trend
     slope: float
-    slope_first: float
-    slope_second: float
-    slope_quarter: float
-    x_lo: float
-    x_hi: float
-    n_points: int
-
-    @property
-    def peak_inside(self) -> bool:
-        """Rising on the window but no longer rising in the final quarter."""
-        return self.kind is Trend.RISING and self.slope_quarter <= 0
+    peak_inside: bool
 
 
 def ls_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -111,27 +103,22 @@ def classify(x: np.ndarray, y: np.ndarray, policy: TrendPolicy,
     if (x[1:] < x[:-1]).any():
         raise ValueError("abscissa must be non-decreasing")
     if len(x) < 2:
-        return TrendReport(Trend.FLAT, 0.0, 0.0, 0.0, 0.0,
-                           float(x[0]) if len(x) else 0.0,
-                           float(x[-1]) if len(x) else 0.0, len(x))
+        return TrendReport(Trend.FLAT, 0.0, False)
     lo, hi = float(x[0]), float(x[-1])
     k = x.searchsorted(hi - policy.window_fraction * (hi - lo), "left")
     xw, yw = (x[k:], y[k:]) if len(x) - k >= 2 else (x, y)
     slope = ls_slope(xw, yw)
+    # `not slope > m` keeps a NaN slope FLAT
+    if not slope > m:
+        return TrendReport(Trend.FALLING if slope < -m else Trend.FLAT, slope, False)
     n = len(xw)
     lo, hi = xw[0], xw[-1]
-    k = xw.searchsorted(lo + 0.5 * (hi - lo), "right")
-    s1 = ls_slope(xw[:k], yw[:k]) if k >= 2 else slope
-    s2 = ls_slope(xw[k:], yw[k:]) if n - k >= 2 else slope
     k = xw.searchsorted(lo + 0.75 * (hi - lo), "left")
-    sq = ls_slope(xw[k:], yw[k:]) if n - k >= 2 else s2
-    if slope > m:
-        kind = Trend.RISING
-    elif slope < -m:
-        kind = Trend.FALLING
-    else:
-        kind = Trend.FLAT
-    return TrendReport(kind, slope, s1, s2, sq, float(lo), float(hi), n)
+    if n - k < 2:
+        # the quarter is too short: fall back to the second half, then the window
+        k = xw.searchsorted(lo + 0.5 * (hi - lo), "right")
+    sq = ls_slope(xw[k:], yw[k:]) if n - k >= 2 else slope
+    return TrendReport(Trend.RISING, slope, sq <= 0)
 
 
 def index_window(j_lo: int, j_hi: int) -> tuple[int, int]:

@@ -44,11 +44,10 @@ from .grids import Grid, default_grid
 from .sequence_core import WeightSequence
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
                     classify)
-from .verdicts import Verdict, fails, fuse_unanimous, holds, inconclusive
+from .verdicts import State, Verdict, fails, fuse_unanimous, holds, inconclusive
 
 FORALL_LADDER = tuple(float(2.0 ** -k) for k in range(11))
 CONVEXITY_GRID_N = 1025
-_RUNG_HOLDS, _RUNG_FAILS, _RUNG_SKIP = "holds", "fails", "window-limited"
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +334,12 @@ def strong_ratio_check(u: Weight, c: float, d: float, n: int = LADDER_GRID_N,
     gdiag = d * u.omega_log(x) - u.omega_log(x + np.log(c))
     rep = classify(x, gdiag, policy)
     k = int(np.argmax(gdiag))
+    # evidence abscissa is log t: the faithful span overflows exp
+    point = (float(x[k]), float(gdiag[k]))
     if rep.kind is Trend.RISING:
-        return fails(evidence=((float(np.exp(x[k])), float(gdiag[k])),),
+        return fails(evidence=(point,),
                      note=f"d*omega outruns the dilated omega (slope {rep.slope:.3g})")
-    return holds(witnesses={"C": float(max(0.0, gdiag[k]))},
-                 evidence=((float(np.exp(x[k])), float(gdiag[k])),),
+    return holds(witnesses={"C": float(max(0.0, gdiag[k]))}, evidence=(point,),
                  note="iterated-ratio slack bounded on the window")
 
 
@@ -379,7 +379,7 @@ def _escape_kind(x: np.ndarray, d: np.ndarray, policy: TrendPolicy) -> Trend:
                     margin=policy.ratio_margin).kind
 
 
-_SKIPPED = (_RUNG_SKIP, (float("nan"), float("nan")), float("nan"))
+_SKIPPED = (State.INCONCLUSIVE, (float("nan"), float("nan")), float("nan"))
 
 
 def _awake(wv: np.ndarray, ww: np.ndarray) -> np.ndarray | None:
@@ -478,8 +478,9 @@ class ForallSamples:
 
 
 def _classify_rung(claim: str, samples: tuple | None,
-                   policy: TrendPolicy) -> tuple[str, tuple[float, float], float]:
-    """Classify one comparison rung.  Returns (state, witness_point, sup_d).
+                   policy: TrendPolicy) -> tuple[State, tuple[float, float], float]:
+    """Classify one comparison rung.  Returns (state, witness_point, sup_d),
+    with Inconclusive for a window-limited rung.
 
     preceq claim: omega_v - omega_w bounded above (w = O(v)).
     triangle claim: omega_w - omega_v -> +infinity (w = o(v)).
@@ -494,27 +495,27 @@ def _classify_rung(claim: str, samples: tuple | None,
         d = wv - ww
         rep = classify(x, d, policy)
         if rep.kind is not Trend.RISING or rep.peak_inside:
-            state = _RUNG_HOLDS
+            state = State.HOLDS
         elif _race_kind(x, d, wb - wv, policy) is Trend.FALLING:
-            state = _RUNG_SKIP
+            state = State.INCONCLUSIVE
         elif _escape_kind(x, d, policy) is Trend.FALLING:
-            state = _RUNG_SKIP
+            state = State.INCONCLUSIVE
         else:
-            state = _RUNG_FAILS
+            state = State.FAILS
     else:
         d = ww - wv
         rep = classify(x, d, policy)
         if rep.kind is Trend.RISING and not rep.peak_inside:
-            state = _RUNG_HOLDS
+            state = State.HOLDS
         elif rep.kind is Trend.RISING:
             base_kind = classify(x, wb - wv, policy).kind
-            state = _RUNG_SKIP if base_kind is Trend.RISING else _RUNG_FAILS
+            state = State.INCONCLUSIVE if base_kind is Trend.RISING else State.FAILS
         elif _race_kind(x, d, wb - wv, policy) is Trend.RISING:
-            state = _RUNG_SKIP
+            state = State.INCONCLUSIVE
         elif _escape_kind(x, d, policy) is Trend.RISING:
-            state = _RUNG_SKIP
+            state = State.INCONCLUSIVE
         else:
-            state = _RUNG_FAILS
+            state = State.FAILS
     # witness abscissa is log t: the extended spans overflow exp
     k = int(np.argmax(d)) if claim == "preceq" else len(d) - 1
     return state, (float(x[k]), float(d[k])), float(d.max())
@@ -524,10 +525,10 @@ def weight_preceq(v: Weight, w: Weight, grid: Grid | None = None,
                   policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = O(v): omega_v - omega_w bounded above on the shared faithful window."""
     state, point, sup_d = _classify_rung("preceq", _rung_samples(v, w, grid), policy)
-    if state == _RUNG_HOLDS:
+    if state is State.HOLDS:
         return holds(witnesses={"C": float(np.exp(max(0.0, sup_d)))},
                      evidence=(point,), note="gap bounded above on the window")
-    if state == _RUNG_FAILS:
+    if state is State.FAILS:
         return fails(evidence=(point,), note="gap grows without bound on the window")
     return inconclusive("window-limited: the gap has not settled inside the faithful range")
 
@@ -536,10 +537,10 @@ def weight_triangle(v: Weight, w: Weight, grid: Grid | None = None,
                     policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = o(v): omega_w - omega_v -> +infinity on the shared faithful window."""
     state, point, _ = _classify_rung("triangle", _rung_samples(v, w, grid), policy)
-    if state == _RUNG_HOLDS:
+    if state is State.HOLDS:
         return holds(witnesses={"gap_at_window_end": point[1]}, evidence=(point,),
                      note="gap diverges on the window")
-    if state == _RUNG_FAILS:
+    if state is State.FAILS:
         return fails(evidence=(point,), note="gap does not diverge on the window")
     return inconclusive("window-limited: the gap has not settled inside the faithful range")
 
@@ -556,10 +557,10 @@ def _exists_ladder(claim: str, v: Weight, make_rung, grid: Grid | None,
     for c in OM6_LADDER:
         samples = _rung_samples(v, make_rung(c), grid, base)
         state, point, sup_d = _classify_rung(claim, samples, policy)
-        if state == _RUNG_HOLDS:
+        if state is State.HOLDS:
             return holds(witnesses={"c": float(c), "C": float(np.exp(max(0.0, sup_d)))},
                          evidence=(point,), note=f"first clean rung at c={c:g}")
-        if state == _RUNG_SKIP:
+        if state is State.INCONCLUSIVE:
             undecided = True
         else:
             rung_evidence.append((float(c), point[1]))
@@ -575,10 +576,10 @@ def forall_ladder(claim: str, samples: ForallSamples, policy: TrendPolicy) -> Ve
     skipped: list[float] = []
     for c in FORALL_LADDER:
         state, point, sup_d = _classify_rung(claim, samples.rung(c), policy)
-        if state == _RUNG_FAILS:
+        if state is State.FAILS:
             return fails(evidence=((float(c), point[0]), point),
                          note=f"rung c={c:g} fails at log t={point[0]:.4g}")
-        if state == _RUNG_HOLDS:
+        if state is State.HOLDS:
             held.append(c)
         else:
             skipped.append(c)

@@ -35,6 +35,15 @@ def test_counting_saturates_at_top_index():
     assert counting(M, 1e12) == 16
 
 
+def test_counting_rejects_nan_and_negative_t():
+    M = gevrey(1.0, 64)
+    for bad in ([np.nan, 2.0], [-3.0, 2.0], -1.0, np.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            counting(M, bad)
+    # t = 0 counts nothing and t = inf every quotient (an overflowed exp)
+    np.testing.assert_array_equal(counting(M, [0.0, 2.0, np.inf]), [0, 2, 64])
+
+
 # ---------------------------------------------------------------------------
 # dual evaluation routes against a reference maximum
 # ---------------------------------------------------------------------------

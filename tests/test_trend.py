@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from growthcomp import trend
 from growthcomp.trend import DEFAULT_POLICY, Trend, TrendPolicy, TrendReport, classify
 
 # ---------------------------------------------------------------------------
@@ -30,9 +31,7 @@ def _ref_classify(x, y, policy, margin=None):
     keep = np.isfinite(x) & np.isfinite(y)
     x, y = x[keep], y[keep]
     if len(x) < 2:
-        return TrendReport(Trend.FLAT, 0.0, 0.0, 0.0, 0.0,
-                           float(x[0]) if len(x) else 0.0,
-                           float(x[-1]) if len(x) else 0.0, len(x))
+        return TrendReport(Trend.FLAT, 0.0, False)
     lo, hi = float(x[0]), float(x[-1])
     if hi <= lo:
         mask = np.ones(len(x), dtype=bool)
@@ -55,7 +54,7 @@ def _ref_classify(x, y, policy, margin=None):
         kind = Trend.FALLING
     else:
         kind = Trend.FLAT
-    return TrendReport(kind, slope, s1, s2, sq, float(xw[0]), float(xw[-1]), len(xw))
+    return TrendReport(kind, slope, kind is Trend.RISING and sq <= 0)
 
 
 def _cases(rng):
@@ -98,7 +97,10 @@ def test_classify_rejects_a_decreasing_abscissa():
         classify(x, np.ones(5), DEFAULT_POLICY)
     # non-finite points drop out before the order is checked
     x = np.array([0.0, np.nan, 1.0, -np.inf, 1.0, np.inf, 2.0])
-    assert classify(x, x, DEFAULT_POLICY).n_points == 3
+    rep = classify(x, x, DEFAULT_POLICY)
+    # the window is the finite points 1.0, 1.0, 2.0: y = x has slope 1
+    assert rep.kind is Trend.RISING and rep.slope == 1.0
+    assert classify(x, -x, DEFAULT_POLICY).kind is Trend.FALLING
 
 
 def test_classify_reads_the_trend_off_the_trailing_window():
@@ -106,7 +108,40 @@ def test_classify_reads_the_trend_off_the_trailing_window():
     # flat, then rising over the trailing half
     y = np.where(x < 2.0, 0.0, x - 2.0)
     rep = classify(x, y, DEFAULT_POLICY)
-    assert rep.kind is Trend.RISING and rep.x_lo == 2.0 and rep.n_points == 201
+    assert rep.kind is Trend.RISING and not rep.peak_inside
+    # the fit sees only the rising part: the flat part would pull it below 1
     assert rep.slope == pytest.approx(1.0)
     assert classify(x, -y, DEFAULT_POLICY).kind is Trend.FALLING
     assert classify(x, np.zeros_like(x), DEFAULT_POLICY).kind is Trend.FLAT
+
+
+def test_classify_fits_the_quarter_only_on_a_rising_trend(monkeypatch):
+    calls = []
+    real = trend.ls_slope
+
+    def counted(x, y):
+        calls.append(len(x))
+        return real(x, y)
+
+    monkeypatch.setattr(trend, "ls_slope", counted)
+    x = np.linspace(0.0, 4.0, 401)
+    for y, kind in ((np.zeros_like(x), Trend.FLAT), (-x, Trend.FALLING)):
+        calls.clear()
+        assert classify(x, y, DEFAULT_POLICY).kind is kind
+        assert calls == [201]
+    # rising: the window, then its final quarter
+    calls.clear()
+    rep = classify(x, x, DEFAULT_POLICY)
+    assert rep.kind is Trend.RISING and not rep.peak_inside
+    assert calls == [201, 51]
+    # rising to a peak inside the final quarter
+    calls.clear()
+    assert classify(x, -(x - 3.6) ** 2, DEFAULT_POLICY).peak_inside
+    assert calls == [201, 51]
+
+
+def test_classify_reads_a_nan_slope_as_flat(monkeypatch):
+    monkeypatch.setattr(trend, "ls_slope", lambda x, y: float("nan"))
+    x = np.linspace(0.0, 4.0, 401)
+    rep = classify(x, x, DEFAULT_POLICY)
+    assert rep.kind is Trend.FLAT and not rep.peak_inside

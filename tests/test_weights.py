@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from growthcomp import (AssociatedWeight, associated_sequence,
                         check_om1_weight, check_om6_weight, from_log_quotients,
                         from_sequence, from_table, gevrey, is_convex_weight,
-                        normalize, q_gevrey, rapidly_decreasing,
+                        normalize, product, q_gevrey, rapidly_decreasing,
                         sandwich_check, strong_ratio_check, weight_preceq,
                         weight_preceq_dila, weight_preceq_pow, weight_triangle)
+from growthcomp.associated_weight import LADDER_GRID_N
 from growthcomp.weight_functions import (FORALL_LADDER, ForallSamples,
                                          _comparison_grid, _rung_samples)
 
@@ -139,6 +140,15 @@ def test_strong_ratio_inequality(g1):
     assert strong_ratio_check(u, 1.0, 2.0).fails
     with pytest.raises(ValueError):
         strong_ratio_check(u, -1.0, 1.0)
+
+
+def test_strong_ratio_evidence_is_a_log_t_on_the_window():
+    # the faithful span reaches log t ~ 1124, where exp overflows
+    u = from_sequence(product(q_gevrey(1.5, 512), q_gevrey(2.0, 512)))
+    r = strong_ratio_check(u, 2.0, 2.0)
+    (x, gap), = r.evidence
+    assert np.isfinite(x) and np.isfinite(gap)
+    assert x in np.linspace(0.0, u.log_t_reliable - np.log(2.0), LADDER_GRID_N)
 
 
 def test_weight_level_growth_chain(g1, q15):
