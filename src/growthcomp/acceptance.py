@@ -21,7 +21,7 @@ import numpy as np
 
 from .associated_weight import (OM6_LADDER, AssociatedWeight, check_om1_omega,
                                 check_om6_omega, legendre_recover)
-from .battery import is_q_dominated, standard_battery
+from .battery import is_q_dominated
 from .grids import default_grid
 from .relations import (bridge_pow_seq, bridge_triangle_seq, pow_routes,
                         triangle_routes)
@@ -61,17 +61,20 @@ class SuiteResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
-def _battery(b: tuple[WeightSequence, ...] | None) -> tuple[WeightSequence, ...]:
-    return b if b is not None else standard_battery()
+def _recovery_error(R: WeightSequence, want: np.ndarray, J: int) -> tuple[float, int]:
+    """Max log-relative error of recovered R against want over j <= cap, and
+    cap: J, or the reliable index of R when that is lower."""
+    cap = min(J, int(R.meta.get("reliable_max_index", J)))
+    a = want[:cap + 1]
+    return float(np.max(np.abs(R.log_values[:cap + 1] - a) / np.maximum(1.0, np.abs(a)))), cap
 
 
 # ---------------------------------------------------------------------------
 # 1. conjugation roundtrip
 # ---------------------------------------------------------------------------
 
-def suite_roundtrip(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_roundtrip(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """Recovering a sequence from its own associated weight reproduces it."""
-    battery = _battery(battery)
     worst = 0.0
     worst_label = ""
     caps: list[int] = []
@@ -81,11 +84,8 @@ def suite_roundtrip(battery: tuple[WeightSequence, ...] | None = None) -> SuiteR
             # indices past the grid-supported cap are deliberately not compared
             warnings.simplefilter("ignore")
             R = legendre_recover(aw, J=M.J)
-        cap = min(M.J, int(R.meta.get("reliable_max_index", M.J)))
+        rel, cap = _recovery_error(R, M.log_values, M.J)
         caps.append(cap)
-        a = M.log_values[:cap + 1]
-        rel = float(np.max(np.abs(R.log_values[:cap + 1] - a)
-                           / np.maximum(1.0, np.abs(a))))
         if rel > worst:
             worst, worst_label = rel, M.label
     passed = worst <= REL_TOL
@@ -114,7 +114,7 @@ def _all_chords_envelope(y: np.ndarray) -> np.ndarray:
     return env
 
 
-def suite_envelope(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_envelope(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """The fast envelope equals the exhaustive-chords oracle bit for bit,
     and weight-level recovery of a rough input lands on that envelope."""
     rng = np.random.default_rng(ENVELOPE_SEED)
@@ -136,9 +136,7 @@ def suite_envelope(battery: tuple[WeightSequence, ...] | None = None) -> SuiteRe
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             R = legendre_recover(aw, J=ENVELOPE_J)
-        cap = min(ENVELOPE_J, int(R.meta.get("reliable_max_index", ENVELOPE_J)))
-        rel = float(np.max(np.abs(R.log_values[:cap + 1] - oracle[:cap + 1])
-                           / np.maximum(1.0, np.abs(oracle[:cap + 1]))))
+        rel, _ = _recovery_error(R, oracle, ENVELOPE_J)
         worst_recover = max(worst_recover, rel)
     passed = mismatches == 0 and worst_recover <= REL_TOL
     detail = (f"{ENVELOPE_TRIALS} random sequences (J={ENVELOPE_J}): "
@@ -151,9 +149,8 @@ def suite_envelope(battery: tuple[WeightSequence, ...] | None = None) -> SuiteRe
 # 3. dual evaluation routes
 # ---------------------------------------------------------------------------
 
-def suite_dual_routes(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_dual_routes(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """Counting-function evaluation agrees with the literal supremum scan."""
-    battery = _battery(battery)
     x = default_grid().log_t
     worst = 0.0
     worst_label = ""
@@ -175,10 +172,9 @@ def suite_dual_routes(battery: tuple[WeightSequence, ...] | None = None) -> Suit
 # 4. growth-condition chains
 # ---------------------------------------------------------------------------
 
-def suite_growth_chains(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_growth_chains(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """The equivalent formulations of each growth condition agree on every
     member and land on the expected family pattern."""
-    battery = _battery(battery)
     bad: list[str] = []
     for M in battery:
         u = from_sequence(M)
@@ -206,10 +202,9 @@ def suite_growth_chains(battery: tuple[WeightSequence, ...] | None = None) -> Su
 # 5. series probe closed form and envelope bounds
 # ---------------------------------------------------------------------------
 
-def suite_theta(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_theta(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """The factorial probe matches exp(t/2) exactly and every battery probe
     respects its growth envelope at all certified points."""
-    battery = _battery(battery)
     T = ThetaFunction(gevrey(1.0, 512), "dila", 1.0)
     closed_worst = 0.0
     for t in (1.0, 10.0, 100.0):
@@ -235,20 +230,16 @@ def suite_theta(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResul
 # 6. associated-sequence fixed point
 # ---------------------------------------------------------------------------
 
-def suite_fixed_point(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_fixed_point(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """Sequence -> weight -> sequence is the identity on the reliable range,
     and the two-sided sandwich constant collapses to one."""
-    battery = _battery(battery)
     worst_rel = 0.0
     worst_A = 0.0
     bad: list[str] = []
     for M in battery:
         u = from_sequence(M)
         R = associated_sequence(u, J=M.J)
-        cap = min(M.J, int(R.meta.get("reliable_max_index", M.J)))
-        a = M.log_values[:cap + 1]
-        rel = float(np.max(np.abs(R.log_values[:cap + 1] - a)
-                           / np.maximum(1.0, np.abs(a))))
+        rel, _ = _recovery_error(R, M.log_values, M.J)
         worst_rel = max(worst_rel, rel)
         vd = sandwich_check(u, J=M.J)
         if not vd.holds:
@@ -267,11 +258,10 @@ def suite_fixed_point(battery: tuple[WeightSequence, ...] | None = None) -> Suit
 # 7. comparison bridges
 # ---------------------------------------------------------------------------
 
-def suite_bridges(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_bridges(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """Both comparison bridges fuse their independent routes to a decisive
     verdict on nearly every ordered pair, with no route ever contradicting
     another."""
-    battery = _battery(battery)
     pairs = [(M, N) for M in battery for N in battery if M is not N]
     tri_decisive = 0
     pow_decisive = 0
@@ -311,10 +301,9 @@ def suite_bridges(battery: tuple[WeightSequence, ...] | None = None) -> SuiteRes
 # 8. impossible-growth falsification
 # ---------------------------------------------------------------------------
 
-def suite_falsification(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_falsification(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """The square-index comparison fails for every genuine member, and the
     diagonal growth route never disagrees with the full one."""
-    battery = _battery(battery)
     bad: list[str] = []
     for M in battery:
         if not check_strong_2j(M, DEFAULT_POLICY).fails:
@@ -331,7 +320,7 @@ def suite_falsification(battery: tuple[WeightSequence, ...] | None = None) -> Su
 # 9. family-system equivalence
 # ---------------------------------------------------------------------------
 
-def suite_system_equiv(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_system_equiv(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """Dilation and power systems coincide exactly for the factorial-power
     family, and split for the quadratic-exponent family with a certified
     witness on every rung."""
@@ -368,10 +357,9 @@ def suite_system_equiv(battery: tuple[WeightSequence, ...] | None = None) -> Sui
 # 10. membership matrix
 # ---------------------------------------------------------------------------
 
-def suite_membership(battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def suite_membership(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """Polynomials join every space; each series probe joins the union side
     of its own family and is rejected by the intersection side."""
-    battery = _battery(battery)
     bad: list[str] = []
     checked = 0
     for M in battery:
@@ -415,8 +403,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
-def run_suite(name: str,
-              battery: tuple[WeightSequence, ...] | None = None) -> SuiteResult:
+def run_suite(name: str, battery: tuple[WeightSequence, ...]) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
     return SUITES[name](battery)

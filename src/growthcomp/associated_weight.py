@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import Grid, default_grid
+from .grids import default_grid
 from .sequence_core import WeightSequence, log_convex_minorant
 from .verdicts import Verdict, fails, holds, inconclusive
 
@@ -98,10 +98,7 @@ class AssociatedWeight:
         return out if np.ndim(t) else out[0]
 
     def counting(self, t) -> np.ndarray:
-        """Number of quotients mu_j <= t (j >= 1); the local growth exponent.
-
-        t = inf counts every quotient: legendre_recover passes exp of a grid
-        end that may overflow."""
+        """Number of quotients mu_j <= t (j >= 1); the local growth exponent."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all(ts >= 0):
             raise ValueError("t must be non-negative")
@@ -178,9 +175,9 @@ def counting(M: WeightSequence, t):
 # Legendre-type recovery
 # ---------------------------------------------------------------------------
 
-def legendre_recover(omega: AssociatedWeight, J: int, grid: Grid | None = None,
+def legendre_recover(omega: AssociatedWeight, J: int,
                      safety: float = 0.5) -> WeightSequence:
-    """Recover M_j = sup_t t^j / exp(omega(t)) on the grid, for j = 0..J.
+    """Recover M_j = sup_t t^j / exp(omega(t)) on the default grid, for j = 0..J.
 
     The grid is augmented with the quotient knots, which makes the recovery
     exact on the faithful range.  Indices beyond safety * (counting at the
@@ -188,9 +185,7 @@ def legendre_recover(omega: AssociatedWeight, J: int, grid: Grid | None = None,
     exceeds that cap.  (A Weight recovers its sequence through
     weight_functions.associated_sequence.)
     """
-    if grid is None:
-        grid = default_grid()
-    x = grid.augment(omega.knots[1:]).log_t
+    x = default_grid().augment(omega.knots[1:]).log_t
     k_end = float(omega.counting(np.exp(x[-1])))
     label = f"recovered({omega.source.label})" if omega.source.label else "recovered"
     j_reliable = int(np.floor(max(0.0, k_end) * safety))
@@ -211,7 +206,7 @@ def legendre_recover(omega: AssociatedWeight, J: int, grid: Grid | None = None,
 # ---------------------------------------------------------------------------
 
 def om6_ladder(omega_log, x_hi: float, H_values=OM6_LADDER,
-               n: int = LADDER_GRID_N, atol: float = LADDER_ATOL) -> Verdict:
+               n: int = LADDER_GRID_N) -> Verdict:
     """Exists H >= 1 with 2*omega(t) <= omega(H t) + H on t >= 1.
 
     Each rung is checked on the geometric window [1, t_hi / H] so every
@@ -231,7 +226,7 @@ def om6_ladder(omega_log, x_hi: float, H_values=OM6_LADDER,
         x = np.linspace(0.0, span, n)
         excess = 2.0 * omega_log(x) - omega_log(x + np.log(H)) - H
         k = int(np.argmax(excess))
-        if excess[k] <= atol:
+        if excess[k] <= LADDER_ATOL:
             return holds(witnesses={"H": float(H), "max_excess": float(excess[k])},
                          evidence=((float(x[k]), float(excess[k])),),
                          note=f"clean at H={H:g}; evidence is (log t, excess) "
@@ -245,8 +240,7 @@ def om6_ladder(omega_log, x_hi: float, H_values=OM6_LADDER,
     return fails(evidence=tuple(violations), note=note)
 
 
-def om1_ladder(omega_log, x_hi: float, L_values=OM1_LADDER,
-               n: int = LADDER_GRID_N, atol: float = LADDER_ATOL) -> Verdict:
+def om1_ladder(omega_log, x_hi: float, n: int = LADDER_GRID_N) -> Verdict:
     """Exists L with omega(2t) <= L * (omega(t) + 1) on t >= 1."""
     span = x_hi - np.log(2.0)
     if span <= MIN_WINDOW_SPAN:
@@ -255,30 +249,30 @@ def om1_ladder(omega_log, x_hi: float, L_values=OM1_LADDER,
     violations: list[tuple[float, float]] = []
     w_x = None
     w_2x = None
-    for L in L_values:
+    for L in OM1_LADDER:
         if w_x is None:
             w_x = omega_log(x)
             w_2x = omega_log(x + np.log(2.0))
         excess = w_2x - L * (w_x + 1.0)
         k = int(np.argmax(excess))
-        if excess[k] <= atol:
+        if excess[k] <= LADDER_ATOL:
             return holds(witnesses={"L": float(L), "max_excess": float(excess[k])},
                          evidence=((float(x[k]), float(excess[k])),),
                          note=f"clean at L={L:g}; evidence is (log t, excess) "
                               f"for log t in [0,{span:.6g}]")
         violations.append((float(L), float(x[k])))
     return fails(evidence=tuple(violations),
-                 note=f"violation at every L <= {L_values[-1]:g}; "
+                 note=f"violation at every L <= {OM1_LADDER[-1]:g}; "
                       "evidence is (L, log t)")
 
 
-def check_om6_omega(M: WeightSequence, n: int = LADDER_GRID_N) -> Verdict:
+def check_om6_omega(M: WeightSequence) -> Verdict:
     """Doubling-with-shift condition read off the associated weight of M."""
     aw = AssociatedWeight(M)
-    return om6_ladder(aw.omega_log, aw.log_mu_max, n=n)
+    return om6_ladder(aw.omega_log, aw.log_mu_max)
 
 
-def check_om1_omega(M: WeightSequence, n: int = LADDER_GRID_N) -> Verdict:
+def check_om1_omega(M: WeightSequence) -> Verdict:
     """Multiplicative doubling condition read off the associated weight of M."""
     aw = AssociatedWeight(M)
-    return om1_ladder(aw.omega_log, aw.log_mu_max, n=n)
+    return om1_ladder(aw.omega_log, aw.log_mu_max)

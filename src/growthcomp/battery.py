@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sequence_core import WeightSequence, gevrey, mixture, product, q_gevrey
+from .sequence_core import (DEFAULT_J, WeightSequence, gevrey, mixture, product,
+                            q_gevrey)
 
 GEVREY_INDICES = (0.5, 1.0, 2.0, 3.0)
 Q_GEVREY_BASES = (1.5, 2.0)
@@ -22,7 +23,7 @@ def is_q_dominated(M: WeightSequence) -> bool:
     return "qgevrey" in M.label
 
 
-def standard_battery(J: int = 512) -> tuple[WeightSequence, ...]:
+def standard_battery(J: int = DEFAULT_J) -> tuple[WeightSequence, ...]:
     """Bases, pairwise products, and cross-family maxima; duplicates dropped."""
     gs = [gevrey(s, J) for s in GEVREY_INDICES]
     qs = [q_gevrey(q, J) for q in Q_GEVREY_BASES]

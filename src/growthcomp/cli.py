@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import SUITES, run_suite
-from .associated_weight import (OM1_LADDER, OM6_LADDER, om1_ladder, om6_ladder)
+from .associated_weight import OM6_LADDER, om1_ladder, om6_ladder
 from .battery import standard_battery
 from .config import FORMATS, RunConfig, from_json
 from .relations import bridge_pow_seq, bridge_triangle_seq
@@ -291,8 +291,7 @@ def cmd_weight_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     checks = [("normalized", _normalized_check(u, cfg)),
               ("rapidly_decreasing", rapidly_decreasing(u, g, pol)),
               ("convex_in_log", is_convex_weight(u, g)),
-              ("om1_weight", om1_ladder(u.omega_log, u.log_t_reliable,
-                                        L_values=OM1_LADDER, n=cfg.cond_n)),
+              ("om1_weight", om1_ladder(u.omega_log, u.log_t_reliable, n=cfg.cond_n)),
               ("om6_weight", om6_ladder(u.omega_log, u.log_t_reliable,
                                         H_values=h_values, n=cfg.cond_n)),
               ("sandwich", sandwich_check(u, grid=g, J=cfg.J, policy=pol))]

@@ -7,7 +7,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .grids import Grid
+from .associated_weight import LADDER_GRID_N
+from .grids import GRID_N, T_MAX, T_MIN, Grid
+from .sequence_core import DEFAULT_J
 from .trend import TrendPolicy
 from .weight_functions import Weight
 
@@ -20,18 +22,18 @@ _ADMITS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 class RunConfig:
     """Effective run parameters; each report echoes the ones its command reads."""
 
-    t_min: float = 1e-3
-    t_max: float = 1e9
-    grid_n: int = 4096
+    t_min: float = T_MIN
+    t_max: float = T_MAX
+    grid_n: int = GRID_N
     knot_augmented: bool = True
-    J: int = 512
+    J: int = DEFAULT_J
     margin: float = 0.05
     L_max: int = 16
     C_max: int = 16
     H_max: float = 1024.0
     fmt: str = "json"
     safety: float = 0.5
-    cond_n: int = 2048
+    cond_n: int = LADDER_GRID_N
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -60,7 +62,7 @@ class RunConfig:
         return g
 
     def policy(self) -> TrendPolicy:
-        return TrendPolicy(margin=self.margin, ratio_margin=self.margin / 2.0)
+        return TrendPolicy(margin=self.margin)
 
     def with_overrides(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **{k: v for k, v in kw.items() if v is not None})

@@ -12,6 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the default sampling grid: every comparison, inclusion, membership and
+# probe check samples it
+T_MIN = 1e-3
+T_MAX = 1e9
+GRID_N = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -72,5 +78,9 @@ class Grid:
         return Grid(pts)
 
 
-def default_grid(t_min: float = 1e-3, t_max: float = 1e9, n: int = 4096) -> Grid:
-    return Grid.geometric(t_min, t_max, n)
+_DEFAULT_GRID = Grid.geometric(T_MIN, T_MAX, GRID_N)
+
+
+def default_grid() -> Grid:
+    """The default grid, built once: a Grid is frozen and its points read-only."""
+    return _DEFAULT_GRID

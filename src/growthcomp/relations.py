@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid
 from .sequence_core import (WeightSequence, check_mg, index_trend, seq_approx,
                             seq_triangle)
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
@@ -28,8 +27,7 @@ COMPRESS_LADDER = (1, 2, 4, 8, 16)
 # ---------------------------------------------------------------------------
 
 def tildestrong_check(M: WeightSequence, N: WeightSequence,
-                      policy: TrendPolicy = DEFAULT_POLICY,
-                      ladder=COMPRESS_LADDER) -> Verdict:
+                      policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every integer c >= 1: (M_{cj})^(1/c) <= A_c N_j.
 
     Per rung the plain log gap log(M_{cj})/c - log N_j must stay bounded
@@ -42,7 +40,7 @@ def tildestrong_check(M: WeightSequence, N: WeightSequence,
     sups: list[float] = []
     short: list[int] = []
     limited: list[int] = []
-    for c in ladder:
+    for c in COMPRESS_LADDER:
         jmax = min(M.J // c, N.J)
         if jmax < 8:
             short.append(c)
@@ -66,7 +64,7 @@ def tildestrong_check(M: WeightSequence, N: WeightSequence,
     if not sups:
         return inconclusive("no compression rung decidable "
                             f"(short: {short}, window-limited: {limited})")
-    held = tuple(c for c in ladder if c not in short and c not in limited)
+    held = tuple(c for c in COMPRESS_LADDER if c not in short and c not in limited)
     note = f"gap bounded at every c in {held}"
     if short:
         note += f" (too short for c >= {min(short)})"
@@ -76,10 +74,9 @@ def tildestrong_check(M: WeightSequence, N: WeightSequence,
 
 
 def omega_little_o(A: WeightSequence, B: WeightSequence,
-                   grid: Grid | None = None,
                    policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """omega_A = o(omega_B) on the shared faithful window."""
-    return _little_o(ForallSamples(from_sequence(A), from_sequence(B), "power", grid),
+    return _little_o(ForallSamples(from_sequence(A), from_sequence(B), "power"),
                      policy)
 
 
@@ -115,14 +112,13 @@ def _little_o(samples: ForallSamples, policy: TrendPolicy) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def triangle_routes(M: WeightSequence, N: WeightSequence,
-                    grid: Grid | None = None,
                     policy: TrendPolicy = DEFAULT_POLICY) -> dict[str, Verdict]:
     """Independent routes for the strong relation of M below N.
 
     The two dilation routes (weight_triangle_dila and weight_preceq_all_dila
     of v_N against v_M) classify the same rung samples, each with its own
     claim."""
-    dilations = ForallSamples(from_sequence(N), from_sequence(M), "dilate", grid)
+    dilations = ForallSamples(from_sequence(N), from_sequence(M), "dilate")
     return {
         "roots": seq_triangle(M, N, policy),
         "dilation_gap": forall_ladder("triangle", dilations, policy),
@@ -131,22 +127,20 @@ def triangle_routes(M: WeightSequence, N: WeightSequence,
 
 
 def bridge_triangle_seq(M: WeightSequence, N: WeightSequence,
-                        grid: Grid | None = None,
                         policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Strong comparison of M below N, fused across its equivalent routes."""
-    return fuse_unanimous(triangle_routes(M, N, grid, policy),
+    return fuse_unanimous(triangle_routes(M, N, policy),
                           note_prefix="strong comparison bridge")
 
 
 def pow_routes(M: WeightSequence, N: WeightSequence,
-               grid: Grid | None = None,
                policy: TrendPolicy = DEFAULT_POLICY) -> dict[str, Verdict]:
     """Independent routes for the power-family strong relation.
 
     power_gap (weight_triangle_pow of v_N against v_M) and omega_ratio
     (omega_little_o(N, M)) read the same window, so they share one set of
     power rung samples."""
-    powers = ForallSamples(from_sequence(N), from_sequence(M), "power", grid)
+    powers = ForallSamples(from_sequence(N), from_sequence(M), "power")
     return {
         "compressed_roots": tildestrong_check(M, N, policy),
         "power_gap": power_gap(powers, policy),
@@ -155,15 +149,13 @@ def pow_routes(M: WeightSequence, N: WeightSequence,
 
 
 def bridge_pow_seq(M: WeightSequence, N: WeightSequence,
-                   grid: Grid | None = None,
                    policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Power-family comparison of M against N, fused across its routes."""
-    return fuse_unanimous(pow_routes(M, N, grid, policy),
+    return fuse_unanimous(pow_routes(M, N, policy),
                           note_prefix="power comparison bridge")
 
 
 def mg_transfer_check(M: WeightSequence, N: WeightSequence,
-                      grid: Grid | None = None,
                       policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Moderate growth is a property of the equivalence class: for equivalent
     sequences the two verdicts must agree.  Holds = verified on this pair."""

@@ -27,6 +27,8 @@ from .trend import DEFAULT_POLICY, Trend, TrendPolicy, classify, index_window
 from .verdicts import Verdict, fails, fuse_conjunction, holds, inconclusive
 
 LADDER_MAX_INDEX = 16
+# index range of constructed sequences and recoveries unless a caller sets J
+DEFAULT_J = 512
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +109,7 @@ def from_quotients(mu, label: str = "") -> WeightSequence:
     return from_log_quotients(np.log(arr), label)
 
 
-def gevrey(s: float, J: int = 512) -> WeightSequence:
+def gevrey(s: float, J: int = DEFAULT_J) -> WeightSequence:
     """M_j = (j!)^s via quotients mu_j = j^s."""
     if s <= 0:
         raise ValueError("need s > 0")
@@ -115,7 +117,7 @@ def gevrey(s: float, J: int = 512) -> WeightSequence:
     return from_log_quotients(s * np.log(j), label=f"gevrey({s:g})")
 
 
-def q_gevrey(q: float, J: int = 512) -> WeightSequence:
+def q_gevrey(q: float, J: int = DEFAULT_J) -> WeightSequence:
     """M_j = q^(j^2) for q > 1."""
     if q <= 1:
         raise ValueError("need q > 1")
@@ -184,8 +186,7 @@ def log_factorials(n: int) -> np.ndarray:
 # trend helper for index diagnostics
 # ---------------------------------------------------------------------------
 
-def index_trend(d: np.ndarray, j_first: int, policy: TrendPolicy,
-                 margin: float | None = None):
+def index_trend(d: np.ndarray, j_first: int, policy: TrendPolicy):
     """Trend of diagnostic d (indexed from j_first) over the trailing half of
     its index range, regressed against log j.  Returns (report, j_window)."""
     j_last = j_first + len(d) - 1
@@ -193,7 +194,7 @@ def index_trend(d: np.ndarray, j_first: int, policy: TrendPolicy,
     j = np.arange(j_first, j_last + 1)
     mask = j >= lo
     full = dataclasses.replace(policy, window_fraction=1.0)
-    rep = classify(np.log(j[mask].astype(float)), d[mask], full, margin=margin)
+    rep = classify(np.log(j[mask].astype(float)), d[mask], full)
     return rep, (lo, hi)
 
 

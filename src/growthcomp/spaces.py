@@ -20,7 +20,7 @@ import numpy as np
 
 from .associated_weight import (OM1_LADDER, OM6_LADDER, SCAN_CHUNK,
                                 check_om6_omega)
-from .grids import Grid, default_grid
+from .grids import default_grid
 from .relations import pow_routes, tildestrong_check, triangle_routes
 from .sequence_core import (WeightSequence, check_mg, check_om1_index,
                             index_trend, is_LC)
@@ -159,15 +159,14 @@ def _normalized_verdict(u: Weight) -> Verdict:
                  note="omega does not vanish on t <= 1; normalize first")
 
 
-def _o_collapse_gate(S: SpaceSpec, grid: Grid | None,
-                     policy: TrendPolicy) -> Verdict:
+def _o_collapse_gate(S: SpaceSpec, policy: TrendPolicy) -> Verdict:
     """License for reading an o-growth system as its O-growth counterpart."""
     if S.sequence() is not None:
         return holds(witnesses={"H": 1.0},
                      note="sequence-backed family: the o-growth and O-growth "
                           "systems define the same comparison problem")
     u = S.weight()
-    conv = is_convex_weight(u, grid)
+    conv = is_convex_weight(u)
     if conv.fails:
         return fails(evidence=conv.evidence,
                      note="collapse gate needs omega convex in log t")
@@ -201,24 +200,23 @@ def _gate(rel: Verdict, precs: dict[str, Verdict]) -> Verdict:
 # the decision engine
 # ---------------------------------------------------------------------------
 
-def decide_inclusion(A: SpaceSpec, B: SpaceSpec, grid: Grid | None = None,
+def decide_inclusion(A: SpaceSpec, B: SpaceSpec,
                      policy: TrendPolicy = DEFAULT_POLICY) -> InclusionVerdict:
     """Decide whether space A is contained in space B."""
     if A.is_single and B.is_single:
-        return _decide_single(A, B, grid, policy)
+        return _decide_single(A, B, policy)
     if A.is_single or B.is_single:
         raise RoutingError("no route between a single weighted space and a "
                            "weight-system space")
-    return _decide_systems(A, B, grid, policy)
+    return _decide_systems(A, B, policy)
 
 
-def _decide_single(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
-                   policy: TrendPolicy) -> InclusionVerdict:
+def _decide_single(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> InclusionVerdict:
     u = A.weight()
     v = B.weight()
     precs: dict[str, Verdict] = {}
     if A.flavor != B.flavor:
-        precs["o_vs_O_collapse"] = _o_collapse_gate(A, grid, policy)
+        precs["o_vs_O_collapse"] = _o_collapse_gate(A, policy)
     Ms = A.sequence()
     Ns = B.sequence()
     if Ms is not None and Ns is not None:
@@ -228,8 +226,8 @@ def _decide_single(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
         return InclusionVerdict(_gate(rel, precs),
                                 "plain-ratio comparison of sequence weights",
                                 {"plain_ratio": rel}, precs)
-    precs["essential_left"] = sandwich_check(u, grid)
-    rel = weight_preceq(u, v, grid, policy)
+    precs["essential_left"] = sandwich_check(u)
+    rel = weight_preceq(u, v, policy)
     return InclusionVerdict(_gate(rel, precs), "weighted sup-norm comparison",
                             {"weight_order": rel}, precs)
 
@@ -243,13 +241,12 @@ def _same_source(A: SpaceSpec, B: SpaceSpec) -> bool:
     return False
 
 
-def _decide_systems(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
-                    policy: TrendPolicy) -> InclusionVerdict:
+def _decide_systems(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> InclusionVerdict:
     precs: dict[str, Verdict] = {}
     if A.little_o:
-        precs["o_collapse_left"] = _o_collapse_gate(A, grid, policy)
+        precs["o_collapse_left"] = _o_collapse_gate(A, policy)
     if B.little_o:
-        precs["o_collapse_right"] = _o_collapse_gate(B, grid, policy)
+        precs["o_collapse_right"] = _o_collapse_gate(B, policy)
 
     if _same_source(A, B):
         if A.flavor == B.flavor:
@@ -258,7 +255,7 @@ def _decide_systems(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
             return InclusionVerdict(_gate(rel, precs), "reflexive inclusion",
                                     {}, precs)
         if A.mode == B.mode and A.axis != B.axis:
-            return _same_source_family_swap(A, B, grid, policy, precs)
+            return _same_source_family_swap(A, B, policy, precs)
         if A.axis == B.axis and A.mode == "projective" and B.mode == "inductive":
             rel = holds(witnesses={"c": 1.0},
                         note="the intersection over a family lies inside the "
@@ -273,16 +270,15 @@ def _decide_systems(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
 
     if A.mode == "inductive" and B.mode == "projective" and A.axis == B.axis:
         if A.axis == "dila":
-            return _crossing_dila(A, B, grid, policy, precs)
-        return _crossing_pow(A, B, grid, policy, precs)
+            return _crossing_dila(A, B, policy, precs)
+        return _crossing_pow(A, B, policy, precs)
 
     raise RoutingError(f"no characterization covers {A.flavor} inside {B.flavor} "
                        "over different sources; only inductive-into-projective "
                        "crossings and same-source family comparisons are routed")
 
 
-def _same_source_family_swap(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
-                             policy: TrendPolicy,
+def _same_source_family_swap(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
                              precs: dict[str, Verdict]) -> InclusionVerdict:
     """Dilation family vs power family over one source, same mode.
 
@@ -306,7 +302,7 @@ def _same_source_family_swap(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
                                 {name: cond}, precs)
     u = A.weight()
     precs["normalized"] = _normalized_verdict(u)
-    precs["convex"] = is_convex_weight(u, grid)
+    precs["convex"] = is_convex_weight(u)
     cond = check_om1_weight(u) if needs_om1 else check_om6_weight(u)
     name = "value_doubling" if needs_om1 else "shift_doubling"
     return InclusionVerdict(_gate(cond, precs),
@@ -314,15 +310,14 @@ def _same_source_family_swap(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
                             {name: cond}, precs)
 
 
-def _crossing_dila(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
-                   policy: TrendPolicy,
+def _crossing_dila(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
                    precs: dict[str, Verdict]) -> InclusionVerdict:
     Nseq = A.sequence()
     Mseq = B.sequence()
     if Nseq is not None and Mseq is not None:
         precs["log_convex_left"] = is_LC(Nseq, policy)
         precs["log_convex_right"] = is_LC(Mseq, policy)
-        sides = triangle_routes(Mseq, Nseq, grid, policy)
+        sides = triangle_routes(Mseq, Nseq, policy)
         rel = fuse_unanimous(sides, note_prefix="strong comparison bridge")
         return InclusionVerdict(_gate(rel, precs), "dilation-system crossing",
                                 sides, precs)
@@ -330,33 +325,32 @@ def _crossing_dila(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
     w = B.weight()
     precs["normalized_left"] = _normalized_verdict(u)
     precs["normalized_right"] = _normalized_verdict(w)
-    precs["convex_left"] = is_convex_weight(u, grid)
+    precs["convex_left"] = is_convex_weight(u)
     precs["shift_doubling_left"] = check_om6_weight(u)
-    rel = weight_triangle_dila(u, w, grid, policy)
+    rel = weight_triangle_dila(u, w, policy)
     return InclusionVerdict(_gate(rel, precs), "dilation-weight-system crossing",
                             {"dilation_gap": rel}, precs)
 
 
-def _crossing_pow(A: SpaceSpec, B: SpaceSpec, grid: Grid | None,
-                  policy: TrendPolicy,
+def _crossing_pow(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
                   precs: dict[str, Verdict]) -> InclusionVerdict:
     Nseq = A.sequence()
     Mseq = B.sequence()
     if Nseq is not None and Mseq is not None:
         precs["log_convex_left"] = is_LC(Nseq, policy)
         precs["log_convex_right"] = is_LC(Mseq, policy)
-        sides = pow_routes(Mseq, Nseq, grid, policy)
+        sides = pow_routes(Mseq, Nseq, policy)
         rel = fuse_unanimous(sides, note_prefix="power comparison bridge")
         return InclusionVerdict(_gate(rel, precs), "power-system crossing",
                                 sides, precs)
     u = A.weight()
     w = B.weight()
-    precs["convex_left"] = is_convex_weight(u, grid)
-    sides = {"power_gap": weight_triangle_pow(u, w, grid, policy)}
-    wc = is_convex_weight(w, grid)
+    precs["convex_left"] = is_convex_weight(u)
+    sides = {"power_gap": weight_triangle_pow(u, w, policy)}
+    wc = is_convex_weight(w)
     if wc.holds:
-        Mu = associated_sequence(u, 512, grid)
-        Mw = associated_sequence(w, 512, grid)
+        Mu = associated_sequence(u)
+        Mw = associated_sequence(w)
         sides["compressed_roots"] = tildestrong_check(Mw, Mu, policy)
         rel = fuse_unanimous(sides, note_prefix="power-weight-system crossing")
     else:
@@ -394,11 +388,11 @@ def system_equiv(M: WeightSequence,
     return base
 
 
-def system_equiv_weight(u: Weight, grid: Grid | None = None,
+def system_equiv_weight(u: Weight,
                         policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Weight-system analogue of system_equiv, for normalized convex weights."""
     norm = _normalized_verdict(u)
-    conv = is_convex_weight(u, grid)
+    conv = is_convex_weight(u)
     if not (norm.holds and conv.holds):
         return inconclusive("characterization needs a normalized convex weight "
                             f"(normalized={norm.state.value}, convex={conv.state.value})")
@@ -495,8 +489,7 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return vals, args
 
 
-def norm_estimate(f: PowerSeries, v: Weight, grid: Grid | None = None
-                  ) -> tuple[float, float]:
+def norm_estimate(f: PowerSeries, v: Weight) -> tuple[float, float]:
     """Bracket for log sup_t (sum_j |a_j| t^j) * v(t).
 
     The lower bound is the grid supremum.  The upper bound adds a Lipschitz
@@ -505,7 +498,7 @@ def norm_estimate(f: PowerSeries, v: Weight, grid: Grid | None = None
     it assumes omega is non-decreasing with its steepest slope at the end
     (true for convex weights).
     """
-    g = (grid if grid is not None else default_grid()).clip(None, v.log_t_reliable)
+    g = default_grid().clip(None, v.log_t_reliable)
     if g is None or len(g) < 2:
         raise ValueError("faithful range leaves no usable grid")
     x = g.log_t
@@ -575,14 +568,14 @@ def _series_vs_weight(f: PowerSeries, v: Weight, x: np.ndarray,
                  note="weighted modulus bounded on the window")
 
 
-def membership(f: PowerSeries, S: SpaceSpec, grid: Grid | None = None,
+def membership(f: PowerSeries, S: SpaceSpec,
                policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Does the series belong to the space, judged on the faithful window.
 
     The series is evaluated once, on the grid up to the widest faithful end
     among the members the check may visit; each member reads its prefix.
     """
-    g = grid if grid is not None else default_grid()
+    g = default_grid()
     little = S.little_o or S.flavor == "SingleLittleO"
     if S.is_single:
         members = [(None, S.weight())]

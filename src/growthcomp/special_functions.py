@@ -20,13 +20,15 @@ from functools import cached_property
 import numpy as np
 
 from .associated_weight import AssociatedWeight
-from .grids import Grid, default_grid
+from .grids import default_grid
 from .sequence_core import WeightSequence
 from .spaces import PowerSeries, log_series_eval
 from .verdicts import Verdict, fails, holds, inconclusive
 
 LOG2 = math.log(2.0)
 THETA_KINDS = ("dila", "pow")
+# relative slack of the envelope bounds, for the rounding of both sides
+BOUNDS_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,15 +125,14 @@ def theta_eval(T: ThetaFunction, t: float) -> tuple[float, float]:
     return partial, err
 
 
-def bounds_check(T: ThetaFunction, grid: Grid | None = None,
-                 rtol: float = 1e-9) -> Verdict:
+def bounds_check(T: ThetaFunction) -> Verdict:
     """Verify the envelope of the probe at every certified grid point.
 
     Lower: the partial sum already dominates exp(omega(c t / 2)) for the
     dilation kind and exp(c * omega(t / 2^(1/c))) for the power kind.  Upper
     (dilation kind only): partial sum plus tail stays below 2 exp(omega(c t)).
     """
-    g = grid if grid is not None else default_grid()
+    g = default_grid()
     mask = g.log_t < T.log_t_certified
     if int(mask.sum()) < 2:
         return inconclusive("no certified grid points inside the faithful range")
@@ -147,9 +148,9 @@ def bounds_check(T: ThetaFunction, grid: Grid | None = None,
         upper_gap = None
     scale = np.maximum(1.0, np.abs(lb))
     lower_gap = lb - vals
-    bad = lower_gap > rtol * scale
+    bad = lower_gap > BOUNDS_RTOL * scale
     if upper_gap is not None:
-        bad |= upper_gap > rtol * np.maximum(1.0, np.abs(ub))
+        bad |= upper_gap > BOUNDS_RTOL * np.maximum(1.0, np.abs(ub))
     n = len(x)
     if np.any(bad):
         k = int(np.argmax(np.where(bad, lower_gap, -np.inf)))

@@ -39,20 +39,23 @@ class TrendPolicy:
 
     margin        -- slope threshold (per unit of log-abscissa) for the primary
                      rising/falling/flat call.
-    ratio_margin  -- finer threshold used for dominance (log-ratio) trends and
-                     curvature comparisons inside ladder deciders.
     window_fraction -- trailing fraction of the abscissa range used for the fit.
     """
 
     margin: float = 0.05
-    ratio_margin: float = 0.025
     window_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.margin > 0 and self.ratio_margin > 0):
-            raise ValueError("margins must be positive")
+        if not self.margin > 0:
+            raise ValueError("margin must be positive")
         if not (0 < self.window_fraction <= 1):
             raise ValueError("window_fraction must lie in (0, 1]")
+
+    @property
+    def ratio_margin(self) -> float:
+        """Finer threshold, half the margin, for dominance (log-ratio) trends
+        and curvature comparisons inside ladder deciders."""
+        return self.margin / 2
 
 
 DEFAULT_POLICY = TrendPolicy()

@@ -29,6 +29,10 @@ evaluation of v or the base: a dilation rung adds one evaluation of
 w.dilate(c), and a power rung is c * w(x), exact because each c is a power
 of two.  The exists-ladders (c >= 1) shrink the window on every rung and
 sample each rung on its own.
+
+Every comparison samples the default grid.  Only the checks on one weight
+(rapidly_decreasing, is_convex_weight, sandwich_check) and the recovery
+associated_sequence take a grid.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .associated_weight import (LADDER_GRID_N, MIN_WINDOW_SPAN, OM6_LADDER,
                                 AssociatedWeight, conjugate, om1_ladder,
                                 om6_ladder)
 from .grids import Grid, default_grid
-from .sequence_core import WeightSequence
+from .sequence_core import DEFAULT_J, WeightSequence
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
                     classify)
 from .verdicts import State, Verdict, fails, fuse_unanimous, holds, inconclusive
@@ -186,7 +190,7 @@ def _clipped(grid: Grid | None, v: Weight, *others: Weight,
     return g.clip(x_lo, x_hi)
 
 
-def _comparison_grid(grid: Grid | None, v: Weight, *others: Weight) -> Grid | None:
+def _comparison_grid(v: Weight, *others: Weight) -> Grid | None:
     """Sampling grid for a comparison window.
 
     The faithful span of sequence-backed weights routinely extends far past
@@ -195,7 +199,7 @@ def _comparison_grid(grid: Grid | None, v: Weight, *others: Weight) -> Grid | No
     out there.  Comparisons therefore sample the full certified span at the
     grid's resolution instead of truncating at the grid's last point.
     """
-    g = grid if grid is not None else default_grid()
+    g = default_grid()
     x_hi = min([v.log_t_reliable] + [o.log_t_reliable for o in others])
     x_lo = float(g.log_t[0])
     if x_hi <= float(g.log_t[-1]):
@@ -242,7 +246,7 @@ def is_convex_weight(u: Weight, grid: Grid | None = None) -> Verdict:
 # associated sequence of a weight and the sandwich identity
 # ---------------------------------------------------------------------------
 
-def associated_sequence(u: Weight, J: int = 512, grid: Grid | None = None,
+def associated_sequence(u: Weight, J: int = DEFAULT_J, grid: Grid | None = None,
                         safety: float = 0.5) -> WeightSequence:
     """M^u_j = sup_t t^j u(t), computed as sup_x (j x - omega(x)) on the grid.
 
@@ -272,7 +276,7 @@ def associated_sequence(u: Weight, J: int = 512, grid: Grid | None = None,
                                 "reliable_max_index": int(np.floor(max(0.0, k_end) * safety))})
 
 
-def sandwich_check(u: Weight, grid: Grid | None = None, J: int = 512,
+def sandwich_check(u: Weight, grid: Grid | None = None, J: int = DEFAULT_J,
                    policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Two-sided control of u by the weight of its associated sequence:
     v_{M^u}^2 / A <= u <= v_{M^u} for some finite A.
@@ -312,17 +316,17 @@ def sandwich_check(u: Weight, grid: Grid | None = None, J: int = 512,
 # doubling conditions and iterated-ratio gate on weights
 # ---------------------------------------------------------------------------
 
-def check_om6_weight(u: Weight, n: int = LADDER_GRID_N) -> Verdict:
+def check_om6_weight(u: Weight) -> Verdict:
     """Exists H >= 1 with 2 omega(t) <= omega(H t) + H, read off u directly."""
-    return om6_ladder(u.omega_log, u.log_t_reliable, n=n)
+    return om6_ladder(u.omega_log, u.log_t_reliable)
 
 
-def check_om1_weight(u: Weight, n: int = LADDER_GRID_N) -> Verdict:
+def check_om1_weight(u: Weight) -> Verdict:
     """Exists L with omega(2t) <= L (omega(t) + 1), read off u directly."""
-    return om1_ladder(u.omega_log, u.log_t_reliable, n=n)
+    return om1_ladder(u.omega_log, u.log_t_reliable)
 
 
-def strong_ratio_check(u: Weight, c: float, d: float, n: int = LADDER_GRID_N,
+def strong_ratio_check(u: Weight, c: float, d: float,
                        policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists C with d * omega(t) <= omega(c t) + C on t >= 1."""
     if not (c > 0 and d > 0):
@@ -330,7 +334,7 @@ def strong_ratio_check(u: Weight, c: float, d: float, n: int = LADDER_GRID_N,
     span = u.log_t_reliable - np.log(c)
     if span <= MIN_WINDOW_SPAN:
         return inconclusive("faithful range too short for this dilation factor")
-    x = np.linspace(0.0, span, n)
+    x = np.linspace(0.0, span, LADDER_GRID_N)
     gdiag = d * u.omega_log(x) - u.omega_log(x + np.log(c))
     rep = classify(x, gdiag, policy)
     k = int(np.argmax(gdiag))
@@ -397,8 +401,7 @@ def _awake(wv: np.ndarray, ww: np.ndarray) -> np.ndarray | None:
     return awake
 
 
-def _rung_samples(v: Weight, w: Weight, grid: Grid | None,
-                  w_base: Weight | None = None) -> tuple | None:
+def _rung_samples(v: Weight, w: Weight, w_base: Weight | None = None) -> tuple | None:
     """Samples (x, wv, ww, wb) of one rung on its own window, past the
     plateau; None when the rung is to be skipped.
 
@@ -409,7 +412,7 @@ def _rung_samples(v: Weight, w: Weight, grid: Grid | None,
     comparisons and the exists-ladders, whose rungs each move the window.
     """
     same = w_base is None or w_base is w
-    g = _comparison_grid(grid, v, w) if same else _comparison_grid(grid, v, w, w_base)
+    g = _comparison_grid(v, w) if same else _comparison_grid(v, w, w_base)
     if g is None or len(g) < MIN_WINDOW_POINTS:
         return None
     x = g.log_t
@@ -432,8 +435,8 @@ class ForallSamples:
 
     * the window does not change across rungs: for c <= 1 a dilation only
       raises w's faithful end (the shift falls, monotonically in float) and
-      a power leaves it, so the grid of every rung is _comparison_grid(grid,
-      v, w) bit for bit;
+      a power leaves it, so the grid of every rung is _comparison_grid(v, w)
+      bit for bit;
     * no rung needs a new evaluation of v or the baseline: a dilation rung
       adds one w.dilate(c).omega_log(x), and a power rung is c * w(x), equal
       to w.power(c).omega_log(x) because every rung c is a power of two.
@@ -443,11 +446,11 @@ class ForallSamples:
     all three are None when the window is too short.
     """
 
-    def __init__(self, v: Weight, w: Weight, family: str, grid: Grid | None = None):
+    def __init__(self, v: Weight, w: Weight, family: str):
         self.w = w
         self.family = family
         self.rungs: dict[float, tuple | None] = {}  # c -> (ww, awake) or None
-        g = _comparison_grid(grid, v, w)
+        g = _comparison_grid(v, w)
         self.x = self.wv = self.wb = None
         if g is not None and len(g) >= MIN_WINDOW_POINTS:
             self.x = g.log_t
@@ -521,10 +524,10 @@ def _classify_rung(claim: str, samples: tuple | None,
     return state, (float(x[k]), float(d[k])), float(d.max())
 
 
-def weight_preceq(v: Weight, w: Weight, grid: Grid | None = None,
+def weight_preceq(v: Weight, w: Weight,
                   policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = O(v): omega_v - omega_w bounded above on the shared faithful window."""
-    state, point, sup_d = _classify_rung("preceq", _rung_samples(v, w, grid), policy)
+    state, point, sup_d = _classify_rung("preceq", _rung_samples(v, w), policy)
     if state is State.HOLDS:
         return holds(witnesses={"C": float(np.exp(max(0.0, sup_d)))},
                      evidence=(point,), note="gap bounded above on the window")
@@ -533,10 +536,10 @@ def weight_preceq(v: Weight, w: Weight, grid: Grid | None = None,
     return inconclusive("window-limited: the gap has not settled inside the faithful range")
 
 
-def weight_triangle(v: Weight, w: Weight, grid: Grid | None = None,
+def weight_triangle(v: Weight, w: Weight,
                     policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = o(v): omega_w - omega_v -> +infinity on the shared faithful window."""
-    state, point, _ = _classify_rung("triangle", _rung_samples(v, w, grid), policy)
+    state, point, _ = _classify_rung("triangle", _rung_samples(v, w), policy)
     if state is State.HOLDS:
         return holds(witnesses={"gap_at_window_end": point[1]}, evidence=(point,),
                      note="gap diverges on the window")
@@ -549,13 +552,12 @@ def weight_triangle(v: Weight, w: Weight, grid: Grid | None = None,
 # ladders over dilation and power families
 # ---------------------------------------------------------------------------
 
-def _exists_ladder(claim: str, v: Weight, make_rung, grid: Grid | None,
-                   policy: TrendPolicy) -> Verdict:
+def _exists_ladder(claim: str, v: Weight, make_rung, policy: TrendPolicy) -> Verdict:
     base = make_rung(1.0)
     undecided = False
     rung_evidence: list[tuple[float, float]] = []
     for c in OM6_LADDER:
-        samples = _rung_samples(v, make_rung(c), grid, base)
+        samples = _rung_samples(v, make_rung(c), base)
         state, point, sup_d = _classify_rung(claim, samples, policy)
         if state is State.HOLDS:
             return holds(witnesses={"c": float(c), "C": float(np.exp(max(0.0, sup_d)))},
@@ -604,31 +606,31 @@ def power_gap(samples: ForallSamples, policy: TrendPolicy) -> Verdict:
                           note_prefix="power-family comparison")
 
 
-def weight_preceq_dila(v: Weight, w: Weight, grid: Grid | None = None,
+def weight_preceq_dila(v: Weight, w: Weight,
                        policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq dilate(w, c)."""
-    return _exists_ladder("preceq", v, w.dilate, grid, policy)
+    return _exists_ladder("preceq", v, w.dilate, policy)
 
 
-def weight_preceq_pow(v: Weight, w: Weight, grid: Grid | None = None,
+def weight_preceq_pow(v: Weight, w: Weight,
                       policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq w^c."""
-    return _exists_ladder("preceq", v, w.power, grid, policy)
+    return _exists_ladder("preceq", v, w.power, policy)
 
 
-def weight_triangle_dila(v: Weight, w: Weight, grid: Grid | None = None,
+def weight_triangle_dila(v: Weight, w: Weight,
                          policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: omega_w(c t) - omega_v(t) -> +infinity (descending rungs)."""
-    return forall_ladder("triangle", ForallSamples(v, w, "dilate", grid), policy)
+    return forall_ladder("triangle", ForallSamples(v, w, "dilate"), policy)
 
 
-def weight_preceq_all_dila(v: Weight, w: Weight, grid: Grid | None = None,
+def weight_preceq_all_dila(v: Weight, w: Weight,
                            policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: v preceq dilate(w, c) (descending rungs)."""
-    return forall_ladder("preceq", ForallSamples(v, w, "dilate", grid), policy)
+    return forall_ladder("preceq", ForallSamples(v, w, "dilate"), policy)
 
 
-def weight_triangle_pow(v: Weight, w: Weight, grid: Grid | None = None,
+def weight_triangle_pow(v: Weight, w: Weight,
                         policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: c omega_w(t) - omega_v(t) -> +infinity (see power_gap)."""
-    return power_gap(ForallSamples(v, w, "power", grid), policy)
+    return power_gap(ForallSamples(v, w, "power"), policy)

@@ -203,12 +203,12 @@ def test_shared_forall_samples_equal_the_per_rung_samples(kind, family):
         for c in FORALL_LADDER:
             rung = make_rung(c)
             np.testing.assert_array_equal(
-                shared.x, _comparison_grid(None, v, rung, base).log_t)
+                shared.x, _comparison_grid(v, rung, base).log_t)
             direct = rung.omega_log(shared.x)
             if family == "power":
                 np.testing.assert_array_equal(c * w.omega_log(shared.x), direct)
             got = shared.rung(c)
-            want = _rung_samples(v, rung, None, base)
+            want = _rung_samples(v, rung, base)
             assert (got is None) == (want is None)
             for a, b in zip(got or (), want or ()):
                 np.testing.assert_array_equal(a, b)
