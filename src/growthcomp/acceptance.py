@@ -43,6 +43,9 @@ UNANIMITY_FLOOR = 0.90
 ENVELOPE_SEED = 20260819
 ENVELOPE_TRIALS = 100
 ENVELOPE_J = 64
+# the theta closed-form check and the system-equivalence suite build their
+# reference inputs at this J, whatever the battery's J
+REFERENCE_J = 512
 THETA_PROBES = (("dila", 0.5), ("dila", 1.0), ("dila", 2.0),
                 ("pow", 1.0), ("pow", 2.0))
 MEMBERSHIP_SCALES = (0.5, 1.0, 2.0)
@@ -205,7 +208,7 @@ def suite_growth_chains(battery: tuple[WeightSequence, ...]) -> SuiteResult:
 def suite_theta(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     """The factorial probe matches exp(t/2) exactly and every battery probe
     respects its growth envelope at all certified points."""
-    T = ThetaFunction(gevrey(1.0, 512), "dila", 1.0)
+    T = ThetaFunction(gevrey(1.0, REFERENCE_J), "dila", 1.0)
     closed_worst = 0.0
     for t in (1.0, 10.0, 100.0):
         val, _ = theta_eval(T, t)
@@ -219,8 +222,8 @@ def suite_theta(battery: tuple[WeightSequence, ...]) -> SuiteResult:
             if not vd.holds:
                 bad.append(f"{M.label}:{kind}:{c:g} {vd.state.value}")
     passed = closed_worst <= REL_TOL and not bad
-    detail = (f"closed form max relative error {closed_worst:.3g} at t in {{1,10,100}}; "
-              f"envelope verified on {checked - len(bad)}/{checked} probes")
+    detail = (f"closed form (J={REFERENCE_J}) max relative error {closed_worst:.3g} at t "
+              f"in {{1,10,100}}; envelope verified on {checked - len(bad)}/{checked} probes")
     if bad:
         detail += "; failing: " + ", ".join(bad[:3])
     return SuiteResult("theta-envelope", passed, detail)
@@ -326,11 +329,11 @@ def suite_system_equiv(battery: tuple[WeightSequence, ...]) -> SuiteResult:
     witness on every rung."""
     bad: list[str] = []
     for s in (0.5, 1.0, 2.0, 3.0):
-        vd = system_equiv(gevrey(s, 512))
+        vd = system_equiv(gevrey(s, REFERENCE_J))
         if not vd.holds:
             bad.append(f"gevrey({s:g}): {vd.state.value}, want Holds")
     for q in (1.5, 2.0):
-        M = q_gevrey(q, 512)
+        M = q_gevrey(q, REFERENCE_J)
         vd = system_equiv(M)
         if not vd.fails:
             bad.append(f"qgevrey({q:g}): {vd.state.value}, want Fails")
@@ -348,8 +351,9 @@ def suite_system_equiv(battery: tuple[WeightSequence, ...]) -> SuiteResult:
             bad.append(f"qgevrey({q:g}): no certified witness at H in "
                        f"{sorted(missing)}")
     passed = not bad
-    detail = ("factorial powers hold, quadratic exponents fail with a certified "
-              f"witness on all {len(OM6_LADDER)} rungs" if passed else "; ".join(bad[:4]))
+    detail = (f"J={REFERENCE_J}: factorial powers hold, quadratic exponents fail with a "
+              f"certified witness on all {len(OM6_LADDER)} rungs" if passed
+              else f"J={REFERENCE_J}: " + "; ".join(bad[:4]))
     return SuiteResult("system-equivalence", passed, detail)
 
 

@@ -15,9 +15,14 @@ since their agreement is itself a checked invariant.
 
 The scan route and both recoveries (legendre_recover here,
 associated_sequence for a weight) are one discrete Legendre conjugate run in
-two directions, so they share the blocked kernel ``conjugate``.  The scan
-forms its terms as x*j where the closed form forms j*x; IEEE multiplication
-is commutative and max is exact, so the two routes still agree bit for bit.
+two directions.  The scan, and the recovery of a weight that is not a
+(dilated) sequence weight, take the dense blocked kernel ``conjugate``.  The
+scan forms its terms as x*j where the closed form forms j*x; IEEE
+multiplication is commutative and max is exact, so the two routes still
+agree bit for bit.  A sequence weight is recovered by ``recover``: the same
+terms over one window per index, where only the knots of omega can win,
+bit for bit the dense kernel (the discrete, exact form of Lucet's
+linear-time Legendre transform).
 
 For non-log-convex input the closed-form route works on the log-convex
 minorant (the associated weight cannot see the difference); the scan route
@@ -163,6 +168,50 @@ def _closed_form(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> np.ndarray
     return out
 
 
+def recover(J: int, x: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Legendre conjugate of a sequence's omega, bit for bit the dense
+    conjugate(arange(J + 1), x, w): out[j] = max_i (j*x[i] - w[i]).
+
+    x is sorted, w = omega(x), and q holds the non-decreasing log quotients
+    q_1..q_{J_hull} of the log-convex minorant behind omega, in the
+    coordinates of x; x holds every q_k that lies in [x[0], x[-1]].  Omega
+    has slope k on [q_k, q_{k+1}], so f_j = j*x - omega rises at least 1
+    per unit left of q_j and falls at least 1 per unit right of q_{j+1}:
+    over the points, its exact maximum sits in the span [q_j, q_{j+1}]
+    clipped to [x[0], x[-1]], and at each clipped end of that span there is
+    a point (a knot or a grid end).  Rounding of a term (of j*x, of w and of
+    the difference), and the gap between a stored quotient and the breakpoint
+    of the float omega, stay below rho = 4 eps (max(J, J_hull) max|x| +
+    max|w|).  A point more than m = 4 rho outside the span thus lies more
+    than 2 rho under the exact maximum, so its float term is under the float
+    term of a point in the span: out[j] is the maximum over the points within
+    m of the span, one searchsorted window.  Rows past J_hull rise
+    everywhere; their span is the grid end.
+
+    The windows of consecutive rows meet only at a shared knot (and within
+    m of it), so the ragged gather holds about len(x) + J terms, reduced by
+    np.maximum.reduceat, against (J + 1) * len(x) for the dense kernel.
+    Row 0 keeps the full row: a window gives the same zero maximum there,
+    but may give it as -0.0 where the full row gives 0.0.
+    """
+    eps = np.finfo(float).eps
+    rho = 4.0 * eps * (max(J, len(q)) * float(np.abs(x).max())
+                       + float(np.abs(w).max()))
+    m = 4.0 * rho
+    ends = np.full(J + 1, x[-1])
+    ends[:min(J + 1, len(q))] = np.clip(q[:J + 1], x[0], x[-1])
+    lo = x.searchsorted(ends[:-1] - m, "left")
+    hi = x.searchsorted(ends[1:] + m, "right")
+    width = hi - lo
+    start = np.cumsum(width) - width
+    i = np.arange(width.sum()) - np.repeat(start - lo, width)
+    js = np.repeat(np.arange(1, J + 1, dtype=float), width)
+    out = np.empty(J + 1)
+    out[0] = conjugate(np.zeros(1), x, w)[0]
+    out[1:] = np.maximum.reduceat(js * x[i] - w[i], start)
+    return out
+
+
 def omega_eval(M: WeightSequence, t, mode: str = "closed_form"):
     return AssociatedWeight(M).omega(t, mode=mode)
 
@@ -193,7 +242,7 @@ def legendre_recover(omega: AssociatedWeight, J: int,
         warnings.warn(f"recovery requested up to j={J} but the grid only "
                       f"supports j<={j_reliable}; higher indices are "
                       f"grid-limited underestimates", stacklevel=2)
-    vals = conjugate(np.arange(J + 1, dtype=float), x, omega.omega_log(x))
+    vals = recover(J, x, omega.omega_log(x), omega.knots[1:])
     clamped = bool(vals[0] != 0.0)
     vals[0] = 0.0
     return WeightSequence(vals, label=label,

@@ -244,7 +244,13 @@ def is_LC(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def _lower_hull_vertices(y: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull of (j, y_j); collinear points kept."""
+    """Indices of the lower convex hull of (j, y_j); collinear points kept.
+
+    The loop reads Python floats (y.tolist()): the same IEEE double
+    arithmetic as numpy scalars, so the same vertices, without the
+    per-element boxing of numpy scalar indexing.
+    """
+    y = y.tolist()
     out: list[int] = []
     for i in range(len(y)):
         while len(out) >= 2:

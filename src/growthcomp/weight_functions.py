@@ -43,7 +43,7 @@ import numpy as np
 
 from .associated_weight import (LADDER_GRID_N, MIN_WINDOW_SPAN, OM6_LADDER,
                                 AssociatedWeight, conjugate, om1_ladder,
-                                om6_ladder)
+                                om6_ladder, recover)
 from .grids import Grid, default_grid
 from .sequence_core import DEFAULT_J, WeightSequence
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
@@ -254,13 +254,20 @@ def associated_sequence(u: Weight, J: int = DEFAULT_J, grid: Grid | None = None,
     projected monotone and the values rebuilt from it, so the result is exactly
     log-convex and carries its quotients.  Meta records the origin shift (when
     sup u != 1), the projection magnitude, and the grid-supported index cap.
+    The suprema of a sequence weight, dilated or not, are taken over one
+    window per index (associated_weight.recover).  A power scale moves the
+    slopes of omega off the integers and a normalization clamp adds a flat
+    piece, so those weights, and tables, take the dense conjugate.
     """
     g = _clipped(grid, u)
     if g is None or len(g) < 2:
         raise ValueError("faithful range leaves no usable grid")
     x = g.augment(u.knots_log).log_t
     w = u.omega_log(x)
-    vals = conjugate(np.arange(J + 1, dtype=float), x, w)
+    if isinstance(u.base, AssociatedWeight) and u.scale == 1.0 and u.offset is None:
+        vals = recover(J, x, w, u.knots_log)
+    else:
+        vals = conjugate(np.arange(J + 1, dtype=float), x, w)
     shift = float(vals[0])
     vals = vals - shift
     vals[0] = 0.0

@@ -14,10 +14,11 @@ from growthcomp import (AssociatedWeight, WeightSequence, associated_sequence,
                         check_om1_omega, check_om6_omega, counting,
                         default_grid, from_log_quotients, from_sequence,
                         from_values, gevrey, is_log_convex, legendre_recover,
-                        log_convex_minorant, omega_eval, q_gevrey,
-                        standard_battery)
+                        log_convex_minorant, normalize, omega_eval,
+                        q_gevrey, standard_battery)
 from growthcomp.associated_weight import (OM1_LADDER, OM6_LADDER, OMEGA_MODES,
-                                          SCAN_CHUNK, om1_ladder, om6_ladder)
+                                          SCAN_CHUNK, conjugate, om1_ladder,
+                                          om6_ladder, recover)
 
 # ---------------------------------------------------------------------------
 # counting route
@@ -233,7 +234,7 @@ def test_recovery_warns_past_grid_support():
 
 
 # ---------------------------------------------------------------------------
-# the blocked conjugate kernel behind the scan route and both recoveries
+# the dense conjugate kernel behind the scan route, against a dense reference
 # ---------------------------------------------------------------------------
 
 def _dense_sup(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -279,18 +280,125 @@ def test_suprema_across_kernel_blocks_match_a_dense_reference():
                                   np.concatenate(([0.0], np.cumsum(q))))
 
 
-def test_large_recovery_stays_within_a_memory_bound():
-    # one dense (J+1) x n term matrix here would take about 0.5 GiB
-    M = gevrey(1.0, 4096)
+def _traced_peak(recovery) -> int:
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            legendre_recover(AssociatedWeight(M), J=4096)
+            recovery()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2 ** 20
+    return peak
+
+
+def test_large_recovery_stays_within_a_memory_bound():
+    # one dense (J+1) x n term matrix here would take about 0.5 GiB, and one
+    # block of the dense kernel 16-32 MiB; the windows hold about n + J terms
+    M = gevrey(1.0, 4096)
+    assert _traced_peak(lambda: legendre_recover(AssociatedWeight(M), J=4096)) < 8 * 2 ** 20
+
+
+def test_large_weight_recovery_stays_within_a_memory_bound():
+    M = gevrey(1.0, 4096)
+    assert _traced_peak(lambda: associated_sequence(from_sequence(M), J=4096)) < 8 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the windowed recovery of a sequence weight
+# ---------------------------------------------------------------------------
+
+def _recover_without_margin(J, x, w, q):
+    # recover with m = 0: each window is exactly the span [q_j, q_{j+1}]
+    ends = np.full(J + 1, x[-1])
+    ends[:min(J + 1, len(q))] = np.clip(q[:J + 1], x[0], x[-1])
+    lo = x.searchsorted(ends[:-1], "left")
+    hi = x.searchsorted(ends[1:], "right")
+    width = hi - lo
+    start = np.cumsum(width) - width
+    i = np.arange(width.sum()) - np.repeat(start - lo, width)
+    js = np.repeat(np.arange(1, J + 1, dtype=float), width)
+    out = np.empty(J + 1)
+    out[0] = conjugate(np.zeros(1), x, w)[0]
+    out[1:] = np.maximum.reduceat(js * x[i] - w[i], start)
+    return out
+
+
+def _sequence_recovery_inputs(M: WeightSequence):
+    """(x, omega_log, knots) as legendre_recover and associated_sequence form them."""
+    aw = AssociatedWeight(M)
+    yield default_grid().augment(aw.knots[1:]).log_t, aw.omega_log, aw.knots[1:]
+    u = from_sequence(M)
+    for v in (u, u.dilate(3.0), u.dilate(0.01)):
+        g = default_grid().clip(None, v.log_t_reliable)
+        if g is not None:
+            yield g.augment(v.knots_log).log_t, v.omega_log, v.knots_log
+
+
+def _tie_run_on_a_grid_point(k: int, run: int) -> WeightSequence:
+    # half the run has its quotient on default grid point k, half one float
+    # step above it: two knots within rounding of each other, both grid points
+    g = float(default_grid().log_t[k])
+    q = np.concatenate(([-1.0, 0.5], np.full(run, g), np.full(run, np.nextafter(g, np.inf)),
+                        [g + 1.0]))
+    return from_log_quotients(q)
+
+
+def test_windowed_recovery_is_the_dense_conjugate_bit_for_bit(battery):
+    rng = np.random.default_rng(243)
+    seqs = list(battery)
+    seqs += [WeightSequence(np.concatenate(([0.0], np.cumsum(rng.normal(0.6, 1.5, J)))),
+                            label=f"walk{J}") for J in (512, 1024, 2048, 4096) for _ in range(2)]
+    seqs += [gevrey(1.0, 4096), gevrey(2.0, 2048), gevrey(0.5, 1024), gevrey(3.0, 512),
+             q_gevrey(1.5, 4096), q_gevrey(2.0, 2048), q_gevrey(3.0, 1024), q_gevrey(1.25, 512)]
+    for _ in range(40):
+        mu = np.sort(rng.normal(0.0, 2.0, rng.integers(3, 40)))
+        seqs.append(from_log_quotients(np.repeat(mu, rng.integers(1, 13, len(mu)))))
+    seqs.append(_tie_run_on_a_grid_point(2048, 20))
+    for M in seqs:
+        for x, omega_log, q in _sequence_recovery_inputs(M):
+            w = omega_log(x)
+            # J at, below and above the hull's
+            for J in (M.J, 300, 700):
+                want = conjugate(np.arange(J + 1, dtype=float), x, w)
+                got = recover(J, x, w, q)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                              err_msg=f"{M.label} J={J}")
+
+
+def test_windowed_recovery_needs_its_margin():
+    # at m = 0 the window of a row inside the run starts on the knot one float
+    # step above the grid point, and rounding can put the maximum on the point
+    M = _tie_run_on_a_grid_point(2048, 20)
+    aw = AssociatedWeight(M)
+    x = default_grid().augment(aw.knots[1:]).log_t
+    w = aw.omega_log(x)
+    want = conjugate(np.arange(M.J + 1, dtype=float), x, w)
+    np.testing.assert_array_equal(recover(M.J, x, w, aw.knots[1:]), want)
+    assert (_recover_without_margin(M.J, x, w, aw.knots[1:]) != want).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        R = legendre_recover(aw, J=M.J)
+    assert np.array_equal(R.log_values[1:], want[1:])
+
+
+def test_normalized_weight_keeps_the_dense_recovery():
+    # the clamp adds a slope-0 piece below t = 1; with knots below it, row j
+    # can peak at the clamp point, outside [q_j, q_{j+1}], so a window misses it
+    M = from_log_quotients(np.concatenate(([0.0], np.linspace(-3.0, 8.0, 200))))
+    u = normalize(from_sequence(M))
+    x = default_grid().clip(None, u.log_t_reliable).augment(u.knots_log).log_t
+    w = u.omega_log(x)
+    J = 250
+    dense = conjugate(np.arange(J + 1, dtype=float), x, w)
+    assert (recover(J, x, w, u.knots_log) != dense).any()
+    vals = dense - dense[0]
+    vals[0] = 0.0
+    q = np.maximum.accumulate(np.diff(vals))
+    Mu = associated_sequence(u, J=J)
+    assert Mu.meta["origin_shift"] == dense[0]
+    np.testing.assert_array_equal(Mu.log_values.view(np.int64),
+                                  np.concatenate(([0.0], np.cumsum(q))).view(np.int64))
 
 
 # ---------------------------------------------------------------------------

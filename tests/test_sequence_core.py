@@ -14,6 +14,7 @@ from growthcomp import (check_56_alternative, check_mg, check_mg_diag,
                         is_log_convex, log_convex_minorant, log_factorials,
                         mixture, product, q_gevrey, scale_pow, seq_approx,
                         seq_preceq, seq_triangle, tilde)
+from growthcomp.sequence_core import _lower_hull_vertices
 
 # ---------------------------------------------------------------------------
 # construction and frozen factory values
@@ -169,6 +170,36 @@ def test_minorant_properties(y):
     assert np.all(np.diff(env, 2) >= -1e-9)
     again = log_convex_minorant(from_values(env)).log_values
     np.testing.assert_allclose(again, env, rtol=0, atol=1e-10)
+
+
+def _numpy_scalar_hull(y: np.ndarray) -> np.ndarray:
+    # the monotone chain as it read y before: numpy scalars, one index at a time
+    out: list[int] = []
+    for i in range(len(y)):
+        while len(out) >= 2:
+            a, b = out[-2], out[-1]
+            cross = (b - a) * (y[i] - y[a]) - (i - a) * (y[b] - y[a])
+            if cross < 0.0:
+                out.pop()
+            else:
+                break
+        out.append(i)
+    return np.asarray(out, dtype=int)
+
+
+def test_hull_on_python_floats_keeps_the_numpy_scalar_vertices():
+    rng = np.random.default_rng(4096)
+    ys = [np.concatenate(([0.0], np.cumsum(rng.normal(0.6, 1.5, J))))
+          for J in (2, 3, 64, 512, 4096) for _ in range(3)]
+    # collinear runs (exact and one rounding off), flat runs and ties
+    ys.append(0.1 * np.arange(300.0))
+    ys.append(np.arange(300.0) / 3.0)
+    ys.append(np.concatenate(([0.0], np.cumsum(np.repeat(rng.normal(0.0, 2.0, 30), 10)))))
+    ys.append(np.concatenate(([0.0], np.cumsum(np.full(200, 0.3)))))
+    ys.append(np.concatenate((np.zeros(50), np.ones(50), np.zeros(50))))
+    ys.append(np.round(rng.normal(0.0, 1.0, 400), 1))
+    for y in ys:
+        np.testing.assert_array_equal(_lower_hull_vertices(y), _numpy_scalar_hull(y))
 
 
 def test_battery_members_superadditive(small_battery):
