@@ -63,7 +63,11 @@ class WeightSequence:
                 raise ValueError("log_quotients must match log_values in length")
             if q[0] != 0.0:
                 raise ValueError("log_quotients[0] must be 0 (mu_0 = 1)")
-            if not np.allclose(np.diff(vals), q[1:], atol=1e-6, rtol=0.0):
+            # the closed form of omega takes the stored quotients as its
+            # breakpoints, within its tie of 4 eps (J max|x| + max|log M|), so
+            # they may differ from the differences by rounding only
+            tol = 4.0 * np.finfo(float).eps * max(float(np.abs(vals).max()), 1.0)
+            if not np.all(np.abs(np.diff(vals) - q[1:]) <= tol):
                 raise ValueError("log_quotients inconsistent with log_values")
             q = q.copy()
             q.flags.writeable = False

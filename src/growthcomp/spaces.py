@@ -442,17 +442,55 @@ class PowerSeries:
 # exp(z) is exactly 0.0 for z below about -745.13, so a term that lies more
 # than SERIES_CUT under its column maximum adds exactly 0.0 to the sum
 SERIES_CUT = 746.0
+# exp(z) < 2**-53 for z <= -TAIL_CUT (exp(-37) = 8.5e-17), so a term that lies
+# more than TAIL_CUT under its column maximum leaves a running sum >= 1 as it is
+TAIL_CUT = 37.0
 
 
 def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log sum_j |a_j| t^j at x = log t, plus the dominant index per point.
 
-    Every column sums its terms row by row in index order, so the value at
-    x_i depends on (f, x_i) alone, whatever the block around it.  Each block
-    of SCAN_CHUNK points forms only the rows that can come within SERIES_CUT
-    of the column maximum; the rows left out would add exactly 0.0, and the
-    first-occurrence argmax lies inside the band, so values and indices equal
-    those of the full terms matrix bit for bit.
+    The result is that of the dense kernel bit for bit: the full terms
+    matrix T_ji = fl(c_j + fl(j x_i)) over the finite coefficients, its
+    first-occurrence argmax k_i, M_i = T_{k_i i}, and the sum of
+    exp(T_ji - M_i) row by row in index order.  Every column sums that way,
+    so the value at x_i depends on (f, x_i) alone, whatever the block
+    around it.
+
+    Each block of SCAN_CHUNK points [x_lo, x_hi] bounds every row against
+    the rows k in {k_lo, k_hi} that dominate its ends:
+
+        bound_j = min_k max(t_lo[j] - t_lo[k], t_hi[j] - t_hi[k]),
+        t_lo = c + j x_lo,  t_hi = c + j x_hi.
+
+    D_jk(x) = (c_j - c_k) + (j - k) x is linear, so its larger end value
+    bounds it on the block.  With u = eps/2 and S = max|c| + J max|x|, each
+    computed term and each t is within 2u S of its exact value, and each
+    difference of two t's rounds by at most 2u S more, so D_jk(x_end) is
+    within 6u S of its computed value.  Since M_i >= T_ki,
+
+        T_ji - M_i <= T_ji - T_ki <= D_jk(x_i) + 4u S <= bound_j + 10u S,
+
+    up to O(eps^2), and rho = 8 eps S = 16u S covers it.  Three cuts follow:
+
+    - Span: a row with bound_j < -rho has T_ji < M_i in every column, so it
+      holds no column maximum, not even a tied one.  The first-occurrence
+      argmax over the rows [s0, s1) from the first to the last row with
+      bound_j >= -rho is the one over all rows.
+    - Leading edge: a row before s0 with bound_j < -(SERIES_CUT + rho) has
+      T_ji - M_i < -746; rounding is monotone, so exp of the float
+      difference is exactly 0.0 (as it is below about -745.13).  Adding
+      0.0 changes no running sum, so the band starts at the first row with
+      bound_j >= -(SERIES_CUT + rho).  Subnormal terms above -745.13 stay.
+    - Trailing edge: every row from s1 on comes after every column's first
+      maximum, where exp(T_ki - M_i) = exp(0.0) = 1.0 entered the sum, so
+      the running sum s is >= 1 there and its half ulp is >= 2**-53.  A
+      term e < 2**-53 then gives fl(s + e) = s, so the band ends at the last
+      row with bound_j >= -(TAIL_CUT + rho): past it, T_ji - M_i < -TAIL_CUT
+      and exp of the float difference is below exp(-TAIL_CUT) < 2**-53.
+      For the same reason the differences in the rows from s1 on are
+      clamped at -TAIL_CUT before exp: a clamped term still adds nothing,
+      and exp takes no subnormal or underflowing argument there.
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("series evaluation needs finite log t")
@@ -462,9 +500,7 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     js = idx.astype(float)
     vals = np.empty(len(x))
     args = np.empty(len(x), dtype=int)
-    # the terms and the bound below each carry a rounding error of a few eps
-    # times the largest |cf_j| + j |x|; the cut leaves room for both
-    cut = SERIES_CUT + 8.0 * np.finfo(float).eps * (
+    rho = 8.0 * np.finfo(float).eps * (
         np.max(np.abs(cf)) + js[-1] * np.max(np.abs(x), initial=0.0))
     for lo in range(0, len(x), SCAN_CHUNK):
         blk = x[lo:lo + SCAN_CHUNK]
@@ -472,19 +508,24 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         if n == 1:
             # numpy sums a lone column pairwise; a pair of columns sums by row
             blk = np.repeat(blk, 2)
-        # m(x) >= term_k(x) for the rows k dominating the block's ends, and
-        # term_j - term_k is linear in x, so its larger end value bounds
-        # term_j - m on the whole block
-        ends = np.array([blk.min(), blk.max()])
-        k = (cf[:, None] + js[:, None] * ends).argmax(axis=0)
-        bound = ((cf[:, None, None] - cf[k][:, None])
-                 + (js[:, None, None] - js[k][:, None]) * ends).max(axis=2).min(axis=1)
-        keep = np.nonzero(bound >= -cut)[0]
-        a, b = keep[0], keep[-1] + 1
+        t_lo = cf + js * blk.min()
+        t_hi = cf + js * blk.max()
+        k_lo, k_hi = t_lo.argmax(), t_hi.argmax()
+        # bound[k_lo] = 0, so every cut below keeps at least that row
+        bound = np.minimum(np.maximum(t_lo - t_lo[k_lo], t_hi - t_hi[k_lo]),
+                           np.maximum(t_lo - t_lo[k_hi], t_hi - t_hi[k_hi]))
+        a = (bound >= -(SERIES_CUT + rho)).argmax()
+        b = len(bound) - (bound >= -(TAIL_CUT + rho))[::-1].argmax()
+        inside = bound[a:b] >= -rho
+        s0 = inside.argmax()
+        s1 = len(inside) - inside[::-1].argmax()
         terms = cf[a:b, None] + js[a:b, None] * blk
-        k = terms.argmax(axis=0)
+        k = s0 + terms[s0:s1].argmax(axis=0)
         m = terms[k, np.arange(len(blk))]
-        vals[lo:lo + n] = (m + np.log(np.exp(terms - m).sum(axis=0)))[:n]
+        terms -= m
+        np.maximum(terms[s1:], -TAIL_CUT, out=terms[s1:])
+        np.exp(terms, out=terms)
+        vals[lo:lo + n] = (m + np.log(terms.sum(axis=0)))[:n]
         args[lo:lo + n] = idx[a + k[:n]]
     return vals, args
 

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcomp import (check_56_alternative, check_mg, check_mg_diag,
-                        from_file, from_quotients, from_values, gevrey,
-                        is_log_convex, log_convex_minorant, log_factorials,
-                        mixture, product, q_gevrey, scale_pow, seq_approx,
-                        seq_preceq, seq_triangle, tilde)
+from growthcomp import (WeightSequence, check_56_alternative, check_mg,
+                        check_mg_diag, from_file, from_quotients, from_values,
+                        gevrey, is_log_convex, log_convex_minorant,
+                        log_factorials, mixture, product, q_gevrey, scale_pow,
+                        seq_approx, seq_preceq, seq_triangle, tilde)
 from growthcomp.sequence_core import _lower_hull_vertices
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,20 @@ def test_quotients_view_consistent():
     mu = M.quotient_array
     assert mu[0] == 0.0
     np.testing.assert_allclose(np.cumsum(mu[1:]), M.log_values[1:], atol=1e-12)
+
+
+def test_quotients_must_match_the_differences_to_rounding():
+    g = gevrey(1.0, 64)
+    eps_v = np.finfo(float).eps * np.abs(g.log_values).max()
+    near = g.quotient_array.copy()
+    near[1:] += eps_v
+    assert WeightSequence(g.log_values, log_quotients=near).J == 64
+    # off by 5e-7, the closed form and the scan of omega would part at the knots
+    for off in (5e-7, 16.0 * eps_v, np.nan):
+        q = g.quotient_array.copy()
+        q[1:] += off
+        with pytest.raises(ValueError, match="inconsistent"):
+            WeightSequence(g.log_values, log_quotients=q)
 
 
 @pytest.mark.parametrize("bad", [[0.0], [0.0, 1.0]])

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import growthcomp.associated_weight
 import growthcomp.spaces
@@ -14,6 +18,7 @@ from growthcomp import (FLAVORS, PowerSeries, RoutingError, SpaceSpec,
                         system_equiv, system_equiv_weight, theta_series)
 from growthcomp.acceptance import THETA_PROBES
 from growthcomp.associated_weight import OM6_LADDER
+from growthcomp.spaces import TAIL_CUT
 
 # ---------------------------------------------------------------------------
 # space specifications
@@ -251,6 +256,18 @@ def test_banded_series_kernel_equals_the_dense_sum(battery_probes, g1):
     j = np.arange(400)
     rough = -0.1 * j ** 1.5 + rng.normal(0.0, 20.0, len(j))
     rough[rng.random(len(j)) < 0.3] = -np.inf
+    # rows 2 and 5 tie for the maximum at x = 1 (3 + 2 = 0 + 5)
+    tied = PowerSeries([-50.0, -np.inf, 3.0, -np.inf, -np.inf, 0.0, -60.0], "tie")
+    # at x = 0, row 0 lies 720 under the maximum: a subnormal leading term
+    subnormal = PowerSeries([-720.0, 0.0, -1.0], "subnormal lead")
+    assert 0.0 < np.exp(-720.0) < np.finfo(float).tiny
+    # near x = 0 row 2 alone can hold the maximum; the rows after it lie in
+    # (-746, -37), under a leading sum of about 1e-17
+    one_row = PowerSeries([-39.0, -40.0, 0.0, -37.5, -100.0, -500.0, -745.0], "one row")
+    assert 1.0 + (np.exp(-39.0) + np.exp(-40.0)) == 1.0
+    # leading terms under -37 still count: together they move 1.0 by an ulp
+    lead_sum = PowerSeries([-37.01, -37.02, -37.03, 0.0, -38.0], "leading sum")
+    assert 1.0 + np.exp([-37.01, -37.02, -37.03]).sum() > 1.0
     cases = [(f, x) for f in battery_probes] + [
         # -inf holes between the stored powers
         (theta_series(ThetaFunction(g1, "pow", 3.0)), x),
@@ -261,12 +278,76 @@ def test_banded_series_kernel_equals_the_dense_sum(battery_probes, g1):
         # the top index dominates the upper part of the grid
         (theta_series(ThetaFunction(gevrey(1.0, 64), "dila", 1.0)),
          np.linspace(-10.0, 60.0, 1500)),
+        # the first of the tied rows wins inside a span of those two rows
+        (tied, np.array([1.0])),
+        (tied, np.array([0.999, 1.0, 1.001, 1.0])),
+        (tied, np.linspace(0.0, 2.0, 513)),
+        (subnormal, np.array([0.0, 0.0])),
+        (subnormal, np.array([0.0])),
+        (lead_sum, np.array([0.0, 1e-9])),
+        # the max span is one row, and the trailing edge drops the rest
+        (one_row, np.linspace(-1e-3, 1e-3, 40)),
+        (one_row, np.zeros(3)),
+        # the last block holds one point
+        (theta_series(ThetaFunction(g1, "dila", 1.0)), x[:1025]),
+        (PowerSeries(rough), x[1000:1513]),
     ]
     for f, xs in cases:
-        vals, args = log_series_eval(f, xs)
-        ref_vals, ref_args = _dense_log_series(f, xs)
-        np.testing.assert_array_equal(vals, ref_vals, err_msg=f.label)
-        np.testing.assert_array_equal(args, ref_args, err_msg=f.label)
+        _assert_dense(f, xs)
+
+
+def _assert_dense(f, xs):
+    vals, args = log_series_eval(f, xs)
+    ref_vals, ref_args = _dense_log_series(f, xs)
+    np.testing.assert_array_equal(vals.view(np.int64), ref_vals.view(np.int64),
+                                  err_msg=f.label)
+    np.testing.assert_array_equal(args, ref_args, err_msg=f.label)
+
+
+@st.composite
+def _series_inputs(draw):
+    """Log-coefficients with -inf holes and non-log-concave noise, and
+    finite points, sorted or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # sizes from the seeded generator: hypothesis favours small integers
+    n = int(rng.integers(1, 601))
+    j = np.arange(n, dtype=float)
+    c = (draw(st.floats(-1e3, 1e3)) - draw(st.floats(0.0, 2.0)) * j ** draw(st.floats(1.0, 2.0))
+         + rng.normal(0.0, draw(st.floats(0.0, 60.0)), n))
+    c[rng.random(n) < draw(st.floats(0.0, 0.9))] = -np.inf
+    c[rng.integers(n)] = draw(st.floats(-1e3, 1e3))
+    m = int(rng.integers(1, 1101))
+    x = draw(st.floats(-60.0, 60.0)) + draw(st.floats(1e-6, 40.0)) * rng.standard_normal(m)
+    if draw(st.booleans()):
+        x.sort()
+    return PowerSeries(c), x
+
+
+@given(_series_inputs())
+@settings(max_examples=60, deadline=None)
+def test_banded_series_kernel_is_the_dense_sum_on_random_input(case):
+    _assert_dense(*case)
+
+
+def test_numpy_keeps_what_the_series_kernel_rests_on():
+    # a (rows, >= 2) C-contiguous array sums row by row in index order; the
+    # exact sum of this column is 1 + 999 * 2**-53, its row-by-row sum 1.0
+    col = np.full(1000, 2.0 ** -53)
+    col[0] = 1.0
+    a = np.repeat(col[:, None], 2, axis=1)
+    assert a.flags.c_contiguous
+    assert math.fsum(col) > 1.0
+    np.testing.assert_array_equal(a.sum(axis=0), [1.0, 1.0])
+    np.testing.assert_array_equal(np.repeat(col[:, None], 512, axis=1).sum(axis=0),
+                                  np.ones(512))
+    # exp underflows to exactly 0.0 below -745.14 and is exactly 1.0 at +-0
+    below = np.array([-745.14, -745.5, -746.0, -1e4, -1e300])
+    np.testing.assert_array_equal(np.exp(below).view(np.int64), np.zeros(5, np.int64))
+    one = np.exp(np.array([0.0, -0.0]))
+    np.testing.assert_array_equal(one.view(np.int64), np.ones(2).view(np.int64))
+    # and stays under 2**-53 from -TAIL_CUT down
+    assert np.exp(-TAIL_CUT) < 2.0 ** -53
+    assert np.all(np.exp(np.linspace(-746.0, -TAIL_CUT, 100_001)) < 2.0 ** -53)
 
 
 def test_power_series_guards():
