@@ -49,6 +49,8 @@ OM1_LADDER = OM6_LADDER[1:]
 LADDER_GRID_N = 2048
 LADDER_ATOL = 1e-9
 MIN_WINDOW_SPAN = 0.05
+# share of the grid-supported index range a recovery reports as reliable
+RELIABLE_FRACTION = 0.5
 
 SCAN_CHUNK = 512
 
@@ -225,7 +227,7 @@ def counting(M: WeightSequence, t):
 # ---------------------------------------------------------------------------
 
 def legendre_recover(omega: AssociatedWeight, J: int,
-                     safety: float = 0.5) -> WeightSequence:
+                     safety: float = RELIABLE_FRACTION) -> WeightSequence:
     """Recover M_j = sup_t t^j / exp(omega(t)) on the default grid, for j = 0..J.
 
     The grid is augmented with the quotient knots, which makes the recovery
@@ -295,13 +297,10 @@ def om1_ladder(omega_log, x_hi: float, n: int = LADDER_GRID_N) -> Verdict:
     if span <= MIN_WINDOW_SPAN:
         return inconclusive("faithful range too short for the doubling window")
     x = np.linspace(0.0, span, n)
+    w_x = omega_log(x)
+    w_2x = omega_log(x + np.log(2.0))
     violations: list[tuple[float, float]] = []
-    w_x = None
-    w_2x = None
     for L in OM1_LADDER:
-        if w_x is None:
-            w_x = omega_log(x)
-            w_2x = omega_log(x + np.log(2.0))
         excess = w_2x - L * (w_x + 1.0)
         k = int(np.argmax(excess))
         if excess[k] <= LADDER_ATOL:

@@ -7,10 +7,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .associated_weight import LADDER_GRID_N
+from .associated_weight import LADDER_GRID_N, OM6_LADDER, RELIABLE_FRACTION
 from .grids import GRID_N, T_MAX, T_MIN, Grid
-from .sequence_core import DEFAULT_J
-from .trend import TrendPolicy
+from .sequence_core import DEFAULT_J, LADDER_MAX_INDEX
+from .trend import DEFAULT_POLICY, TrendPolicy
 from .weight_functions import Weight
 
 FORMATS = ("json", "csv")
@@ -27,12 +27,12 @@ class RunConfig:
     grid_n: int = GRID_N
     knot_augmented: bool = True
     J: int = DEFAULT_J
-    margin: float = 0.05
-    L_max: int = 16
-    C_max: int = 16
-    H_max: float = 1024.0
+    margin: float = DEFAULT_POLICY.margin
+    L_max: int = LADDER_MAX_INDEX
+    C_max: int = LADDER_MAX_INDEX
+    H_max: float = OM6_LADDER[-1]
     fmt: str = "json"
-    safety: float = 0.5
+    safety: float = RELIABLE_FRACTION
     cond_n: int = LADDER_GRID_N
 
     def __post_init__(self) -> None:

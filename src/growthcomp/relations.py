@@ -16,8 +16,8 @@ from .sequence_core import (WeightSequence, check_mg, index_trend, seq_approx,
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
                     classify)
 from .verdicts import Verdict, fails, fuse_unanimous, holds, inconclusive
-from .weight_functions import (ForallSamples, forall_ladder, from_sequence,
-                               power_gap)
+from .weight_functions import (PLATEAU_FLOOR, RungSamples, forall_ladder,
+                               from_sequence, power_gap)
 
 COMPRESS_LADDER = (1, 2, 4, 8, 16)
 
@@ -76,17 +76,17 @@ def tildestrong_check(M: WeightSequence, N: WeightSequence,
 def omega_little_o(A: WeightSequence, B: WeightSequence,
                    policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """omega_A = o(omega_B) on the shared faithful window."""
-    return _little_o(ForallSamples(from_sequence(A), from_sequence(B), "power"),
+    return _little_o(RungSamples(from_sequence(A), from_sequence(B), "power"),
                      policy)
 
 
-def _little_o(samples: ForallSamples, policy: TrendPolicy) -> Verdict:
+def _little_o(samples: RungSamples, policy: TrendPolicy) -> Verdict:
     """omega_little_o read off the window of a sample set: omega_A is its v
-    side (wv) and omega_B its w side (wb), both on the full grid."""
-    if samples.x is None:
+    side and omega_B its w side, both on the full grid."""
+    if samples.window is None:
         return inconclusive("shared faithful range leaves no window")
-    x, wa, wb = samples.x, samples.wv, samples.wb
-    pos = wb > 1e-9
+    x, wa, wb = samples.window
+    pos = wb > PLATEAU_FLOOR
     if int(pos.sum()) < MIN_WINDOW_POINTS:
         return inconclusive("denominator weight vanishes on the window")
     r = wa[pos] / wb[pos]
@@ -118,7 +118,7 @@ def triangle_routes(M: WeightSequence, N: WeightSequence,
     The two dilation routes (weight_triangle_dila and weight_preceq_all_dila
     of v_N against v_M) classify the same rung samples, each with its own
     claim."""
-    dilations = ForallSamples(from_sequence(N), from_sequence(M), "dilate")
+    dilations = RungSamples(from_sequence(N), from_sequence(M), "dilate")
     return {
         "roots": seq_triangle(M, N, policy),
         "dilation_gap": forall_ladder("triangle", dilations, policy),
@@ -140,7 +140,7 @@ def pow_routes(M: WeightSequence, N: WeightSequence,
     power_gap (weight_triangle_pow of v_N against v_M) and omega_ratio
     (omega_little_o(N, M)) read the same window, so they share one set of
     power rung samples."""
-    powers = ForallSamples(from_sequence(N), from_sequence(M), "power")
+    powers = RungSamples(from_sequence(N), from_sequence(M), "power")
     return {
         "compressed_roots": tildestrong_check(M, N, policy),
         "power_gap": power_gap(powers, policy),

@@ -202,6 +202,21 @@ def index_trend(d: np.ndarray, j_first: int, policy: TrendPolicy):
     return rep, (lo, hi)
 
 
+def bounded_on_index(d: np.ndarray, policy: TrendPolicy, what: str,
+                     witnesses) -> Verdict:
+    """Does diagnostic d (indexed from j = 1) stay bounded?  Fails when its
+    index trend rises, else Holds with witnesses(d_j); the peak (j, d_j) is
+    the evidence either way."""
+    rep, (lo, hi) = index_trend(d, 1, policy)
+    k = int(np.argmax(d))
+    peak = ((float(k + 1), float(d[k])),)
+    if rep.kind is Trend.RISING:
+        return fails(evidence=peak,
+                     note=f"{what} grows on j in [{lo},{hi}] (slope {rep.slope:.3g})")
+    return holds(witnesses=witnesses(float(d[k])), evidence=peak,
+                 note=f"{what} bounded on j in [{lo},{hi}]")
+
+
 # ---------------------------------------------------------------------------
 # structural predicates (tolerance 0)
 # ---------------------------------------------------------------------------
@@ -339,16 +354,8 @@ def check_mg_diag(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY) -> Ve
         return inconclusive("sequence too short for the diagonal check")
     j = np.arange(1, jmax + 1)
     d = (y[2 * j] - 2.0 * y[j]) / (2.0 * j)
-    rep, (lo, hi) = index_trend(d, 1, policy)
-    j_star = int(j[np.argmax(d)])
-    d_star = float(d.max())
-    if rep.kind is Trend.RISING:
-        return fails(evidence=((float(j_star), d_star),),
-                     note=f"diagonal defect grows on j in [{lo},{hi}] (slope {rep.slope:.3g})")
-    c_wit = float(np.exp(-max(0.0, d_star)))
-    return holds(witnesses={"C": 1.0, "c": c_wit},
-                 evidence=((float(j_star), d_star),),
-                 note=f"diagonal defect bounded on j in [{lo},{hi}]")
+    return bounded_on_index(d, policy, "diagonal defect",
+                            lambda m: {"C": 1.0, "c": float(np.exp(-max(0.0, m)))})
 
 
 def check_strong_2j(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
@@ -363,14 +370,8 @@ def check_strong_2j(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY) -> 
         return inconclusive("sequence too short for the doubling check")
     j = np.arange(1, jmax + 1)
     d = (y[2 * j] - y[j]) / j
-    rep, (lo, hi) = index_trend(d, 1, policy)
-    j_star = int(j[np.argmax(d)])
-    if rep.kind is Trend.RISING:
-        return fails(evidence=((float(j_star), float(d.max())),),
-                     note=f"doubling ratio grows on j in [{lo},{hi}] (slope {rep.slope:.3g})")
-    return holds(witnesses={"A": 1.0, "B": float(np.exp(max(0.0, d.max())))},
-                 evidence=((float(j_star), float(d.max())),),
-                 note=f"doubling ratio bounded on j in [{lo},{hi}]")
+    return bounded_on_index(d, policy, "doubling ratio",
+                            lambda m: {"A": 1.0, "B": float(np.exp(max(0.0, m)))})
 
 
 def check_56_alternative(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY,
@@ -454,15 +455,8 @@ def _ratio_diag(M: WeightSequence, N: WeightSequence) -> np.ndarray:
 def seq_preceq(M: WeightSequence, N: WeightSequence,
                policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists C with M_j <= C^j N_j: the j-th root ratio stays bounded above."""
-    d = _ratio_diag(M, N)
-    rep, (lo, hi) = index_trend(d, 1, policy)
-    j_star = int(np.argmax(d)) + 1
-    if rep.kind is Trend.RISING:
-        return fails(evidence=((float(j_star), float(d.max())),),
-                     note=f"root ratio grows on j in [{lo},{hi}] (slope {rep.slope:.3g})")
-    return holds(witnesses={"C": float(np.exp(max(0.0, d.max())))},
-                 evidence=((float(j_star), float(d.max())),),
-                 note=f"root ratio bounded on j in [{lo},{hi}]")
+    return bounded_on_index(_ratio_diag(M, N), policy, "root ratio",
+                            lambda m: {"C": float(np.exp(max(0.0, m)))})
 
 
 def seq_approx(M: WeightSequence, N: WeightSequence,

@@ -22,8 +22,8 @@ from .associated_weight import (OM1_LADDER, OM6_LADDER, SCAN_CHUNK,
                                 check_om6_omega)
 from .grids import default_grid
 from .relations import pow_routes, tildestrong_check, triangle_routes
-from .sequence_core import (WeightSequence, check_mg, check_om1_index,
-                            index_trend, is_LC)
+from .sequence_core import (WeightSequence, bounded_on_index, check_mg,
+                            check_om1_index, is_LC)
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
                     classify)
 from .verdicts import (State, Verdict, fails, fuse_conjunction, fuse_unanimous,
@@ -136,14 +136,8 @@ def _plain_ratio_bounded(N: WeightSequence, M: WeightSequence,
     """Exists A with N_j <= A * M_j (plain ratio, no j-th roots)."""
     J = min(M.J, N.J)
     d = N.log_values[1:J + 1] - M.log_values[1:J + 1]
-    rep, (lo, hi) = index_trend(d, 1, policy)
-    k = int(np.argmax(d)) + 1
-    if rep.kind is Trend.RISING:
-        return fails(evidence=((float(k), float(d.max())),),
-                     note=f"plain ratio grows on j in [{lo},{hi}] (slope {rep.slope:.3g})")
-    return holds(witnesses={"A": float(np.exp(max(0.0, float(d.max()))))},
-                 evidence=((float(k), float(d.max())),),
-                 note=f"plain ratio bounded on j in [{lo},{hi}]")
+    return bounded_on_index(d, policy, "plain ratio",
+                            lambda m: {"A": float(np.exp(max(0.0, m)))})
 
 
 def _normalized_verdict(u: Weight) -> Verdict:
@@ -248,6 +242,7 @@ def _decide_systems(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> Inclusio
     if B.little_o:
         precs["o_collapse_right"] = _o_collapse_gate(B, policy)
 
+    crossing = A.mode == "inductive" and B.mode == "projective" and A.axis == B.axis
     if _same_source(A, B):
         if A.flavor == B.flavor:
             rel = holds(witnesses={"trivial": 1.0},
@@ -264,11 +259,11 @@ def _decide_systems(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> Inclusio
                                     {}, precs)
         # inductive into projective over one source is a genuine crossing;
         # fall through to the crossing routes below
-        if not (A.mode == "inductive" and B.mode == "projective" and A.axis == B.axis):
+        if not crossing:
             raise RoutingError("no route for this same-source flavor pair "
                                f"({A.flavor} vs {B.flavor})")
 
-    if A.mode == "inductive" and B.mode == "projective" and A.axis == B.axis:
+    if crossing:
         if A.axis == "dila":
             return _crossing_dila(A, B, policy, precs)
         return _crossing_pow(A, B, policy, precs)
@@ -621,7 +616,7 @@ def membership(f: PowerSeries, S: SpaceSpec,
     if S.is_single:
         members = [(None, S.weight())]
     else:
-        v = from_sequence(S.source) if isinstance(S.source, WeightSequence) else S.source
+        v = S.weight()
         make = v.dilate if S.axis == "dila" else v.power
         ladder = OM6_LADDER if S.mode == "inductive" else FORALL_LADDER
         members = [(c, make(c)) for c in ladder]

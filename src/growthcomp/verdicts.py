@@ -85,6 +85,19 @@ def inconclusive(note: str,
     return Verdict(State.INCONCLUSIVE, dict(witnesses or {}), tuple(evidence), note)
 
 
+def _merge(parts: dict[str, Verdict], keep: int, note_prefix: str) -> tuple:
+    """(witnesses, evidence, note) of a fusion: the witnesses prefixed with
+    their route, the first keep evidence entries of each route, and the
+    per-route breakdown."""
+    witnesses = {f"{name}.{k}": x for name, v in parts.items()
+                 for k, x in v.witnesses.items()}
+    evidence = tuple(e for v in parts.values() for e in v.evidence[:keep])
+    breakdown = "; ".join(f"{n}={v.state.value}" for n, v in parts.items())
+    if note_prefix:
+        breakdown = f"{note_prefix}: {breakdown}"
+    return witnesses, evidence, breakdown
+
+
 def fuse_unanimous(parts: dict[str, Verdict], note_prefix: str = "") -> Verdict:
     """Unanimity fusion: all Holds -> Holds, all Fails -> Fails, else Inconclusive.
 
@@ -92,38 +105,22 @@ def fuse_unanimous(parts: dict[str, Verdict], note_prefix: str = "") -> Verdict:
     disagreement signals a numerical limitation, never a refuted equivalence, so
     the fused verdict abstains and reports the per-route breakdown.
     """
-    states = {name: v.state for name, v in parts.items()}
-    merged_w: dict[str, float] = {}
-    merged_e: list[tuple[float, float]] = []
-    for name, v in parts.items():
-        for k, x in v.witnesses.items():
-            merged_w[f"{name}.{k}"] = x
-        merged_e.extend(v.evidence[:2])
-    breakdown = "; ".join(f"{n}={s.value}" for n, s in states.items())
-    if note_prefix:
-        breakdown = f"{note_prefix}: {breakdown}"
+    witnesses, evidence, note = _merge(parts, 2, note_prefix)
     if all(v.holds for v in parts.values()):
-        return Verdict(State.HOLDS, merged_w, tuple(merged_e), breakdown)
-    if all(v.fails for v in parts.values()):
-        return Verdict(State.FAILS, merged_w, tuple(merged_e), breakdown)
-    return Verdict(State.INCONCLUSIVE, merged_w, tuple(merged_e), breakdown)
+        state = State.HOLDS
+    elif all(v.fails for v in parts.values()):
+        state = State.FAILS
+    else:
+        state = State.INCONCLUSIVE
+    return Verdict(state, witnesses, evidence, note)
 
 
 def fuse_conjunction(parts: dict[str, Verdict], note_prefix: str = "") -> Verdict:
     """Logical-and fusion: any Fails -> Fails, all Holds -> Holds, else Inconclusive."""
-    merged_w: dict[str, float] = {}
-    merged_e: list[tuple[float, float]] = []
-    for name, v in parts.items():
-        for k, x in v.witnesses.items():
-            merged_w[f"{name}.{k}"] = x
-        merged_e.extend(v.evidence[:4])
-    breakdown = "; ".join(f"{n}={v.state.value}" for n, v in parts.items())
-    if note_prefix:
-        breakdown = f"{note_prefix}: {breakdown}"
+    witnesses, evidence, note = _merge(parts, 4, note_prefix)
     failing = [n for n, v in parts.items() if v.fails]
     if failing:
-        return Verdict(State.FAILS, merged_w, tuple(merged_e),
-                       f"{breakdown}; failing: {', '.join(failing)}")
-    if all(v.holds for v in parts.values()):
-        return Verdict(State.HOLDS, merged_w, tuple(merged_e), breakdown)
-    return Verdict(State.INCONCLUSIVE, merged_w, tuple(merged_e), breakdown)
+        return Verdict(State.FAILS, witnesses, evidence,
+                       f"{note}; failing: {', '.join(failing)}")
+    state = State.HOLDS if all(v.holds for v in parts.values()) else State.INCONCLUSIVE
+    return Verdict(state, witnesses, evidence, note)

@@ -20,15 +20,16 @@ undilated family member.  A rung whose visible trend is drag-driven while
 the baseline wins the race asymptotically is window-limited and skipped,
 never guessed.
 
-The forall ladders (every c in FORALL_LADDER = 2^0..2^-10) sample each pair
-once and hand the same rung arrays to every claim on it (ForallSamples).
-Two facts make that exact.  The window does not change across rungs: for
-c <= 1 a dilation only raises w's faithful end and a power leaves it, so
-every rung sees the grid of v against w itself.  And no rung needs a new
-evaluation of v or the base: a dilation rung adds one evaluation of
+Every ladder, forall (c in FORALL_LADDER = 2^0..2^-10) or exists (c in
+OM6_LADDER = 2^0..2^10), and the single comparisons (the rung c = 1) read
+their rungs off one sample set per pair and family (RungSamples), which
+hands the same rung arrays to every claim on it.  Every power rung and
+every dilation rung with c <= 1 shares the window of v against w: a power
+leaves w's faithful end and such a dilation only raises it.  Those rungs
+need no new evaluation of v or w: a dilation rung adds one evaluation of
 w.dilate(c), and a power rung is c * w(x), exact because each c is a power
-of two.  The exists-ladders (c >= 1) shrink the window on every rung and
-sample each rung on its own.
+of two.  Only a dilation rung with c > 1 pulls w's end in by log c, and it
+samples its own window.
 
 Every comparison samples the default grid.  Only the checks on one weight
 (rapidly_decreasing, is_convex_weight, sandwich_check) and the recovery
@@ -42,8 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .associated_weight import (LADDER_GRID_N, MIN_WINDOW_SPAN, OM6_LADDER,
-                                AssociatedWeight, conjugate, om1_ladder,
-                                om6_ladder, recover)
+                                RELIABLE_FRACTION, AssociatedWeight,
+                                conjugate, om1_ladder, om6_ladder, recover)
 from .grids import Grid, default_grid
 from .sequence_core import DEFAULT_J, WeightSequence
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
@@ -52,6 +53,8 @@ from .verdicts import State, Verdict, fails, fuse_unanimous, holds, inconclusive
 
 FORALL_LADDER = tuple(float(2.0 ** -k) for k in range(11))
 CONVEXITY_GRID_N = 1025
+# omega at or below this still sits on its plateau at 0
+PLATEAU_FLOOR = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +250,7 @@ def is_convex_weight(u: Weight, grid: Grid | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def associated_sequence(u: Weight, J: int = DEFAULT_J, grid: Grid | None = None,
-                        safety: float = 0.5) -> WeightSequence:
+                        safety: float = RELIABLE_FRACTION) -> WeightSequence:
     """M^u_j = sup_t t^j u(t), computed as sup_x (j x - omega(x)) on the grid.
 
     The raw suprema are convex in j up to rounding; the quotient array is
@@ -400,69 +403,50 @@ def _awake(wv: np.ndarray, ww: np.ndarray) -> np.ndarray | None:
     zero; otherwise the dead zone where both weights still sit at their
     plateau is dropped, since it carries no comparison information and
     drowns the trailing-window fits."""
-    if int(np.count_nonzero(ww > 1e-9)) < MIN_WINDOW_POINTS:
+    if int(np.count_nonzero(ww > PLATEAU_FLOOR)) < MIN_WINDOW_POINTS:
         return None
-    awake = (wv > 1e-9) | (ww > 1e-9)
+    awake = (wv > PLATEAU_FLOOR) | (ww > PLATEAU_FLOOR)
     if int(awake.sum()) < MIN_WINDOW_POINTS:
         return None
     return awake
 
 
-def _rung_samples(v: Weight, w: Weight, w_base: Weight | None = None) -> tuple | None:
-    """Samples (x, wv, ww, wb) of one rung on its own window, past the
-    plateau; None when the rung is to be skipped.
-
-    w_base is the family member the rung was derived from (None: w itself).
-    The window is clipped to the faithful range of every participant,
-    including the undilated baseline: the race quotient is meaningless where
-    the baseline has already saturated at its top slope.  Serves the single
-    comparisons and the exists-ladders, whose rungs each move the window.
-    """
-    same = w_base is None or w_base is w
-    g = _comparison_grid(v, w) if same else _comparison_grid(v, w, w_base)
+def _window(v: Weight, w: Weight, *others: Weight) -> tuple | None:
+    """(x, v(x), w(x)) on the comparison grid of v, w and others; None when
+    the window is too short."""
+    g = _comparison_grid(v, w, *others)
     if g is None or len(g) < MIN_WINDOW_POINTS:
         return None
-    x = g.log_t
-    wv = v.omega_log(x)
-    ww = w.omega_log(x)
-    awake = _awake(wv, ww)
-    if awake is None:
-        return None
-    x, wv, ww = x[awake], wv[awake], ww[awake]
-    return x, wv, ww, ww if same else w_base.omega_log(x)
+    return g.log_t, v.omega_log(g.log_t), w.omega_log(g.log_t)
 
 
-class ForallSamples:
-    """Samples of v against every rung of one forall family of w, on one grid.
+class RungSamples:
+    """Samples of v against every rung of one family of w.
 
     family is "dilate" (rung c is w.dilate(c)) or "power" (w.power(c)); the
-    baseline is w itself.  Every rung of FORALL_LADDER is read off one
-    grid and one evaluation of v and w, and each claim on the pair reads the
-    same rung arrays.  Two facts make the sharing exact:
+    baseline is w itself, the rung c = 1 of either family.  window is
+    _window(v, w), and each claim on the pair reads the same rung arrays.
+    Two facts make the window exact for every power rung and for every
+    dilation rung with c <= 1:
 
-    * the window does not change across rungs: for c <= 1 a dilation only
-      raises w's faithful end (the shift falls, monotonically in float) and
-      a power leaves it, so the grid of every rung is _comparison_grid(v, w)
-      bit for bit;
-    * no rung needs a new evaluation of v or the baseline: a dilation rung
-      adds one w.dilate(c).omega_log(x), and a power rung is c * w(x), equal
-      to w.power(c).omega_log(x) because every rung c is a power of two.
+    * the window does not change: a power leaves w's faithful end and such
+      a dilation only raises it (the shift falls, monotonically in float),
+      so the grid of the rung is _comparison_grid(v, w) bit for bit;
+    * no new evaluation of v or the baseline: a dilation rung adds one
+      w.dilate(c).omega_log(x), and a power rung is c * w(x), equal to
+      w.power(c).omega_log(x) because every rung c is a power of two.
 
-    Rungs are filled on first use, so a ladder that fails at its first rung
-    evaluates no other.  x is the grid, and wv and wb are v and w on it;
-    all three are None when the window is too short.
+    A dilation rung with c > 1 pulls w's end in by log c, so it samples its
+    own window.  Rungs are filled on first use, so a ladder that settles at
+    its first rung evaluates no other.
     """
 
     def __init__(self, v: Weight, w: Weight, family: str):
+        self.v = v
         self.w = w
         self.family = family
-        self.rungs: dict[float, tuple | None] = {}  # c -> (ww, awake) or None
-        g = _comparison_grid(v, w)
-        self.x = self.wv = self.wb = None
-        if g is not None and len(g) >= MIN_WINDOW_POINTS:
-            self.x = g.log_t
-            self.wv = v.omega_log(self.x)
-            self.wb = w.omega_log(self.x)
+        self.window = _window(v, w)
+        self.rungs: dict[float, tuple | None] = {}  # c -> (window, ww, awake)
 
     def rung(self, c: float) -> tuple | None:
         """Samples (x, wv, ww, wb) of rung c past the plateau; None to skip."""
@@ -470,21 +454,26 @@ class ForallSamples:
             self.rungs[c] = self._sample(c)
         if self.rungs[c] is None:
             return None
-        ww, awake = self.rungs[c]
-        return self.x[awake], self.wv[awake], ww[awake], self.wb[awake]
+        (x, wv, wb), ww, awake = self.rungs[c]
+        return x[awake], wv[awake], ww[awake], wb[awake]
 
     def _sample(self, c: float) -> tuple | None:
-        """(ww, awake mask) of rung c on the full grid; None to skip."""
-        if self.x is None:
-            return None
-        if c == 1.0:
-            ww = self.wb
-        elif self.family == "power":
-            ww = c * self.wb
+        """(window, ww, awake mask) of rung c on its full grid; None to skip."""
+        if self.family == "dilate" and c > 1.0:
+            window = _window(self.v, self.w, self.w.dilate(c))
         else:
-            ww = self.w.dilate(c).omega_log(self.x)
-        awake = _awake(self.wv, ww)
-        return None if awake is None else (ww, awake)
+            window = self.window
+        if window is None:
+            return None
+        x, wv, wb = window
+        if c == 1.0:
+            ww = wb
+        elif self.family == "power":
+            ww = c * wb
+        else:
+            ww = self.w.dilate(c).omega_log(x)
+        awake = _awake(wv, ww)
+        return None if awake is None else (window, ww, awake)
 
 
 def _classify_rung(claim: str, samples: tuple | None,
@@ -534,7 +523,8 @@ def _classify_rung(claim: str, samples: tuple | None,
 def weight_preceq(v: Weight, w: Weight,
                   policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = O(v): omega_v - omega_w bounded above on the shared faithful window."""
-    state, point, sup_d = _classify_rung("preceq", _rung_samples(v, w), policy)
+    samples = RungSamples(v, w, "power").rung(1.0)
+    state, point, sup_d = _classify_rung("preceq", samples, policy)
     if state is State.HOLDS:
         return holds(witnesses={"C": float(np.exp(max(0.0, sup_d)))},
                      evidence=(point,), note="gap bounded above on the window")
@@ -546,7 +536,8 @@ def weight_preceq(v: Weight, w: Weight,
 def weight_triangle(v: Weight, w: Weight,
                     policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = o(v): omega_w - omega_v -> +infinity on the shared faithful window."""
-    state, point, _ = _classify_rung("triangle", _rung_samples(v, w), policy)
+    samples = RungSamples(v, w, "power").rung(1.0)
+    state, point, _ = _classify_rung("triangle", samples, policy)
     if state is State.HOLDS:
         return holds(witnesses={"gap_at_window_end": point[1]}, evidence=(point,),
                      note="gap diverges on the window")
@@ -559,13 +550,12 @@ def weight_triangle(v: Weight, w: Weight,
 # ladders over dilation and power families
 # ---------------------------------------------------------------------------
 
-def _exists_ladder(claim: str, v: Weight, make_rung, policy: TrendPolicy) -> Verdict:
-    base = make_rung(1.0)
+def _exists_ladder(claim: str, samples: RungSamples, policy: TrendPolicy) -> Verdict:
+    """The claim at the first rung c of OM6_LADDER that holds it."""
     undecided = False
     rung_evidence: list[tuple[float, float]] = []
     for c in OM6_LADDER:
-        samples = _rung_samples(v, make_rung(c), base)
-        state, point, sup_d = _classify_rung(claim, samples, policy)
+        state, point, sup_d = _classify_rung(claim, samples.rung(c), policy)
         if state is State.HOLDS:
             return holds(witnesses={"c": float(c), "C": float(np.exp(max(0.0, sup_d)))},
                          evidence=(point,), note=f"first clean rung at c={c:g}")
@@ -579,7 +569,7 @@ def _exists_ladder(claim: str, v: Weight, make_rung, policy: TrendPolicy) -> Ver
                  note=f"gap unbounded at every c <= {OM6_LADDER[-1]:g}")
 
 
-def forall_ladder(claim: str, samples: ForallSamples, policy: TrendPolicy) -> Verdict:
+def forall_ladder(claim: str, samples: RungSamples, policy: TrendPolicy) -> Verdict:
     """The claim at every rung c of FORALL_LADDER, read off shared samples."""
     held: list[float] = []
     skipped: list[float] = []
@@ -600,7 +590,7 @@ def forall_ladder(claim: str, samples: ForallSamples, policy: TrendPolicy) -> Ve
     return inconclusive("every rung window-limited")
 
 
-def power_gap(samples: ForallSamples, policy: TrendPolicy) -> Verdict:
+def power_gap(samples: RungSamples, policy: TrendPolicy) -> Verdict:
     """weight_triangle_pow on the rungs of a power sample set.
 
     Computed along two deliberately distinct routes that must agree: divergence
@@ -616,28 +606,28 @@ def power_gap(samples: ForallSamples, policy: TrendPolicy) -> Verdict:
 def weight_preceq_dila(v: Weight, w: Weight,
                        policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq dilate(w, c)."""
-    return _exists_ladder("preceq", v, w.dilate, policy)
+    return _exists_ladder("preceq", RungSamples(v, w, "dilate"), policy)
 
 
 def weight_preceq_pow(v: Weight, w: Weight,
                       policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq w^c."""
-    return _exists_ladder("preceq", v, w.power, policy)
+    return _exists_ladder("preceq", RungSamples(v, w, "power"), policy)
 
 
 def weight_triangle_dila(v: Weight, w: Weight,
                          policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: omega_w(c t) - omega_v(t) -> +infinity (descending rungs)."""
-    return forall_ladder("triangle", ForallSamples(v, w, "dilate"), policy)
+    return forall_ladder("triangle", RungSamples(v, w, "dilate"), policy)
 
 
 def weight_preceq_all_dila(v: Weight, w: Weight,
                            policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: v preceq dilate(w, c) (descending rungs)."""
-    return forall_ladder("preceq", ForallSamples(v, w, "dilate"), policy)
+    return forall_ladder("preceq", RungSamples(v, w, "dilate"), policy)
 
 
 def weight_triangle_pow(v: Weight, w: Weight,
                         policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: c omega_w(t) - omega_v(t) -> +infinity (see power_gap)."""
-    return power_gap(ForallSamples(v, w, "power"), policy)
+    return power_gap(RungSamples(v, w, "power"), policy)

@@ -1,9 +1,14 @@
-"""Public surface: which callables take a grid, and the trend policy fields."""
+"""Public surface: which callables take a grid, the trend policy fields, and
+the names the benchmark's tracer wraps."""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import growthcomp
 from growthcomp import TrendPolicy, default_grid
@@ -36,3 +41,20 @@ def test_trend_policy_derives_its_ratio_margin():
 
 def test_default_grid_is_built_once():
     assert default_grid() is default_grid()
+
+
+def test_every_traced_target_exists(monkeypatch):
+    # bench/run.py --trace 1 wraps each TARGETS entry by name; a renamed
+    # function or method would break the traced run
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    for name, (module, qual, _) in tracing.TARGETS.items():
+        obj = importlib.import_module(f"growthcomp.{module}")
+        for attr in qual.split("."):
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+        assert callable(obj), name

@@ -5,8 +5,11 @@ compare), a tabulated weight in JSON and CSV (weight analyze on table.csv),
 the dilation and power system crossings (spaces decide) and a power-kind
 series probe (theta eval).  bridges.txt pins the route verdicts of both
 bridges (triangle_routes and pow_routes, one repr of to_dict() per route) on
-every 21st of the 420 ordered pairs of standard_battery(512).  Regenerate the
-files with
+every 21st of the 420 ordered pairs of standard_battery(512).
+weight_routes.txt pins decide_inclusion on weight sources (both weight
+crossings, both family swaps, the same-source routes, the o-collapse gate)
+and system_equiv_weight, then all seven weight comparisons over every
+ordered pair of those weights.  Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -20,9 +23,16 @@ import io
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from growthcomp import pow_routes, standard_battery, triangle_routes
+from growthcomp import (RoutingError, SpaceSpec, decide_inclusion,
+                        from_log_quotients, from_sequence, from_table, gevrey,
+                        normalize, pow_routes, standard_battery,
+                        system_equiv_weight, triangle_routes, weight_preceq,
+                        weight_preceq_all_dila, weight_preceq_dila,
+                        weight_preceq_pow, weight_triangle,
+                        weight_triangle_dila, weight_triangle_pow)
 from growthcomp.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,6 +66,75 @@ def _bridge_lines() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _weights() -> dict:
+    log_t = np.linspace(-2.0, 8.0, 200)
+    t, up = np.exp(log_t), np.maximum(log_t, 0.0)
+    convex = from_table(t, 0.5 * up ** 2, label="convex")
+    return {
+        "convex": convex,
+        "convex_quarter": from_table(t, 0.25 * up ** 2, label="convex_quarter"),
+        "concave": from_table(t, np.sqrt(up), label="concave"),
+        "normalized": normalize(from_sequence(
+            from_log_quotients(np.linspace(-1.0, 4.0, 128)))),
+        "powered": from_sequence(gevrey(2.0, 256)).power(1.5),
+        "dilated": convex.dilate(0.5),
+    }
+
+
+# (left flavor, left weight, right flavor, right weight, left o-growth)
+INCLUSION_PROBES = (
+    ("InductiveDila", "convex", "ProjectiveDila", "convex_quarter", False),
+    ("InductivePow", "convex", "ProjectivePow", "convex_quarter", False),
+    ("InductivePow", "convex", "ProjectivePow", "concave", False),
+    ("InductivePow", "powered", "ProjectivePow", "normalized", False),
+    ("InductiveDila", "convex", "InductivePow", "convex", False),
+    ("InductivePow", "convex", "InductiveDila", "convex", False),
+    ("ProjectivePow", "normalized", "ProjectiveDila", "normalized", False),
+    ("ProjectiveDila", "concave", "ProjectivePow", "concave", False),
+    ("InductiveDila", "convex", "InductiveDila", "convex", False),
+    ("ProjectivePow", "normalized", "InductivePow", "normalized", False),
+    ("InductiveDila", "convex", "ProjectivePow", "convex", False),
+    ("InductiveDila", "convex", "ProjectiveDila", "convex", False),
+    ("InductiveDila", "convex", "ProjectiveDila", "convex_quarter", True),
+    ("InductivePow", "concave", "ProjectivePow", "convex", True),
+    ("InductiveDila", "powered", "ProjectiveDila", "convex", True),
+    ("SingleLittleO", "convex", "SingleO", "convex_quarter", False),
+    ("SingleLittleO", "concave", "SingleO", "convex", False),
+    ("SingleO", "powered", "SingleO", "normalized", False),
+)
+
+WEIGHT_COMPARISONS = (weight_preceq, weight_triangle, weight_preceq_dila,
+                      weight_preceq_pow, weight_triangle_dila,
+                      weight_preceq_all_dila, weight_triangle_pow)
+
+
+def _weight_route_lines() -> str:
+    ws = _weights()
+    lines = []
+    for fa, a, fb, b, little in INCLUSION_PROBES:
+        head = f"{fa}({a}{', o' if little else ''}) <= {fb}({b})"
+        A = SpaceSpec(fa, ws[a], little_o=little)
+        try:
+            r = decide_inclusion(A, SpaceSpec(fb, ws[b]))
+        except RoutingError as exc:
+            lines.append(f"{head} | RoutingError({str(exc)!r})")
+            continue
+        sides = {k: v.to_dict() for k, v in r.sides.items()}
+        precs = {k: v.to_dict() for k, v in r.preconditions.items()}
+        lines.append(f"{head} | {r.theorem_tag!r} | {r.verdict.to_dict()!r} | "
+                     f"sides {sides!r} | preconditions {precs!r}")
+    for name in ("convex", "concave", "dilated"):
+        lines.append(f"system_equiv_weight({name}) | "
+                     f"{system_equiv_weight(ws[name]).to_dict()!r}")
+    for a, v in ws.items():
+        for b, w in ws.items():
+            if a != b:
+                for compare in WEIGHT_COMPARISONS:
+                    lines.append(f"{compare.__name__}({a}, {b}) | "
+                                 f"{compare(v, w).to_dict()!r}")
+    return "\n".join(lines) + "\n"
+
+
 def _report(argv: tuple[str, ...]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -73,8 +152,13 @@ def test_golden_bridge_routes():
     assert _bridge_lines() == (GOLDEN / "bridges.txt").read_text()
 
 
+def test_golden_weight_routes():
+    assert _weight_route_lines() == (GOLDEN / "weight_routes.txt").read_text()
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, argv in CASES.items():
         (GOLDEN / f"{name}.out").write_text(_report(argv))
     (GOLDEN / "bridges.txt").write_text(_bridge_lines())
+    (GOLDEN / "weight_routes.txt").write_text(_weight_route_lines())

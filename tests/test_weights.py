@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcomp import (AssociatedWeight, associated_sequence,
+from growthcomp import (AssociatedWeight, Weight, associated_sequence,
                         check_om1_weight, check_om6_weight, from_log_quotients,
                         from_sequence, from_table, gevrey, is_convex_weight,
                         normalize, product, q_gevrey, rapidly_decreasing,
-                        sandwich_check, strong_ratio_check, weight_preceq,
+                        sandwich_check, strong_ratio_check, triangle_routes,
+                        weight_preceq, weight_preceq_all_dila,
                         weight_preceq_dila, weight_preceq_pow, weight_triangle)
-from growthcomp.associated_weight import LADDER_GRID_N
-from growthcomp.weight_functions import (FORALL_LADDER, ForallSamples,
-                                         _comparison_grid, _rung_samples)
+from growthcomp.associated_weight import LADDER_GRID_N, OM6_LADDER
+from growthcomp.trend import MIN_WINDOW_POINTS
+from growthcomp.weight_functions import (FORALL_LADDER, RungSamples, _awake,
+                                         _comparison_grid)
 
 # ---------------------------------------------------------------------------
 # dilation and power algebra
@@ -177,17 +179,63 @@ def test_weight_ladders_on_settled_pairs(J):
             assert vd.holds and vd.witnesses["c"] == 1.0
 
 
+def test_preceq_all_dila_on_a_settled_pair(g1, g2):
+    u1, u2 = from_sequence(g1), from_sequence(g2)
+    held = weight_preceq_all_dila(u2, u1)
+    assert held.holds and held.witnesses["hardest_c"] == 0.0625
+    failed = weight_preceq_all_dila(u1, u2)
+    assert failed.fails and failed.evidence[0][0] == 1.0
+    # the dilation-bounds route of the strong bridge is the same ladder
+    assert held == triangle_routes(g1, g2)["dilation_bounds"]
+
+
+def test_power_ladder_evaluates_each_weight_once(g1, g2, monkeypatch):
+    # every power rung reads the pair's window, up to the rung c = 16 that
+    # holds gevrey(1) against gevrey(2)
+    calls = []
+    evaluate = Weight.omega_log
+
+    def counted(self, x):
+        calls.append(self)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Weight, "omega_log", counted)
+    u1, u2 = from_sequence(g1), from_sequence(g2)
+    for v, w, c in ((u2, u1, 1.0), (u1, u2, 16.0)):
+        calls.clear()
+        assert weight_preceq_pow(v, w).witnesses["c"] == c
+        assert sorted(map(id, calls)) == sorted((id(v), id(w)))
+
+
 def _table_weight():
     log_t = np.linspace(-2.0, 8.0, 200)
     return from_table(np.exp(log_t), 0.5 * np.maximum(log_t, 0.0) ** 2, label="table")
 
 
+def _per_rung_samples(v, rung, base):
+    """Samples (x, wv, ww, wb) of one rung on its own window, clipped to v,
+    the rung and the family member base it was derived from, past the
+    plateau; None to skip.  The sampler the shared rung samples replaced."""
+    g = _comparison_grid(v, rung, base)
+    if g is None or len(g) < MIN_WINDOW_POINTS:
+        return None
+    x = g.log_t
+    wv = v.omega_log(x)
+    ww = rung.omega_log(x)
+    awake = _awake(wv, ww)
+    if awake is None:
+        return None
+    x, wv, ww = x[awake], wv[awake], ww[awake]
+    return x, wv, ww, base.omega_log(x)
+
+
 @pytest.mark.parametrize("kind", ["sequence", "normalized", "table", "shifted_scaled"])
 @pytest.mark.parametrize("family", ["dilate", "power"])
 def test_shared_forall_samples_equal_the_per_rung_samples(kind, family):
-    # the shared rung arrays must be the per-rung ones bit for bit: the same
-    # window, and the same rung values without re-evaluating the family; the
-    # q-Gevrey pair spans past the grid top, so its window is resampled
+    # the shared rung arrays must be the per-rung ones bit for bit, on both
+    # ladders: the same window, and the same rung values without
+    # re-evaluating the family; the q-Gevrey pair spans past the grid top,
+    # so its window is resampled
     w = {"sequence": lambda: from_sequence(q_gevrey(1.5, 128)),
          "normalized": lambda: normalize(from_sequence(
              from_log_quotients(np.linspace(-1.0, 4.0, 128)))),
@@ -199,21 +247,24 @@ def test_shared_forall_samples_equal_the_per_rung_samples(kind, family):
     for v in (from_sequence(gevrey(2.0, 128)), from_sequence(q_gevrey(2.0, 128))):
         make_rung = getattr(w, family)
         base = make_rung(1.0)
-        shared = ForallSamples(v, w, family)
-        for c in FORALL_LADDER:
+        shared = RungSamples(v, w, family)
+        for c in FORALL_LADDER + OM6_LADDER:
             rung = make_rung(c)
-            np.testing.assert_array_equal(
-                shared.x, _comparison_grid(v, rung, base).log_t)
-            direct = rung.omega_log(shared.x)
-            if family == "power":
-                np.testing.assert_array_equal(c * w.omega_log(shared.x), direct)
             got = shared.rung(c)
-            want = _rung_samples(v, rung, base)
+            want = _per_rung_samples(v, rung, base)
             assert (got is None) == (want is None)
             for a, b in zip(got or (), want or ()):
                 np.testing.assert_array_equal(a, b)
+            if family == "dilate" and c > 1.0:
+                continue
+            # every other rung reads the window of v against w itself
+            x = shared.window[0]
+            np.testing.assert_array_equal(x, _comparison_grid(v, rung, base).log_t)
+            direct = rung.omega_log(x)
+            if family == "power":
+                np.testing.assert_array_equal(c * w.omega_log(x), direct)
             if got is not None:
-                awake = np.isin(shared.x, got[0])
+                awake = np.isin(x, got[0])
                 np.testing.assert_array_equal(got[2], direct[awake])
 
 
