@@ -2,18 +2,26 @@
 
 Every suite runs against the standard battery (Gevrey, q-Gevrey, products,
 pairwise mixtures at J = 512) and must finish within the shared runtime
-budget.
+budget.  golden/verify.txt pins the printed line of every suite; regenerate
+it with
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+only when a suite's detail is meant to change, and say why in the change log.
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 
+from growthcomp import standard_battery
 from growthcomp.acceptance import SUITES, run_suite
 
 RUNTIME_BUDGET_S = 60.0
+GOLDEN_LINES = Path(__file__).resolve().parent / "golden" / "verify.txt"
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +97,14 @@ def test_acceptance_runtime_budget(timed_suite):
     print(f"\nPASS  runtime: {total:.1f}s for 10 suites "
           f"(budget {RUNTIME_BUDGET_S:.0f}s)")
     assert total < RUNTIME_BUDGET_S, durations
+
+
+def test_acceptance_lines_match_the_golden(timed_suite):
+    lines = [timed_suite(name)[0].line() for name in SUITES]
+    assert lines == GOLDEN_LINES.read_text().splitlines()
+
+
+if __name__ == "__main__":
+    battery = standard_battery()
+    GOLDEN_LINES.write_text("".join(run_suite(name, battery).line() + "\n"
+                                    for name in SUITES))

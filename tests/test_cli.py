@@ -295,3 +295,34 @@ def test_missing_subcommand_is_a_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     assert "required: command" in capsys.readouterr().err
+
+
+# both CSV readers (sequence rows 'j,logM', weight rows 't,omega'): exit 2, the
+# message on stderr, nothing on stdout; a bad index is reported before the
+# malformed row that follows it, since each row is converted as it is read
+MALFORMED = {
+    "three_fields": "0,0\n1,1,1\n2,3\n",
+    "bad_index_first": "0,0\nx,1\n2,3,4\n",
+    "one_row": "0,0\n",
+}
+MALFORMED_ERRORS = {
+    ("seq", "three_fields"): "{p}:2: expected 'j,logM'",
+    ("seq", "bad_index_first"): "invalid literal for int() with base 10: 'x'",
+    ("seq", "one_row"): "need at least three entries (J >= 2)",
+    ("weight", "three_fields"): "{p}:2: expected 't,omega'",
+    ("weight", "bad_index_first"): "could not convert string to float: 'x'",
+    ("weight", "one_row"): "{p}: need at least two data rows",
+}
+
+
+@pytest.mark.parametrize("reader, case", list(MALFORMED_ERRORS),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_malformed_csv_input_exits_two(capsys, tmp_path, reader, case):
+    p = tmp_path / "bad.csv"
+    p.write_text(MALFORMED[case])
+    source = f"file:{p}"
+    code, out, err = run(capsys, reader, "analyze", source)
+    what = "sequence" if reader == "seq" else "weight"
+    message = MALFORMED_ERRORS[reader, case].format(p=p)
+    assert (code, out) == (2, "")
+    assert err == f"growthcomp: error: cannot build {what} from {source!r}: {message}\n"

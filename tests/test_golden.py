@@ -2,8 +2,10 @@
 
 The set covers both bridges with their dilation and power ladders (seq
 compare), a tabulated weight in JSON and CSV (weight analyze on table.csv),
-the dilation and power system crossings (spaces decide) and a power-kind
-series probe (theta eval).  bridges.txt pins the route verdicts of both
+the dilation and power system crossings (spaces decide), a power-kind
+series probe (theta eval), a seeded non-convex walk read from walk.csv in
+CSV (seq analyze), a q-Gevrey sequence (seq analyze, spaces system-equiv)
+and the windowed recovery of a sequence weight (weight analyze gevrey:2).  bridges.txt pins the route verdicts of both
 bridges (triangle_routes and pow_routes, one repr of to_dict() per route) on
 every 21st of the 420 ordered pairs of standard_battery(512).
 weight_routes.txt pins decide_inclusion on weight sources (both weight
@@ -48,6 +50,11 @@ CASES = {
                           "--right", "ProjectivePow:gevrey:1", "--J", "128"),
     "theta_eval_pow": ("theta", "eval", "gevrey:1", "--kind", "pow", "--c", "2",
                        "--t", "0.5,2,10"),
+    "seq_analyze_walk_csv": ("seq", "analyze", "file:walk.csv", "--format", "csv"),
+    "seq_analyze_qgevrey": ("seq", "analyze", "qgevrey:1.5", "--J", "256"),
+    "weight_analyze_gevrey": ("weight", "analyze", "gevrey:2", "--J", "128"),
+    "system_equiv_qgevrey": ("spaces", "system-equiv", "--seq", "qgevrey:1.5",
+                             "--J", "256"),
 }
 
 
@@ -78,6 +85,7 @@ def _weights() -> dict:
             from_log_quotients(np.linspace(-1.0, 4.0, 128)))),
         "powered": from_sequence(gevrey(2.0, 256)).power(1.5),
         "dilated": convex.dilate(0.5),
+        "plain": from_sequence(gevrey(1.0, 256)),
     }
 
 
@@ -101,6 +109,9 @@ INCLUSION_PROBES = (
     ("SingleLittleO", "convex", "SingleO", "convex_quarter", False),
     ("SingleLittleO", "concave", "SingleO", "convex", False),
     ("SingleO", "powered", "SingleO", "normalized", False),
+    ("SingleO", "normalized", "SingleO", "plain", False),
+    ("InductiveDila", "normalized", "ProjectiveDila", "plain", False),
+    ("InductivePow", "normalized", "ProjectivePow", "plain", False),
 )
 
 WEIGHT_COMPARISONS = (weight_preceq, weight_triangle, weight_preceq_dila,
@@ -116,8 +127,8 @@ def _weight_route_lines() -> str:
         A = SpaceSpec(fa, ws[a], little_o=little)
         try:
             r = decide_inclusion(A, SpaceSpec(fb, ws[b]))
-        except RoutingError as exc:
-            lines.append(f"{head} | RoutingError({str(exc)!r})")
+        except (RoutingError, ValueError) as exc:
+            lines.append(f"{head} | {type(exc).__name__}({str(exc)!r})")
             continue
         sides = {k: v.to_dict() for k, v in r.sides.items()}
         precs = {k: v.to_dict() for k, v in r.preconditions.items()}
