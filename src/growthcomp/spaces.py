@@ -102,9 +102,7 @@ class SpaceSpec:
             return None
         if isinstance(self.source, WeightSequence):
             return self.source
-        if self.source.is_plain_sequence_weight:
-            return self.source.source
-        return None
+        return self.source.sequence if self.source.shift == 0.0 else None
 
     def describe(self) -> str:
         src = self.source.label or "unlabeled"

@@ -131,8 +131,11 @@ class Weight:
         return knots - self.shift
 
     @property
-    def is_plain_sequence_weight(self) -> bool:
-        return self.source is not None and self.shift == 0.0 and self.scale == 1.0
+    def sequence(self) -> WeightSequence | None:
+        """M when omega is omega_M up to the dilation (scale 1, no
+        normalization offset); None for a table, a power or a normalized
+        weight."""
+        return self.source if self.scale == 1.0 and self.offset is None else None
 
     def dilate(self, c: float) -> "Weight":
         """Weight t -> v(c t); the faithful range shrinks (or grows) by log c."""
@@ -267,7 +270,7 @@ def associated_sequence(u: Weight, J: int = DEFAULT_J, grid: Grid | None = None,
         raise ValueError("faithful range leaves no usable grid")
     x = g.augment(u.knots_log).log_t
     w = u.omega_log(x)
-    if isinstance(u.base, AssociatedWeight) and u.scale == 1.0 and u.offset is None:
+    if u.sequence is not None:
         vals = recover(J, x, w, u.knots_log)
     else:
         vals = conjugate(np.arange(J + 1, dtype=float), x, w)
