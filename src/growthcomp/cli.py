@@ -255,6 +255,9 @@ def cmd_seq_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_seq_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     A = parse_sequence(args.source_a, cfg.J)
     B = parse_sequence(args.source_b, cfg.J)
+    if A.J != B.J:
+        raise UsageError(f"cannot compare {args.source_a} (J = {A.J}) with "
+                         f"{args.source_b} (J = {B.J}); the comparisons need one J")
     pol = cfg.policy()
     checks = [("preceq_ab", seq_preceq(A, B, pol)),
               ("preceq_ba", seq_preceq(B, A, pol)),

@@ -262,6 +262,10 @@ def _decide_systems(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> Inclusio
                                f"({A.flavor} vs {B.flavor})")
 
     if crossing:
+        Ns, Ms = A.sequence(), B.sequence()
+        if Ns is not None and Ms is not None and Ns.J != Ms.J:
+            raise RoutingError("the sequence routes compare M_j and N_j index by "
+                               f"index; these sequences have J = {Ns.J} and J = {Ms.J}")
         if A.axis == "dila":
             return _crossing_dila(A, B, policy, precs)
         return _crossing_pow(A, B, policy, precs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,23 @@ def test_member_selector_on_a_system_exits_two(capsys):
                          "--right", "ProjectiveDila:gevrey:1", "--J", "64")
     assert code == 2 and out == ""
     assert "applies to single spaces" in err
+
+
+WALK = Path(__file__).resolve().parent / "golden" / "walk.csv"
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "compare", f"file:{WALK}", "gevrey:1"),
+    ("spaces", "decide", "--left", f"InductiveDila:file:{WALK}",
+     "--right", "ProjectiveDila:gevrey:1"),
+    ("spaces", "decide", "--left", f"InductivePow:file:{WALK}",
+     "--right", "ProjectivePow:gevrey:1"),
+], ids=["seq compare", "dilation crossing", "power crossing"])
+def test_sequences_of_different_J_exit_two(capsys, argv):
+    # walk.csv holds J = 300; gevrey:1 is built at --J 256
+    code, out, err = run(capsys, *argv, "--J", "256")
+    assert (code, out) == (2, "")
+    assert "J = 300" in err and "J = 256" in err
 
 
 def test_bad_theta_points(capsys):

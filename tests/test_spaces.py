@@ -124,6 +124,13 @@ def test_unrouted_pairs_raise(g1, q15):
                          SpaceSpec("InductiveDila", q15))
 
 
+@pytest.mark.parametrize("axis", ["Dila", "Pow"])
+def test_crossing_of_sequences_of_different_J_raises(axis):
+    with pytest.raises(RoutingError, match="J = 64 and J = 128"):
+        decide_inclusion(SpaceSpec(f"Inductive{axis}", gevrey(2.0, 64)),
+                         SpaceSpec(f"Projective{axis}", gevrey(1.0, 128)))
+
+
 # ---------------------------------------------------------------------------
 # family-system equivalence
 # ---------------------------------------------------------------------------
