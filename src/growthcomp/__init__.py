@@ -6,6 +6,8 @@ Everything that answers a mathematical question returns a tri-state Verdict
 nothing decisive is ever reported without them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .associated_weight import (AssociatedWeight, check_om1_omega,
                                 check_om6_omega, counting, legendre_recover,
                                 omega_eval)
@@ -41,27 +43,6 @@ from .weight_functions import (Weight, associated_sequence, check_om1_weight,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssociatedWeight", "FLAVORS", "Grid", "InclusionVerdict", "PowerSeries",
-    "RoutingError", "RunConfig", "SpaceSpec", "State", "ThetaFunction",
-    "Trend", "TrendPolicy", "TrendReport", "Verdict",
-    "Weight", "WeightSequence", "associated_sequence", "bounds_check",
-    "bridge_pow_seq", "bridge_triangle_seq", "check_56_alternative",
-    "check_mg", "check_mg_diag", "check_om1_index", "check_om1_omega",
-    "check_om1_weight", "check_om6_omega", "check_om6_weight",
-    "check_strong_2j", "classify", "counting", "decide_inclusion",
-    "default_grid", "fails", "from_file", "from_log_quotients",
-    "from_quotients", "from_sequence", "from_table", "from_values",
-    "fuse_conjunction", "fuse_unanimous", "gevrey", "holds", "inconclusive",
-    "is_LC", "is_convex_weight", "is_log_convex", "is_q_dominated",
-    "legendre_recover", "log_convex_minorant", "log_factorials",
-    "log_series_eval", "membership", "mg_transfer_check", "mixture",
-    "monomial", "norm_estimate", "normalize", "omega_eval", "omega_little_o",
-    "pow_routes", "product", "q_gevrey", "rapidly_decreasing",
-    "sandwich_check", "scale_pow", "seq_approx", "seq_preceq", "seq_triangle",
-    "standard_battery", "strong_ratio_check", "system_equiv",
-    "system_equiv_weight", "theta_eval", "theta_series", "tilde",
-    "tildestrong_check", "triangle_routes", "weight_preceq",
-    "weight_preceq_all_dila", "weight_preceq_dila", "weight_preceq_pow",
-    "weight_triangle", "weight_triangle_dila", "weight_triangle_pow",
-]
+# every name imported above, and nothing else
+__all__ = sorted(name for name, obj in globals().items()
+                 if not (name.startswith("_") or isinstance(obj, _ModuleType)))

@@ -23,8 +23,8 @@ from .associated_weight import (OM6_LADDER, AssociatedWeight, check_om1_omega,
                                 check_om6_omega, legendre_recover)
 from .battery import is_q_dominated
 from .grids import default_grid
-from .relations import (bridge_pow_seq, bridge_triangle_seq, pow_routes,
-                        triangle_routes)
+from .relations import (POW_BRIDGE, TRIANGLE_BRIDGE, bridge_pow_seq,
+                        bridge_triangle_seq, pow_routes, triangle_routes)
 from .sequence_core import (WeightSequence, check_mg, check_mg_diag,
                             check_om1_index, check_strong_2j, gevrey,
                             log_convex_minorant, q_gevrey)
@@ -277,8 +277,8 @@ def suite_bridges(battery: tuple[WeightSequence, ...]) -> SuiteResult:
             states = {vd.state.value for vd in routes.values()}
             if "Holds" in states and "Fails" in states:
                 violations += 1
-        fused_tri = fuse_unanimous(routes_tri, note_prefix="strong comparison bridge")
-        fused_pow = fuse_unanimous(routes_pow, note_prefix="power comparison bridge")
+        fused_tri = fuse_unanimous(routes_tri, note_prefix=TRIANGLE_BRIDGE)
+        fused_pow = fuse_unanimous(routes_pow, note_prefix=POW_BRIDGE)
         tri_decisive += fused_tri.state.value != "Inconclusive"
         pow_decisive += fused_pow.state.value != "Inconclusive"
         if i % 60 == 0:

@@ -245,11 +245,8 @@ def legendre_recover(omega: AssociatedWeight, J: int,
                       f"supports j<={j_reliable}; higher indices are "
                       f"grid-limited underestimates", stacklevel=2)
     vals = recover(J, x, omega.omega_log(x), omega.knots[1:])
-    clamped = bool(vals[0] != 0.0)
     vals[0] = 0.0
-    return WeightSequence(vals, label=label,
-                          meta={"reliable_max_index": j_reliable,
-                                "origin_clamped": clamped})
+    return WeightSequence(vals, label=label, meta={"reliable_max_index": j_reliable})
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .relations import bridge_pow_seq, bridge_triangle_seq
 from .sequence_core import (WeightSequence, check_56_alternative, check_mg,
                             check_mg_diag, check_om1_index, check_strong_2j,
                             from_file, gevrey, is_LC, is_log_convex, q_gevrey,
-                            seq_approx, seq_preceq, seq_triangle)
+                            read_rows, seq_approx, seq_preceq, seq_triangle)
 from .spaces import (FLAVORS, RoutingError, SpaceSpec, decide_inclusion,
                      system_equiv)
 from .special_functions import THETA_KINDS, ThetaFunction, theta_eval
@@ -94,28 +94,15 @@ def parse_weight(text: str, J: int) -> Weight:
     tabulated file of 't,omega' rows."""
     kind, _, rest = text.partition(":")
     if kind == "file" and rest:
+        path = Path(rest)
         try:
-            rows = _read_pairs(Path(rest))
-            return from_table([t for t, _ in rows], [w for _, w in rows],
-                              label=Path(rest).stem)
+            rows = read_rows(path, path.read_text(), "t,omega")
+            if len(rows) < 2:
+                raise ValueError(f"{path}: need at least two data rows")
+            return from_table(*zip(*rows), label=path.stem)
         except (ValueError, OSError) as exc:
             raise UsageError(f"cannot build weight from {text!r}: {exc}") from exc
     return from_sequence(parse_sequence(text, J))
-
-
-def _read_pairs(path: Path) -> list[tuple[float, float]]:
-    rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 't,omega'")
-        rows.append((float(parts[0]), float(parts[1])))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two data rows")
-    return rows
 
 
 def parse_space(text: str, J: int) -> SpaceSpec:
@@ -256,8 +243,7 @@ def cmd_seq_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     A = parse_sequence(args.source_a, cfg.J)
     B = parse_sequence(args.source_b, cfg.J)
     if A.J != B.J:
-        raise UsageError(f"cannot compare {args.source_a} (J = {A.J}) with "
-                         f"{args.source_b} (J = {B.J}); the comparisons need one J")
+        raise UsageError(f"the sequences need one J, not J = {A.J} and J = {B.J}")
     pol = cfg.policy()
     checks = [("preceq_ab", seq_preceq(A, B, pol)),
               ("preceq_ba", seq_preceq(B, A, pol)),

@@ -42,18 +42,13 @@ class Grid:
 
     @staticmethod
     def geometric(t_min: float, t_max: float, n: int) -> "Grid":
+        # checked here so that log never sees t <= 0
         if not (t_min > 0 and t_max > t_min):
             raise ValueError("need 0 < t_min < t_max")
-        if n < 2:
-            raise ValueError("need n >= 2")
-        return Grid(np.linspace(np.log(t_min), np.log(t_max), n))
+        return Grid.geometric_log(np.log(t_min), np.log(t_max), n)
 
     @staticmethod
     def geometric_log(x_lo: float, x_hi: float, n: int) -> "Grid":
-        if not (x_hi > x_lo):
-            raise ValueError("need x_lo < x_hi")
-        if n < 2:
-            raise ValueError("need n >= 2")
         return Grid(np.linspace(x_lo, x_hi, n))
 
     def augment(self, knots_log: np.ndarray) -> "Grid":

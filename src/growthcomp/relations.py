@@ -20,6 +20,9 @@ from .weight_functions import (PLATEAU_FLOOR, RungSamples, forall_ladder,
                                from_sequence, power_gap)
 
 COMPRESS_LADDER = (1, 2, 4, 8, 16)
+# note prefixes of the two bridge fusions
+TRIANGLE_BRIDGE = "strong comparison bridge"
+POW_BRIDGE = "power comparison bridge"
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +133,7 @@ def bridge_triangle_seq(M: WeightSequence, N: WeightSequence,
                         policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Strong comparison of M below N, fused across its equivalent routes."""
     return fuse_unanimous(triangle_routes(M, N, policy),
-                          note_prefix="strong comparison bridge")
+                          note_prefix=TRIANGLE_BRIDGE)
 
 
 def pow_routes(M: WeightSequence, N: WeightSequence,
@@ -152,7 +155,7 @@ def bridge_pow_seq(M: WeightSequence, N: WeightSequence,
                    policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Power-family comparison of M against N, fused across its routes."""
     return fuse_unanimous(pow_routes(M, N, policy),
-                          note_prefix="power comparison bridge")
+                          note_prefix=POW_BRIDGE)
 
 
 def mg_transfer_check(M: WeightSequence, N: WeightSequence,

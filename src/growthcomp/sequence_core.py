@@ -6,11 +6,11 @@ with tolerance 0; all asymptotic checks (moderate growth, index conditions,
 comparison relations) are windowed trend tests that return tri-state Verdicts
 with witnesses.
 
-Sequences constructed from quotients (gevrey, from_quotients, the log-convex
-minorant, associated sequences) carry their defining log-quotient array; the
-quotient-based predicates consult that array, because the float difference of a
-prefix-sum does not reproduce the summands bit-for-bit and tolerance-0 checks
-would otherwise wobble at the last bit.
+from_log_quotients (so gevrey and from_quotients), the log-convex minorant and
+associated_sequence store the log quotients they sum, and the quotient-based
+predicates consult them: the float difference of a prefix sum does not give
+back the summands bit-for-bit.  The other constructors store none, and
+quotient_array takes the differences of the values.
 """
 
 from __future__ import annotations
@@ -93,9 +93,8 @@ class WeightSequence:
 # constructors
 # ---------------------------------------------------------------------------
 
-def from_values(log_values, label: str = "", meta: dict | None = None) -> WeightSequence:
-    return WeightSequence(np.asarray(log_values, dtype=float), label,
-                          meta=dict(meta or {}))
+def from_values(log_values, label: str = "") -> WeightSequence:
+    return WeightSequence(np.asarray(log_values, dtype=float), label)
 
 
 def from_log_quotients(log_mu, label: str = "") -> WeightSequence:
@@ -126,26 +125,36 @@ def q_gevrey(q: float, J: int = DEFAULT_J) -> WeightSequence:
     if q <= 1:
         raise ValueError("need q > 1")
     j = np.arange(0, J + 1, dtype=float)
-    vals = (j * j) * np.log(q)
-    quot = np.concatenate(([0.0], np.diff(vals)))
-    return WeightSequence(vals, f"qgevrey({q:g})", log_quotients=quot)
+    return WeightSequence((j * j) * np.log(q), f"qgevrey({q:g})")
 
 
 def product(A: WeightSequence, B: WeightSequence, label: str = "") -> WeightSequence:
     if A.J != B.J:
         raise ValueError("sequences must share J")
-    vals = A.log_values + B.log_values
-    quot = np.concatenate(([0.0], np.diff(vals)))
-    return WeightSequence(vals, label or f"{A.label}*{B.label}", log_quotients=quot)
+    return WeightSequence(A.log_values + B.log_values, label or f"{A.label}*{B.label}")
 
 
 def mixture(A: WeightSequence, B: WeightSequence, label: str = "") -> WeightSequence:
     """Pointwise maximum in the log domain."""
     if A.J != B.J:
         raise ValueError("sequences must share J")
-    vals = np.maximum(A.log_values, B.log_values)
-    quot = np.concatenate(([0.0], np.diff(vals)))
-    return WeightSequence(vals, label or f"max({A.label},{B.label})", log_quotients=quot)
+    return WeightSequence(np.maximum(A.log_values, B.log_values),
+                          label or f"max({A.label},{B.label})")
+
+
+def read_rows(path, text: str, header: str, first=float) -> list[tuple]:
+    """Rows of a two-column CSV text, converted by (first, float) as they are
+    read; blank and '#' lines are skipped."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected '{header}'")
+        rows.append((first(parts[0]), float(parts[1])))
+    return rows
 
 
 def from_file(path) -> WeightSequence:
@@ -162,15 +171,7 @@ def from_file(path) -> WeightSequence:
             raise ValueError("JSON sequence file needs a log_values array")
         return WeightSequence(np.asarray(obj["log_values"], dtype=float),
                               str(obj.get("label", p.stem)))
-    rows: list[tuple[int, float]] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{p}:{lineno}: expected 'j,logM'")
-        rows.append((int(parts[0]), float(parts[1])))
+    rows = read_rows(p, text, "j,logM", int)
     if not rows:
         raise ValueError(f"{p}: no data rows")
     js = [j for j, _ in rows]

@@ -21,7 +21,8 @@ import numpy as np
 from .associated_weight import (OM1_LADDER, OM6_LADDER, SCAN_CHUNK,
                                 check_om6_omega)
 from .grids import default_grid
-from .relations import pow_routes, tildestrong_check, triangle_routes
+from .relations import (POW_BRIDGE, TRIANGLE_BRIDGE, pow_routes,
+                        tildestrong_check, triangle_routes)
 from .sequence_core import (WeightSequence, bounded_on_index, check_mg,
                             check_om1_index, is_LC)
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
@@ -264,8 +265,7 @@ def _decide_systems(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> Inclusio
     if crossing:
         Ns, Ms = A.sequence(), B.sequence()
         if Ns is not None and Ms is not None and Ns.J != Ms.J:
-            raise RoutingError("the sequence routes compare M_j and N_j index by "
-                               f"index; these sequences have J = {Ns.J} and J = {Ms.J}")
+            raise RoutingError(f"the sequence routes need one J, not J = {Ns.J} and J = {Ms.J}")
         if A.axis == "dila":
             return _crossing_dila(A, B, policy, precs)
         return _crossing_pow(A, B, policy, precs)
@@ -315,7 +315,7 @@ def _crossing_dila(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
         precs["log_convex_left"] = is_LC(Nseq, policy)
         precs["log_convex_right"] = is_LC(Mseq, policy)
         sides = triangle_routes(Mseq, Nseq, policy)
-        rel = fuse_unanimous(sides, note_prefix="strong comparison bridge")
+        rel = fuse_unanimous(sides, note_prefix=TRIANGLE_BRIDGE)
         return InclusionVerdict(_gate(rel, precs), "dilation-system crossing",
                                 sides, precs)
     u = A.weight()
@@ -337,7 +337,7 @@ def _crossing_pow(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
         precs["log_convex_left"] = is_LC(Nseq, policy)
         precs["log_convex_right"] = is_LC(Mseq, policy)
         sides = pow_routes(Mseq, Nseq, policy)
-        rel = fuse_unanimous(sides, note_prefix="power comparison bridge")
+        rel = fuse_unanimous(sides, note_prefix=POW_BRIDGE)
         return InclusionVerdict(_gate(rel, precs), "power-system crossing",
                                 sides, precs)
     u = A.weight()

@@ -132,9 +132,7 @@ class Weight:
 
     @property
     def sequence(self) -> WeightSequence | None:
-        """M when omega is omega_M up to the dilation (scale 1, no
-        normalization offset); None for a table, a power or a normalized
-        weight."""
+        """M when omega is omega_M up to the dilation, else None."""
         return self.source if self.scale == 1.0 and self.offset is None else None
 
     def dilate(self, c: float) -> "Weight":

@@ -19,6 +19,17 @@ GRID_TAKERS = {"rapidly_decreasing", "is_convex_weight", "sandwich_check",
                "associated_sequence"}
 
 
+def test_public_names_are_the_package_imports():
+    modules = [m for m in vars(growthcomp).values() if inspect.ismodule(m)]
+    assert all(m.__name__.startswith("growthcomp.") for m in modules)
+    assert growthcomp.__all__ == sorted(set(growthcomp.__all__))
+    for name in growthcomp.__all__:
+        assert not name.startswith("_"), name
+        obj = getattr(growthcomp, name)
+        assert not inspect.ismodule(obj), name
+        assert any(getattr(m, name, None) is obj for m in modules), name
+
+
 def test_only_the_weight_analyze_checks_take_a_grid():
     takers = set()
     for name in growthcomp.__all__:

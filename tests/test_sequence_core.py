@@ -37,7 +37,7 @@ def test_q_gevrey_square_exponent():
     # M_j = q^(j^2): quotients q^(2j-1), so M_3 = 2^9 and mu_3 = 2^5 at q = 2
     M = q_gevrey(2.0, 8)
     assert M.log_values[3] == pytest.approx(9.0 * np.log(2.0), rel=1e-12)
-    assert M.log_quotients[3] == pytest.approx(5.0 * np.log(2.0), rel=1e-12)
+    assert M.quotient_array[3] == pytest.approx(5.0 * np.log(2.0), rel=1e-12)
 
 
 def test_product_and_mixture_pointwise():

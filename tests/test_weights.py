@@ -100,6 +100,17 @@ def test_transforms_of_a_normalized_weight_fold():
                                atol=1e-12)
 
 
+def test_only_omega_m_itself_has_a_sequence():
+    # a dilation keeps M (the spaces read its shift); a power, a normalization
+    # offset or a table leaves none
+    M = from_log_quotients(np.linspace(-1.0, 4.0, 64))
+    u = from_sequence(M)
+    assert u.sequence is M and u.dilate(2.0).sequence is M
+    assert u.power(2.0).sequence is None
+    assert normalize(u).sequence is None
+    assert from_table([0.1, 1.0, 10.0], [0.0, 0.5, 2.0]).sequence is None
+
+
 # ---------------------------------------------------------------------------
 # tabulated weights
 # ---------------------------------------------------------------------------
