@@ -124,6 +124,12 @@ def test_unrouted_pairs_raise(g1, q15):
                          SpaceSpec("InductiveDila", q15))
 
 
+def test_family_swap_over_a_non_log_convex_sequence_raises():
+    M = from_values([0.0, 2.0, 2.5, 6.0])
+    with pytest.raises(RoutingError, match="normalized log-convex"):
+        decide_inclusion(SpaceSpec("InductiveDila", M), SpaceSpec("InductivePow", M))
+
+
 @pytest.mark.parametrize("axis", ["Dila", "Pow"])
 def test_crossing_of_sequences_of_different_J_raises(axis):
     with pytest.raises(RoutingError, match="J = 64 and J = 128"):
