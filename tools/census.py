@@ -15,14 +15,12 @@ run a few times slower.  The exit code is pytest's.
 from __future__ import annotations
 
 import ast
-import os
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "growthcomp"
-NO_CODE = (ast.Try, ast.Global, ast.Nonlocal) + ((ast.TryStar,) if hasattr(ast, "TryStar") else ())
+NO_CODE = (ast.Try, getattr(ast, "TryStar", ast.Try), ast.Global, ast.Nonlocal)
 
 
 def statements(path: Path) -> dict[int, range]:
@@ -50,16 +48,11 @@ def main(args: list[str]) -> int:
     import pytest
 
     sys.path.insert(0, str(ROOT / "src"))
-    modules = {os.path.realpath(p): statements(p) for p in sorted(PACKAGE.glob("*.py"))}
+    modules = {str(p): statements(p) for p in sorted(PACKAGE.glob("*.py"))}
     seen: dict[str, set[int]] = {f: set() for f in modules}
-    keys: dict[str, str | None] = {}
 
     def trace(frame, event, arg):
-        name = frame.f_code.co_filename
-        if name not in keys:
-            real = os.path.realpath(name)
-            keys[name] = real if real in seen else None
-        lines = seen.get(keys[name]) if keys[name] else None
+        lines = seen.get(frame.f_code.co_filename)
         if lines is None:
             return None
 
@@ -69,13 +62,11 @@ def main(args: list[str]) -> int:
             return local
         return local
 
-    threading.settrace(trace)
     sys.settrace(trace)
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
 
     total = missed_total = 0
     for path, stmts in modules.items():
