@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -409,7 +410,12 @@ def _add_command(sub, name: str, command: str, handler,
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused for the
+    life of the process: parsing keeps no state between calls, so main()
+    may be called repeatedly.  The parser binds the cmd_* handlers when it
+    is built; what a handler calls is looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="growthcomp",
         description="Growth analysis and comparison of weight sequences, "

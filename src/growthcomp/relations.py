@@ -119,13 +119,13 @@ def triangle_routes(M: WeightSequence, N: WeightSequence,
     """Independent routes for the strong relation of M below N.
 
     The two dilation routes (weight_triangle_dila and weight_preceq_all_dila
-    of v_N against v_M) classify the same rung samples, each with its own
-    claim."""
-    dilations = RungSamples(from_sequence(N), from_sequence(M), "dilate")
+    of v_N against v_M) read the same rung samples and trends, each deciding
+    the rungs with its own claim."""
+    dilations = RungSamples(from_sequence(N), from_sequence(M), "dilate", policy)
     return {
         "roots": seq_triangle(M, N, policy),
-        "dilation_gap": forall_ladder("triangle", dilations, policy),
-        "dilation_bounds": forall_ladder("preceq", dilations, policy),
+        "dilation_gap": forall_ladder("triangle", dilations),
+        "dilation_bounds": forall_ladder("preceq", dilations),
     }
 
 
@@ -143,10 +143,10 @@ def pow_routes(M: WeightSequence, N: WeightSequence,
     power_gap (weight_triangle_pow of v_N against v_M) and omega_ratio
     (omega_little_o(N, M)) read the same window, so they share one set of
     power rung samples."""
-    powers = RungSamples(from_sequence(N), from_sequence(M), "power")
+    powers = RungSamples(from_sequence(N), from_sequence(M), "power", policy)
     return {
         "compressed_roots": tildestrong_check(M, N, policy),
-        "power_gap": power_gap(powers, policy),
+        "power_gap": power_gap(powers),
         "omega_ratio": _little_o(powers, policy),
     }
 

@@ -132,9 +132,9 @@ class InclusionVerdict:
 
 def _plain_ratio_bounded(N: WeightSequence, M: WeightSequence,
                          policy: TrendPolicy) -> Verdict:
-    """Exists A with N_j <= A * M_j (plain ratio, no j-th roots)."""
-    J = min(M.J, N.J)
-    d = N.log_values[1:J + 1] - M.log_values[1:J + 1]
+    """Exists A with N_j <= A * M_j (plain ratio, no j-th roots); M and N
+    share J."""
+    d = N.log_values[1:] - M.log_values[1:]
     return bounded_on_index(d, policy, "plain ratio",
                             lambda m: {"A": float(np.exp(max(0.0, m)))})
 
@@ -213,6 +213,8 @@ def _decide_single(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> Inclusion
     Ms = A.sequence()
     Ns = B.sequence()
     if Ms is not None and Ns is not None:
+        if Ms.J != Ns.J:
+            raise RoutingError(f"the sequence routes need one J, not J = {Ms.J} and J = {Ns.J}")
         precs["log_convex_left"] = is_LC(Ms, policy)
         precs["log_convex_right"] = is_LC(Ns, policy)
         rel = _plain_ratio_bounded(Ns, Ms, policy)

@@ -8,9 +8,13 @@ log j for index-based diagnostics and log t for grid-based ones: bounded
 diagnostics then have slope near 0 while logarithmically divergent ones keep a
 slope of order one, so a single margin separates them at any window length.
 
-A rising trend is fitted once more, on the final quarter of the window:
-ladder deciders read that slope (peak_inside) to detect late turnarounds.
-A flat or falling trend needs no second fit.
+A rising or falling trend is fitted once more, on the final quarter of the
+window: ladder deciders read that slope (peak_inside) to detect late
+turnarounds.  A flat trend needs no second fit.  So the report of -y is the
+report of y with RISING and FALLING swapped and the slope negated, bit for
+bit: IEEE negation commutes with every subtraction, sum, dot and division
+in ls_slope (a slope of exactly zero may keep its sign, and decides no
+kind).  A ladder that bounds -y reads the trends it fitted to y.
 
 The abscissa is non-decreasing, so every window (the trailing window, its
 second half and its final quarter) is a contiguous slice that starts where
@@ -65,8 +69,8 @@ MIN_WINDOW_POINTS = 16
 
 @dataclass(frozen=True)
 class TrendReport:
-    """kind and slope of the trailing window; peak_inside: rising on the
-    window but no longer rising in its final quarter."""
+    """kind and slope of the trailing window; peak_inside: rising or falling
+    on the window, but the final quarter does not continue that direction."""
 
     kind: Trend
     slope: float
@@ -111,9 +115,9 @@ def classify(x: np.ndarray, y: np.ndarray, policy: TrendPolicy,
     k = x.searchsorted(hi - policy.window_fraction * (hi - lo), "left")
     xw, yw = (x[k:], y[k:]) if len(x) - k >= 2 else (x, y)
     slope = ls_slope(xw, yw)
-    # `not slope > m` keeps a NaN slope FLAT
-    if not slope > m:
-        return TrendReport(Trend.FALLING if slope < -m else Trend.FLAT, slope, False)
+    # a NaN slope clears neither margin and stays FLAT
+    if not (slope > m or slope < -m):
+        return TrendReport(Trend.FLAT, slope, False)
     n = len(xw)
     lo, hi = xw[0], xw[-1]
     k = xw.searchsorted(lo + 0.75 * (hi - lo), "left")
@@ -121,7 +125,9 @@ def classify(x: np.ndarray, y: np.ndarray, policy: TrendPolicy,
         # the quarter is too short: fall back to the second half, then the window
         k = xw.searchsorted(lo + 0.5 * (hi - lo), "right")
     sq = ls_slope(xw[k:], yw[k:]) if n - k >= 2 else slope
-    return TrendReport(Trend.RISING, slope, sq <= 0)
+    if slope > m:
+        return TrendReport(Trend.RISING, slope, sq <= 0)
+    return TrendReport(Trend.FALLING, slope, sq >= 0)
 
 
 def index_window(j_lo: int, j_hi: int) -> tuple[int, int]:

@@ -22,14 +22,20 @@ never guessed.
 
 Every ladder, forall (c in FORALL_LADDER = 2^0..2^-10) or exists (c in
 OM6_LADDER = 2^0..2^10), and the single comparisons (the rung c = 1) read
-their rungs off one sample set per pair and family (RungSamples), which
-hands the same rung arrays to every claim on it.  Every power rung and
-every dilation rung with c <= 1 shares the window of v against w: a power
-leaves w's faithful end and such a dilation only raises it.  Those rungs
-need no new evaluation of v or w: a dilation rung adds one evaluation of
-w.dilate(c), and a power rung is c * w(x), exact because each c is a power
-of two.  Only a dilation rung with c > 1 pulls w's end in by log c, and it
-samples its own window.
+their rungs off one sample set per pair, family and policy (RungSamples),
+which hands the same rung arrays to every claim on it and classifies each
+rung once: the trends of the gap d = omega_w - omega_v, each fitted on
+first use.  The triangle claim reads them as they are; the preceq claim
+bounds omega_v - omega_w = -d and reads them through the negation
+(trend.classify), so a rung the triangle ladder has read costs the preceq
+ladder no fit.
+
+Every power rung and every dilation rung with c <= 1 shares the window of
+v against w: a power leaves w's faithful end and such a dilation only
+raises it.  Those rungs need no new evaluation of v or w: a dilation rung
+adds one evaluation of w.dilate(c), and a power rung is c * w(x), exact
+because each c is a power of two.  Only a dilation rung with c > 1 pulls
+w's end in by log c, and it samples its own window.
 
 Every comparison samples the default grid.  Only the checks on one weight
 (rapidly_decreasing, is_convex_weight, sandwich_check) and the recovery
@@ -403,13 +409,12 @@ def _awake(wv: np.ndarray, ww: np.ndarray) -> np.ndarray | None:
     A rung is dormant while the dominating side ww has not risen above
     zero; otherwise the dead zone where both weights still sit at their
     plateau is dropped, since it carries no comparison information and
-    drowns the trailing-window fits."""
+    drowns the trailing-window fits.  The mask holds every point where ww
+    has risen, so it is never shorter than the window the first test
+    passed."""
     if int(np.count_nonzero(ww > PLATEAU_FLOOR)) < MIN_WINDOW_POINTS:
         return None
-    awake = (wv > PLATEAU_FLOOR) | (ww > PLATEAU_FLOOR)
-    if int(awake.sum()) < MIN_WINDOW_POINTS:
-        return None
-    return awake
+    return (wv > PLATEAU_FLOOR) | (ww > PLATEAU_FLOOR)
 
 
 def _window(v: Weight, w: Weight, *others: Weight) -> tuple | None:
@@ -422,11 +427,12 @@ def _window(v: Weight, w: Weight, *others: Weight) -> tuple | None:
 
 
 class RungSamples:
-    """Samples of v against every rung of one family of w.
+    """Samples of v against every rung of one family of w, and their trends.
 
     family is "dilate" (rung c is w.dilate(c)) or "power" (w.power(c)); the
     baseline is w itself, the rung c = 1 of either family.  window is
-    _window(v, w), and each claim on the pair reads the same rung arrays.
+    _window(v, w), and each claim on the pair reads the same rung arrays
+    and the same trends, fitted with policy.
     Two facts make the window exact for every power rung and for every
     dilation rung with c <= 1:
 
@@ -438,28 +444,47 @@ class RungSamples:
       w.power(c).omega_log(x) because every rung c is a power of two.
 
     A dilation rung with c > 1 pulls w's end in by log c, so it samples its
-    own window.  Rungs are filled on first use, so a ladder that settles at
-    its first rung evaluates no other.
+    own window.  Rungs and their trends are filled on first use, so a
+    ladder that settles at its first rung evaluates and fits no other.
     """
 
-    def __init__(self, v: Weight, w: Weight, family: str):
+    def __init__(self, v: Weight, w: Weight, family: str,
+                 policy: TrendPolicy = DEFAULT_POLICY):
         self.v = v
         self.w = w
         self.family = family
+        self.policy = policy
         self.window = _window(v, w)
-        self.rungs: dict[float, tuple | None] = {}  # c -> (window, ww, awake)
+        self.rungs: dict[float, tuple | None] = {}  # c -> (x, wv, ww, wb)
+        self.trends: dict[tuple[float, str], object] = {}  # (c, name) -> fit
 
     def rung(self, c: float) -> tuple | None:
         """Samples (x, wv, ww, wb) of rung c past the plateau; None to skip."""
         if c not in self.rungs:
             self.rungs[c] = self._sample(c)
-        if self.rungs[c] is None:
-            return None
-        (x, wv, wb), ww, awake = self.rungs[c]
-        return x[awake], wv[awake], ww[awake], wb[awake]
+        return self.rungs[c]
+
+    def trend(self, c: float, name: str):
+        """A trend of the gap d = ww - wv on rung c (not skipped), fitted on
+        first use: "gap" is the TrendReport of d; "race" (_race_kind against
+        the baseline gap wb - wv), "escape" (_escape_kind) and "base" (the
+        baseline gap's own trend) are kinds."""
+        key = (c, name)
+        if key not in self.trends:
+            x, wv, ww, wb = self.rungs[c]
+            if name == "gap":
+                fit = classify(x, ww - wv, self.policy)
+            elif name == "race":
+                fit = _race_kind(x, ww - wv, wb - wv, self.policy)
+            elif name == "escape":
+                fit = _escape_kind(x, ww - wv, self.policy)
+            else:
+                fit = classify(x, wb - wv, self.policy).kind
+            self.trends[key] = fit
+        return self.trends[key]
 
     def _sample(self, c: float) -> tuple | None:
-        """(window, ww, awake mask) of rung c on its full grid; None to skip."""
+        """(x, wv, ww, wb) of rung c past the plateau; None to skip."""
         if self.family == "dilate" and c > 1.0:
             window = _window(self.v, self.w, self.w.dilate(c))
         else:
@@ -474,58 +499,64 @@ class RungSamples:
         else:
             ww = self.w.dilate(c).omega_log(x)
         awake = _awake(wv, ww)
-        return None if awake is None else (window, ww, awake)
+        if awake is None:
+            return None
+        return x[awake], wv[awake], ww[awake], wb[awake]
 
 
-def _classify_rung(claim: str, samples: tuple | None,
-                   policy: TrendPolicy) -> tuple[State, tuple[float, float], float]:
-    """Classify one comparison rung.  Returns (state, witness_point, sup_d),
-    with Inconclusive for a window-limited rung.
+def _classify_rung(claim: str, samples: RungSamples,
+                   c: float) -> tuple[State, tuple[float, float], float]:
+    """Classify rung c of a sample set.  Returns (state, witness_point,
+    sup_d), with Inconclusive for a window-limited rung.
 
     preceq claim: omega_v - omega_w bounded above (w = O(v)).
     triangle claim: omega_w - omega_v -> +infinity (w = o(v)).
     In both, w is the side whose omega must dominate.  The baseline gap
     against wb separates window-limited rungs (dilation or power drag still
-    masking a divergent baseline) from genuine failures.
+    masking a divergent baseline) from genuine failures.  Both claims read
+    the rung's trends of d = omega_w - omega_v; the preceq diagnostic is -d,
+    whose rising trend is d's falling one.  Its witness comes from
+    omega_v - omega_w itself, which is +0.0 where -d would be -0.0.
     """
-    if samples is None:
+    rung = samples.rung(c)
+    if rung is None:
         return _SKIPPED
-    x, wv, ww, wb = samples
+    x, wv, ww, _ = rung
+    gap = samples.trend(c, "gap")
     if claim == "preceq":
+        if gap.kind is not Trend.FALLING or gap.peak_inside:
+            state = State.HOLDS
+        elif samples.trend(c, "race") is Trend.RISING:
+            state = State.INCONCLUSIVE
+        elif samples.trend(c, "escape") is Trend.RISING:
+            state = State.INCONCLUSIVE
+        else:
+            state = State.FAILS
         d = wv - ww
-        rep = classify(x, d, policy)
-        if rep.kind is not Trend.RISING or rep.peak_inside:
-            state = State.HOLDS
-        elif _race_kind(x, d, wb - wv, policy) is Trend.FALLING:
-            state = State.INCONCLUSIVE
-        elif _escape_kind(x, d, policy) is Trend.FALLING:
-            state = State.INCONCLUSIVE
-        else:
-            state = State.FAILS
+        k = int(np.argmax(d))
     else:
-        d = ww - wv
-        rep = classify(x, d, policy)
-        if rep.kind is Trend.RISING and not rep.peak_inside:
+        if gap.kind is Trend.RISING and not gap.peak_inside:
             state = State.HOLDS
-        elif rep.kind is Trend.RISING:
-            base_kind = classify(x, wb - wv, policy).kind
-            state = State.INCONCLUSIVE if base_kind is Trend.RISING else State.FAILS
-        elif _race_kind(x, d, wb - wv, policy) is Trend.RISING:
+        elif gap.kind is Trend.RISING:
+            rising = samples.trend(c, "base") is Trend.RISING
+            state = State.INCONCLUSIVE if rising else State.FAILS
+        elif samples.trend(c, "race") is Trend.RISING:
             state = State.INCONCLUSIVE
-        elif _escape_kind(x, d, policy) is Trend.RISING:
+        elif samples.trend(c, "escape") is Trend.RISING:
             state = State.INCONCLUSIVE
         else:
             state = State.FAILS
+        d = ww - wv
+        k = len(d) - 1
     # witness abscissa is log t: the extended spans overflow exp
-    k = int(np.argmax(d)) if claim == "preceq" else len(d) - 1
     return state, (float(x[k]), float(d[k])), float(d.max())
 
 
 def weight_preceq(v: Weight, w: Weight,
                   policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = O(v): omega_v - omega_w bounded above on the shared faithful window."""
-    samples = RungSamples(v, w, "power").rung(1.0)
-    state, point, sup_d = _classify_rung("preceq", samples, policy)
+    state, point, sup_d = _classify_rung(
+        "preceq", RungSamples(v, w, "power", policy), 1.0)
     if state is State.HOLDS:
         return holds(witnesses={"C": float(np.exp(max(0.0, sup_d)))},
                      evidence=(point,), note="gap bounded above on the window")
@@ -537,8 +568,8 @@ def weight_preceq(v: Weight, w: Weight,
 def weight_triangle(v: Weight, w: Weight,
                     policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = o(v): omega_w - omega_v -> +infinity on the shared faithful window."""
-    samples = RungSamples(v, w, "power").rung(1.0)
-    state, point, _ = _classify_rung("triangle", samples, policy)
+    state, point, _ = _classify_rung(
+        "triangle", RungSamples(v, w, "power", policy), 1.0)
     if state is State.HOLDS:
         return holds(witnesses={"gap_at_window_end": point[1]}, evidence=(point,),
                      note="gap diverges on the window")
@@ -551,12 +582,12 @@ def weight_triangle(v: Weight, w: Weight,
 # ladders over dilation and power families
 # ---------------------------------------------------------------------------
 
-def _exists_ladder(claim: str, samples: RungSamples, policy: TrendPolicy) -> Verdict:
+def _exists_ladder(claim: str, samples: RungSamples) -> Verdict:
     """The claim at the first rung c of OM6_LADDER that holds it."""
     undecided = False
     rung_evidence: list[tuple[float, float]] = []
     for c in OM6_LADDER:
-        state, point, sup_d = _classify_rung(claim, samples.rung(c), policy)
+        state, point, sup_d = _classify_rung(claim, samples, c)
         if state is State.HOLDS:
             return holds(witnesses={"c": float(c), "C": float(np.exp(max(0.0, sup_d)))},
                          evidence=(point,), note=f"first clean rung at c={c:g}")
@@ -570,12 +601,12 @@ def _exists_ladder(claim: str, samples: RungSamples, policy: TrendPolicy) -> Ver
                  note=f"gap unbounded at every c <= {OM6_LADDER[-1]:g}")
 
 
-def forall_ladder(claim: str, samples: RungSamples, policy: TrendPolicy) -> Verdict:
+def forall_ladder(claim: str, samples: RungSamples) -> Verdict:
     """The claim at every rung c of FORALL_LADDER, read off shared samples."""
     held: list[float] = []
     skipped: list[float] = []
     for c in FORALL_LADDER:
-        state, point, sup_d = _classify_rung(claim, samples.rung(c), policy)
+        state, point, _ = _classify_rung(claim, samples, c)
         if state is State.FAILS:
             return fails(evidence=((float(c), point[0]), point),
                          note=f"rung c={c:g} fails at log t={point[0]:.4g}")
@@ -591,15 +622,16 @@ def forall_ladder(claim: str, samples: RungSamples, policy: TrendPolicy) -> Verd
     return inconclusive("every rung window-limited")
 
 
-def power_gap(samples: RungSamples, policy: TrendPolicy) -> Verdict:
+def power_gap(samples: RungSamples) -> Verdict:
     """weight_triangle_pow on the rungs of a power sample set.
 
     Computed along two deliberately distinct routes that must agree: divergence
-    of the per-rung gap, and boundedness of v against every power of w.  Only
-    the samples are shared; each route classifies them with its own claim.
+    of the per-rung gap, and boundedness of v against every power of w.  The
+    samples and their trends are shared; each route decides every rung with
+    its own claim.
     """
-    diverge = forall_ladder("triangle", samples, policy)
-    bounded = forall_ladder("preceq", samples, policy)
+    diverge = forall_ladder("triangle", samples)
+    bounded = forall_ladder("preceq", samples)
     return fuse_unanimous({"divergence_route": diverge, "bounded_route": bounded},
                           note_prefix="power-family comparison")
 
@@ -607,28 +639,28 @@ def power_gap(samples: RungSamples, policy: TrendPolicy) -> Verdict:
 def weight_preceq_dila(v: Weight, w: Weight,
                        policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq dilate(w, c)."""
-    return _exists_ladder("preceq", RungSamples(v, w, "dilate"), policy)
+    return _exists_ladder("preceq", RungSamples(v, w, "dilate", policy))
 
 
 def weight_preceq_pow(v: Weight, w: Weight,
                       policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists c >= 1 with v preceq w^c."""
-    return _exists_ladder("preceq", RungSamples(v, w, "power"), policy)
+    return _exists_ladder("preceq", RungSamples(v, w, "power", policy))
 
 
 def weight_triangle_dila(v: Weight, w: Weight,
                          policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: omega_w(c t) - omega_v(t) -> +infinity (descending rungs)."""
-    return forall_ladder("triangle", RungSamples(v, w, "dilate"), policy)
+    return forall_ladder("triangle", RungSamples(v, w, "dilate", policy))
 
 
 def weight_preceq_all_dila(v: Weight, w: Weight,
                            policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: v preceq dilate(w, c) (descending rungs)."""
-    return forall_ladder("preceq", RungSamples(v, w, "dilate"), policy)
+    return forall_ladder("preceq", RungSamples(v, w, "dilate", policy))
 
 
 def weight_triangle_pow(v: Weight, w: Weight,
                         policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """For every c > 0: c omega_w(t) - omega_v(t) -> +infinity (see power_gap)."""
-    return power_gap(RungSamples(v, w, "power"), policy)
+    return power_gap(RungSamples(v, w, "power", policy))

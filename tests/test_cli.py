@@ -287,7 +287,9 @@ WALK = Path(__file__).resolve().parent / "golden" / "walk.csv"
      "--right", "ProjectiveDila:gevrey:1"),
     ("spaces", "decide", "--left", f"InductivePow:file:{WALK}",
      "--right", "ProjectivePow:gevrey:1"),
-], ids=["seq compare", "dilation crossing", "power crossing"])
+    ("spaces", "decide", "--left", f"SingleO:file:{WALK}",
+     "--right", "SingleO:gevrey:1"),
+], ids=["seq compare", "dilation crossing", "power crossing", "single spaces"])
 def test_sequences_of_different_J_exit_two(capsys, argv):
     # walk.csv holds J = 300; gevrey:1 is built at --J 256
     code, out, err = run(capsys, *argv, "--J", "256")
@@ -344,3 +346,39 @@ def test_malformed_csv_input_exits_two(capsys, tmp_path, reader, case):
     message = MALFORMED_ERRORS[reader, case].format(p=p)
     assert (code, out) == (2, "")
     assert err == f"growthcomp: error: cannot build {what} from {source!r}: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_main_reuses_one_parser(capsys):
+    argv = ("spaces", "decide", "--left", "InductivePow:gevrey:2",
+            "--right", "ProjectivePow:gevrey:1", "--J", "64", "--format", "csv")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and first[1]
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["seq", "analyze", "gevrey:1", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # nothing of the failed parses (a missing command, an unknown flag)
+    # carries over into the next report
+    assert run(capsys, *argv) == first
+    assert growthcomp.cli.build_parser() is growthcomp.cli.build_parser()
+
+
+def _help(capsys, *argv: str) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_reads_the_same_after_a_report(capsys):
+    before = _help(capsys, "seq", "compare")
+    assert run(capsys, "seq", "compare", "gevrey:1", "gevrey:2", "--J", "64")[0] == 0
+    assert _help(capsys, "seq", "compare") == before
+    assert "--margin" in before

@@ -11,6 +11,8 @@ from growthcomp import (Verdict, Weight, bridge_pow_seq, bridge_triangle_seq,
                         omega_little_o, pow_routes, product, scale_pow,
                         seq_approx, seq_preceq, tildestrong_check,
                         triangle_routes)
+from growthcomp import weight_functions
+from growthcomp.weight_functions import RungSamples, forall_ladder, from_sequence
 
 # ---------------------------------------------------------------------------
 # frozen bridge outcomes
@@ -71,6 +73,45 @@ def test_one_pair_samples_each_forall_ladder_once(ghalf, g1, monkeypatch):
     assert tri["dilation_gap"].holds and tri["dilation_bounds"].holds
     assert pw["power_gap"].holds
     assert len(calls) <= 14, calls
+
+
+def test_the_preceq_ladder_reads_the_trends_the_triangle_ladder_fitted(
+        ghalf, g1, monkeypatch):
+    # both claims read one classification per rung: after the triangle
+    # ladder, the preceq ladder fits nothing on a rung the triangle read
+    calls = []
+    real_classify = weight_functions.classify
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_classify(*args, **kwargs)
+
+    monkeypatch.setattr(weight_functions, "classify", counted)
+    fits: list[tuple[float, int]] = []  # (rung, classify calls of one trend)
+    real_trend = RungSamples.trend
+
+    def traced(self, c, name):
+        before = len(calls)
+        out = real_trend(self, c, name)
+        fits.append((c, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(RungSamples, "trend", traced)
+    fitted_later = 0
+    # (ghalf, g1) holds on every rung; (g1, g1) fails at its first rung,
+    # so the preceq ladder goes on to rungs the triangle never read
+    for v, w in ((g1, ghalf), (g1, g1)):
+        for family in ("dilate", "power"):
+            samples = RungSamples(from_sequence(v), from_sequence(w), family)
+            forall_ladder("triangle", samples)
+            read = {c for c, _ in samples.trends}
+            fits.clear()
+            calls.clear()
+            forall_ladder("preceq", samples)
+            assert sum(n for c, n in fits if c in read) == 0
+            assert len(calls) == sum(n for _, n in fits)
+            fitted_later += len(calls)
+    assert fitted_later > 0
 
 
 def test_mg_transfers_along_equivalence(g1, g2):

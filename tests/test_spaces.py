@@ -137,6 +137,16 @@ def test_crossing_of_sequences_of_different_J_raises(axis):
                          SpaceSpec(f"Projective{axis}", gevrey(1.0, 128)))
 
 
+@pytest.mark.parametrize("flavors", [("SingleO", "SingleO"),
+                                     ("SingleLittleO", "SingleO")])
+def test_single_spaces_of_sequences_of_different_J_raise(flavors):
+    # the plain ratio used to compare only the common indices j <= 64
+    left, right = flavors
+    with pytest.raises(RoutingError, match="need one J, not J = 128 and J = 64"):
+        decide_inclusion(SpaceSpec(left, gevrey(2.0, 128), c=1.0),
+                         SpaceSpec(right, gevrey(1.0, 64), c=1.0))
+
+
 # ---------------------------------------------------------------------------
 # family-system equivalence
 # ---------------------------------------------------------------------------

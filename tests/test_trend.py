@@ -54,7 +54,9 @@ def _ref_classify(x, y, policy, margin=None):
         kind = Trend.FALLING
     else:
         kind = Trend.FLAT
-    return TrendReport(kind, slope, kind is Trend.RISING and sq <= 0)
+    peak = ((kind is Trend.RISING and sq <= 0)
+            or (kind is Trend.FALLING and sq >= 0))
+    return TrendReport(kind, slope, peak)
 
 
 def _cases(rng):
@@ -115,7 +117,7 @@ def test_classify_reads_the_trend_off_the_trailing_window():
     assert classify(x, np.zeros_like(x), DEFAULT_POLICY).kind is Trend.FLAT
 
 
-def test_classify_fits_the_quarter_only_on_a_rising_trend(monkeypatch):
+def test_classify_fits_the_quarter_only_on_a_rising_or_falling_trend(monkeypatch):
     calls = []
     real = trend.ls_slope
 
@@ -125,10 +127,18 @@ def test_classify_fits_the_quarter_only_on_a_rising_trend(monkeypatch):
 
     monkeypatch.setattr(trend, "ls_slope", counted)
     x = np.linspace(0.0, 4.0, 401)
-    for y, kind in ((np.zeros_like(x), Trend.FLAT), (-x, Trend.FALLING)):
-        calls.clear()
-        assert classify(x, y, DEFAULT_POLICY).kind is kind
-        assert calls == [201]
+    # flat: the window only
+    assert classify(x, np.zeros_like(x), DEFAULT_POLICY).kind is Trend.FLAT
+    assert calls == [201]
+    # falling: the window, then its final quarter
+    calls.clear()
+    rep = classify(x, -x, DEFAULT_POLICY)
+    assert rep.kind is Trend.FALLING and not rep.peak_inside
+    assert calls == [201, 51]
+    # falling to a trough inside the final quarter
+    calls.clear()
+    assert classify(x, (x - 3.6) ** 2, DEFAULT_POLICY).peak_inside
+    assert calls == [201, 51]
     # rising: the window, then its final quarter
     calls.clear()
     rep = classify(x, x, DEFAULT_POLICY)
@@ -145,3 +155,75 @@ def test_classify_reads_a_nan_slope_as_flat(monkeypatch):
     x = np.linspace(0.0, 4.0, 401)
     rep = classify(x, x, DEFAULT_POLICY)
     assert rep.kind is Trend.FLAT and not rep.peak_inside
+
+
+# ---------------------------------------------------------------------------
+# the report of -y is the report of y negated, bit for bit
+# ---------------------------------------------------------------------------
+
+SWAPPED = {Trend.RISING: Trend.FALLING, Trend.FALLING: Trend.RISING,
+           Trend.FLAT: Trend.FLAT}
+
+
+def _assert_negated(x, y, margin=None):
+    rep = classify(x, y, DEFAULT_POLICY, margin=margin)
+    neg = classify(x, -y, DEFAULT_POLICY, margin=margin)
+    assert neg.kind is SWAPPED[rep.kind]
+    assert neg.peak_inside == rep.peak_inside
+    # the int64 view tells -0.0 from 0.0 and any last-bit difference
+    want = np.array([-rep.slope]).view(np.int64)[0]
+    assert np.array([neg.slope]).view(np.int64)[0] == want
+    return rep
+
+
+def test_classify_commutes_with_negation():
+    rng = np.random.default_rng(20261019)
+    x = np.linspace(0.0, 6.0, 601)
+    kinds = set()
+    for y in (x ** 1.5 + rng.normal(0.0, 0.2, x.size),     # rising
+              np.sin(x) + rng.normal(0.0, 1e-3, x.size),   # peak inside
+              -(x - 5.5) ** 2,                             # turns inside the quarter
+              np.log1p(x) * 1e-3,                          # flat
+              rng.normal(0.0, 1.0, x.size).cumsum()):      # a walk
+        kinds.add(_assert_negated(x, y).kind)
+        # exact zeros: a plateau at 0 over the first third of the window
+        _assert_negated(x, np.where(x < 4.0, 0.0, y))
+    assert kinds == set(Trend)
+    # a slope of exactly zero decides no kind and may keep its sign
+    for y in (np.zeros_like(x), np.full_like(x, 2.5)):
+        rep = classify(x, y, DEFAULT_POLICY)
+        neg = classify(x, -y, DEFAULT_POLICY)
+        assert rep.kind is neg.kind is Trend.FLAT and rep.slope == neg.slope == 0.0
+
+
+def test_classify_commutes_with_negation_on_non_finite_points():
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.0, 6.0, 301)
+    y = 0.4 * x + rng.normal(0.0, 0.05, x.size)
+    for bad in (np.nan, np.inf, -np.inf):
+        yb = y.copy()
+        yb[rng.integers(0, x.size, 30)] = bad
+        assert _assert_negated(x, yb).kind is Trend.RISING
+        xb = x.copy()
+        xb[rng.integers(0, x.size, 30)] = bad
+        _assert_negated(xb, y)
+
+
+def test_classify_commutes_with_negation_on_a_short_quarter():
+    # the final quarter holds one point, the second half two: the quarter
+    # slope falls back to the second half
+    x = np.array([0.0, 1.0, 2.0, 3.2, 3.4, 4.0])
+    y = np.array([0.0, 0.0, 0.0, 3.0, 2.5, 2.0])
+    rep = _assert_negated(x, y)
+    assert rep.kind is Trend.RISING and rep.peak_inside
+    # the trailing window holds two points: the fallback is the window
+    rep = _assert_negated(np.array([0.0, 0.1, 3.9, 4.0]),
+                          np.array([0.0, 0.0, 3.0, 3.5]))
+    assert rep.kind is Trend.RISING and not rep.peak_inside
+
+
+def test_classify_commutes_with_negation_under_a_margin_override():
+    x = np.linspace(0.0, 4.0, 401)
+    y = 0.03 * x
+    assert _assert_negated(x, y).kind is Trend.FLAT
+    assert _assert_negated(x, y, margin=DEFAULT_POLICY.ratio_margin).kind is Trend.RISING

@@ -13,7 +13,8 @@ from growthcomp import (AssociatedWeight, Weight, associated_sequence,
                         normalize, product, q_gevrey, rapidly_decreasing,
                         sandwich_check, strong_ratio_check, triangle_routes,
                         weight_preceq, weight_preceq_all_dila,
-                        weight_preceq_dila, weight_preceq_pow, weight_triangle)
+                        weight_preceq_dila, weight_preceq_pow, weight_triangle,
+                        weight_triangle_dila)
 from growthcomp.associated_weight import LADDER_GRID_N, OM6_LADDER
 from growthcomp.trend import MIN_WINDOW_POINTS
 from growthcomp.weight_functions import (FORALL_LADDER, RungSamples, _awake,
@@ -277,6 +278,43 @@ def test_shared_forall_samples_equal_the_per_rung_samples(kind, family):
             if got is not None:
                 awake = np.isin(x, got[0])
                 np.testing.assert_array_equal(got[2], direct[awake])
+
+
+# every rung window-limited: each comparison abstains with its own note
+WINDOW_LIMITED = "window-limited: the gap has not settled inside the faithful range"
+
+
+def test_a_window_below_the_grid_leaves_every_rung_skipped():
+    # the table ends at t = 1e-4, below the grid's first point
+    tiny = from_table([1e-5, 1e-4], [0.0, 1.0])
+    v = from_sequence(gevrey(1.0, 64))
+    for family in ("dilate", "power"):
+        samples = RungSamples(v, tiny, family)
+        assert samples.window is None
+        assert all(samples.rung(c) is None for c in FORALL_LADDER + OM6_LADDER)
+    for check in (weight_preceq, weight_triangle):
+        vd = check(v, tiny)
+        assert vd.inconclusive and vd.note == WINDOW_LIMITED
+        assert vd.witnesses == {} and vd.evidence == ()
+    vd = weight_triangle_dila(v, tiny)
+    assert vd.inconclusive and vd.note == "every rung window-limited"
+    vd = weight_preceq_all_dila(v, tiny)
+    assert vd.inconclusive and vd.note == "every rung window-limited"
+
+
+def test_a_dormant_rung_is_skipped():
+    # omega of the table rises above the plateau on fewer than
+    # MIN_WINDOW_POINTS grid points: the rung is dormant, not decided
+    late = from_table([0.5, 1.0, 1.01], [0.0, 0.0, 1.0])
+    v = from_sequence(gevrey(1.0, 64))
+    samples = RungSamples(v, late, "power")
+    assert samples.window is not None and samples.rung(1.0) is None
+    x, wv, ww = samples.window
+    assert 0 < int(np.count_nonzero(ww > 1e-9)) < MIN_WINDOW_POINTS
+    assert _awake(wv, ww) is None
+    for check in (weight_preceq, weight_triangle):
+        vd = check(v, late)
+        assert vd.inconclusive and vd.note == WINDOW_LIMITED
 
 
 # ---------------------------------------------------------------------------
