@@ -104,16 +104,22 @@ def suite_roundtrip(battery: tuple[WeightSequence, ...]) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def _all_chords_envelope(y: np.ndarray) -> np.ndarray:
-    """Lower convex envelope by trying every chord; quadratic and literal."""
+    """Lower convex envelope by trying every chord; quadratic and literal.
+
+    For each a, every chord (a, b) is formed at once at every k in a+1..J-1,
+    with +inf where k >= b, so that the minimum over b takes each chord only
+    over its own interior; the minimum is exact, so the order of the chords
+    does not matter.
+    """
     J = len(y) - 1
     env = y.copy()
     js = np.arange(J + 1, dtype=float)
     for a in range(J - 1):
-        for b in range(a + 2, J + 1):
-            ks = js[a + 1:b]
-            chord = y[a] + (y[b] - y[a]) * ((ks - a) / float(b - a))
-            seg = env[a + 1:b]
-            np.minimum(seg, chord, out=seg)
+        bs = np.arange(a + 2, J + 1)[:, None]
+        ks = js[a + 1:J]
+        chords = y[a] + (y[bs] - y[a]) * ((ks - a) / (bs - a).astype(float))
+        chords[ks >= bs] = np.inf
+        np.minimum(env[a + 1:J], chords.min(axis=0), out=env[a + 1:J])
     return env
 
 

@@ -16,7 +16,8 @@ since their agreement is itself a checked invariant.
 The scan route and both recoveries (legendre_recover here,
 associated_sequence for a weight) are one discrete Legendre conjugate run in
 two directions.  The scan, and the recovery of a weight that is not a
-(dilated) sequence weight, take the dense blocked kernel ``conjugate``.  The
+(dilated) sequence weight, take the dense kernel ``conjugate``, blocked by
+a budget of SCAN_CELLS terms so that its work array stays in cache.  The
 scan forms its terms as x*j where the closed form forms j*x; IEEE
 multiplication is commutative and max is exact, so the two routes still
 agree bit for bit.  A sequence weight is recovered by ``recover``: the same
@@ -52,7 +53,8 @@ MIN_WINDOW_SPAN = 0.05
 # share of the grid-supported index range a recovery reports as reliable
 RELIABLE_FRACTION = 0.5
 
-SCAN_CHUNK = 512
+# terms of conjugate's work array (512 KB), so that it stays in cache
+SCAN_CELLS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +121,19 @@ class AssociatedWeight:
 def conjugate(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Discrete Legendre conjugate: out[i] = max_k (a[i] * b[k] - c[k]).
 
-    The rows of a go through in blocks of SCAN_CHUNK in one reused work
-    array of at most SCAN_CHUNK * len(b) terms (a fresh array per block
-    would be mapped and faulted in anew once it outgrows the heap).
+    The rows of a go through in blocks of SCAN_CELLS // len(b) rows (at
+    least one) in one reused work array of at most max(SCAN_CELLS, len(b))
+    terms.  Each row's terms and its maximum do not depend on the block it
+    falls in, and max is exact, so the blocking leaves every bit as it is.
     """
+    rows = max(1, SCAN_CELLS // len(b))
     out = np.empty(len(a))
-    buf = np.empty((min(SCAN_CHUNK, len(a)), len(b)))
-    for lo in range(0, len(a), SCAN_CHUNK):
-        blk = a[lo:lo + SCAN_CHUNK]
+    buf = np.empty((min(rows, len(a)), len(b)))
+    for lo in range(0, len(a), rows):
+        blk = a[lo:lo + rows]
         terms = np.multiply.outer(blk, b, out=buf[:len(blk)])
         terms -= c
-        out[lo:lo + SCAN_CHUNK] = terms.max(axis=1)
+        out[lo:lo + rows] = terms.max(axis=1)
     return out
 
 

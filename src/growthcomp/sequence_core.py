@@ -11,6 +11,11 @@ associated_sequence store the log quotients they sum, and the quotient-based
 predicates consult them: the float difference of a prefix sum does not give
 back the summands bit-for-bit.  The other constructors store none, and
 quotient_array takes the differences of the values.
+
+Moderate growth reads the pairing minima min_j (log M_j + log M_{n-j}) for
+every n, a quadratic scan; _pairing_minima forms them PAIR_ROWS values of n
+at a time from one sliding window over the reversed values, bit for bit the
+minimum over each n on its own.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .trend import DEFAULT_POLICY, Trend, TrendPolicy, classify, index_window
 from .verdicts import Verdict, fails, fuse_conjunction, holds, inconclusive
@@ -29,6 +35,8 @@ from .verdicts import Verdict, fails, fuse_conjunction, holds, inconclusive
 LADDER_MAX_INDEX = 16
 # index range of constructed sequences and recoveries unless a caller sets J
 DEFAULT_J = 512
+# values of n whose pairing minima check_mg forms in one block
+PAIR_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +335,13 @@ def check_mg(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY) -> Verdict
 
     Diagnostic: e_n = max_j (log M_n - log M_j - log M_{n-j}) / n; the claim
     holds iff e_n stays bounded, tested as the trend of the running maximum.
+    The minima over j come from _pairing_minima, PAIR_ROWS values of n at a
+    time.
     """
     y = M.log_values
     J = M.J
     n_vals = np.arange(2, J + 1)
-    e = np.empty(len(n_vals))
-    for i, n in enumerate(n_vals):
-        seg = y[0:n + 1]
-        e[i] = (y[n] - (seg + seg[::-1]).min()) / n
+    e = (y[2:] - _pairing_minima(y)) / n_vals
     running = np.maximum.accumulate(e)
     rep, (lo, hi) = index_trend(running, 2, policy)
     n_star = int(n_vals[np.argmax(e)])
@@ -345,6 +352,30 @@ def check_mg(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY) -> Verdict
     return holds(witnesses={"C": float(np.exp(e_star))},
                  evidence=((float(n_star), e_star),),
                  note=f"running max stable on n in [{lo},{hi}]")
+
+
+def _pairing_minima(y: np.ndarray) -> np.ndarray:
+    """min over j in 0..n of y[j] + y[n-j], for n = 2..J, bit for bit.
+
+    The rows n of a block [n0, n1) of PAIR_ROWS values take their minimum
+    over the columns j = 0..h, h = (n1 - 1) // 2, at once: column j reads
+    y[n-j] from a sliding window over y reversed and padded with +inf, so
+    that y[n-j] is +inf for j > n.  The minimum is the one over j = 0..n:
+    IEEE addition commutes, so y[j] + y[n-j] for j <= n // 2 already forms
+    every sum of the row; a column n // 2 < j <= n repeats the sum of
+    column n - j; a column j > n holds +inf, above every finite sum; and
+    the minimum is exact, whatever the order it meets its operands in.
+    """
+    J = len(y) - 1
+    ry = np.concatenate((y[::-1], np.full(J // 2 + 1, np.inf)))
+    out = np.empty(J - 1)
+    for n0 in range(2, J + 1, PAIR_ROWS):
+        n1 = min(n0 + PAIR_ROWS, J + 1)
+        h = (n1 - 1) // 2
+        # window J - n starts at ry[J - n] = y[n]; rows run n0..n1-1
+        win = sliding_window_view(ry, h + 1)[J - n1 + 1:J - n0 + 1][::-1]
+        out[n0 - 2:n1 - 2] = (y[:h + 1] + win).min(axis=1)
+    return out
 
 
 def check_mg_diag(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:

@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .associated_weight import (OM1_LADDER, OM6_LADDER, SCAN_CHUNK,
-                                check_om6_omega)
+from .associated_weight import OM1_LADDER, OM6_LADDER, check_om6_omega
 from .grids import default_grid
 from .relations import (POW_BRIDGE, TRIANGLE_BRIDGE, pow_routes,
                         tildestrong_check, triangle_routes)
@@ -438,6 +437,8 @@ class PowerSeries:
         return int(np.max(np.nonzero(np.isfinite(self.log_abs_coeffs))[0]))
 
 
+# points of one block of the series kernel
+SCAN_CHUNK = 512
 # exp(z) is exactly 0.0 for z below about -745.13, so a term that lies more
 # than SERIES_CUT under its column maximum adds exactly 0.0 to the sum
 SERIES_CUT = 746.0

@@ -15,10 +15,11 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from growthcomp import standard_battery
-from growthcomp.acceptance import SUITES, run_suite
+from growthcomp.acceptance import SUITES, _all_chords_envelope, run_suite
 
 RUNTIME_BUDGET_S = 60.0
 GOLDEN_LINES = Path(__file__).resolve().parent / "golden" / "verify.txt"
@@ -88,6 +89,29 @@ def test_acceptance_system_equivalence(timed_suite):
 
 def test_acceptance_membership_matrix(timed_suite):
     _check("membership-matrix", timed_suite)
+
+
+def _all_chords_envelope_by_chord(y: np.ndarray) -> np.ndarray:
+    # the literal reference: one chord (a, b) at a time
+    J = len(y) - 1
+    env = y.copy()
+    js = np.arange(J + 1, dtype=float)
+    for a in range(J - 1):
+        for b in range(a + 2, J + 1):
+            ks = js[a + 1:b]
+            chord = y[a] + (y[b] - y[a]) * ((ks - a) / float(b - a))
+            seg = env[a + 1:b]
+            np.minimum(seg, chord, out=seg)
+    return env
+
+
+def test_envelope_oracle_equals_the_chord_by_chord_loop():
+    rng = np.random.default_rng(18)
+    for J, loc, scale in ((2, 0.6, 1.5), (3, 0.6, 1.5), (64, 0.6, 1.5), (120, 0.0, 1e3)):
+        for _ in range(3):
+            y = np.concatenate(([0.0], np.cumsum(rng.normal(loc, scale, J))))
+            np.testing.assert_array_equal(_all_chords_envelope(y).view(np.int64),
+                                          _all_chords_envelope_by_chord(y).view(np.int64))
 
 
 def test_acceptance_runtime_budget(timed_suite):

@@ -16,9 +16,10 @@ from growthcomp import (AssociatedWeight, WeightSequence, associated_sequence,
                         from_values, gevrey, is_log_convex, legendre_recover,
                         log_convex_minorant, normalize, omega_eval,
                         q_gevrey, standard_battery)
-from growthcomp.associated_weight import (OM1_LADDER, OM6_LADDER, OMEGA_MODES,
-                                          SCAN_CHUNK, conjugate, om1_ladder,
-                                          om6_ladder, recover)
+from growthcomp.associated_weight import (MIN_WINDOW_SPAN, OM1_LADDER,
+                                          OM6_LADDER, OMEGA_MODES, SCAN_CELLS,
+                                          conjugate, om1_ladder, om6_ladder,
+                                          recover)
 
 # ---------------------------------------------------------------------------
 # counting route
@@ -246,9 +247,11 @@ def _with_knots(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
 
 
 def test_suprema_across_kernel_blocks_match_a_dense_reference():
-    # J = 1100 spans three blocks of the kernel, with a partial last block
+    # the J points of the scan over J + 1 indices span three or more blocks
+    # of the kernel, with a partial last block
     J = 1100
-    assert J + 1 > 2 * SCAN_CHUNK
+    rows = SCAN_CELLS // (J + 1)
+    assert J > 2 * rows and J % rows
     rng = np.random.default_rng(11)
     walk = np.concatenate(([0.0], np.cumsum(rng.normal(0.5, 2.0, J))))
     M = WeightSequence(walk, label="walk")
@@ -290,6 +293,33 @@ def _traced_peak(recovery) -> int:
     finally:
         tracemalloc.stop()
     return peak
+
+
+# the peak may exceed the work array and the output by the few small arrays
+# of one block (a block's row maxima, views)
+KERNEL_SLACK = 16 * 2 ** 10
+
+
+def test_conjugate_work_array_stays_within_its_cell_budget():
+    P = gevrey(1.0, 4096).log_values
+    b = np.arange(4097.0)
+    for a in (default_grid().log_t, np.linspace(-3.0, 9.0, 7)):
+        np.testing.assert_array_equal(conjugate(a, b, P), _dense_sup(a, b, P))
+        bound = 8 * SCAN_CELLS + 8 * len(a) + KERNEL_SLACK
+        assert _traced_peak(lambda: conjugate(a, b, P)) < bound
+
+
+def test_conjugate_takes_one_row_per_block_past_the_cell_budget():
+    # one row of more than SCAN_CELLS terms per block, and a single row (the
+    # row 0 that recover takes from the dense kernel)
+    rng = np.random.default_rng(18)
+    b = np.sort(rng.normal(0.0, 8.0, SCAN_CELLS + 1000))
+    c = rng.normal(0.0, 50.0, len(b))
+    for a in (np.linspace(-2.0, 2.0, 3), np.zeros(1)):
+        np.testing.assert_array_equal(conjugate(a, b, c).view(np.int64),
+                                      _dense_sup(a, b, c).view(np.int64))
+        bound = 8 * len(b) + 8 * len(a) + KERNEL_SLACK
+        assert _traced_peak(lambda: conjugate(a, b, c)) < bound
 
 
 def test_large_recovery_stays_within_a_memory_bound():
@@ -423,6 +453,22 @@ def test_ladder_failures_enumerate_every_rung():
     v1 = om1_ladder(ee, 3.0)
     assert v1.fails
     assert [L for L, _ in v1.evidence] == list(OM1_LADDER)
+
+
+def test_ladders_abstain_where_the_window_is_too_short():
+    lin = lambda x: 1e3 * np.clip(np.asarray(x, dtype=float), 0.0, None)
+    # H = 1, 2 leave a window, every H >= 4 is skipped, and lin fails on both
+    v6 = om6_ladder(lin, np.log(4.0) + MIN_WINDOW_SPAN / 2.0)
+    assert v6.fails
+    assert [H for H, _ in v6.evidence] == [1.0, 2.0]
+    assert v6.note == ("violation on every evaluable rung; evidence is (H, log t) "
+                       "(window too short for H >= 4)")
+    v6 = om6_ladder(lin, MIN_WINDOW_SPAN)
+    assert v6.inconclusive
+    assert v6.note == "faithful range too short for any rung"
+    v1 = om1_ladder(lin, np.log(2.0) + MIN_WINDOW_SPAN / 2.0)
+    assert v1.inconclusive
+    assert v1.note == "faithful range too short for the doubling window"
 
 
 def test_sequence_level_ladder_checks(g1, q15):

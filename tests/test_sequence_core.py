@@ -14,7 +14,8 @@ from growthcomp import (WeightSequence, check_56_alternative, check_mg,
                         gevrey, is_log_convex, log_convex_minorant,
                         log_factorials, mixture, product, q_gevrey, scale_pow,
                         seq_approx, seq_preceq, seq_triangle, tilde)
-from growthcomp.sequence_core import _lower_hull_vertices
+from growthcomp import sequence_core
+from growthcomp.sequence_core import _lower_hull_vertices, _pairing_minima
 
 # ---------------------------------------------------------------------------
 # construction and frozen factory values
@@ -284,6 +285,47 @@ def test_alternative_rejects_squared_factorial(fact_sq):
     vd = check_56_alternative(fact_sq)
     assert vd.fails
     assert "every C" in vd.note
+
+
+def _pairing_minima_per_n(y: np.ndarray) -> np.ndarray:
+    # the literal reference: one sum of y and its reversal per n
+    out = np.empty(len(y) - 2)
+    for n in range(2, len(y)):
+        seg = y[0:n + 1]
+        out[n - 2] = (seg + seg[::-1]).min()
+    return out
+
+
+def _pairing_inputs() -> list[WeightSequence]:
+    # the minimum J, the block edges around PAIR_ROWS = 64 and the +inf
+    # padding, a steep q-Gevrey sequence and a walk with steps of scale 1e3
+    rng = np.random.default_rng(18)
+    walks = [WeightSequence(np.concatenate(([0.0], np.cumsum(rng.normal(0.3, 2.0, J)))),
+                            label=f"walk{J}")
+             for J in (2, 3, 4, 5, 63, 64, 65, 66, 127, 128, 129, 1000)]
+    steep = WeightSequence(np.concatenate(([0.0], np.cumsum(rng.normal(0.0, 1e3, 300)))),
+                           label="steep walk")
+    return walks + [steep, q_gevrey(3.0, 2048)]
+
+
+def test_blocked_pairing_minima_equal_the_per_n_loop():
+    for M in _pairing_inputs():
+        np.testing.assert_array_equal(_pairing_minima(M.log_values).view(np.int64),
+                                      _pairing_minima_per_n(M.log_values).view(np.int64),
+                                      err_msg=M.label)
+
+
+def test_mg_verdicts_do_not_depend_on_the_pairing_kernel(monkeypatch):
+    def verdicts():
+        # C = exp(e*) overflows to inf on the steep walk
+        with np.errstate(over="ignore"):
+            return [check_mg(M) for M in _pairing_inputs()]
+
+    blocked = verdicts()
+    monkeypatch.setattr(sequence_core, "_pairing_minima", _pairing_minima_per_n)
+    for got, want in zip(blocked, verdicts(), strict=True):
+        assert (got.state, got.witnesses, got.evidence, got.note) == \
+               (want.state, want.witnesses, want.evidence, want.note)
 
 
 def test_mg_and_diagonal_route_agree(battery):
