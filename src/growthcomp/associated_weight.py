@@ -53,7 +53,8 @@ MIN_WINDOW_SPAN = 0.05
 # share of the grid-supported index range a recovery reports as reliable
 RELIABLE_FRACTION = 0.5
 
-# terms of conjugate's work array (512 KB), so that it stays in cache
+# cells of one block of a dense kernel (512 KB), so that it stays in cache:
+# conjugate's work array and one group of the series kernel's band bounds
 SCAN_CELLS = 1 << 16
 
 

@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .associated_weight import OM1_LADDER, OM6_LADDER, check_om6_omega
+from .associated_weight import (OM1_LADDER, OM6_LADDER, SCAN_CELLS,
+                                check_om6_omega)
 from .grids import default_grid
 from .relations import (POW_BRIDGE, TRIANGLE_BRIDGE, pow_routes,
                         tildestrong_check, triangle_routes)
@@ -447,6 +448,33 @@ SERIES_CUT = 746.0
 TAIL_CUT = 37.0
 
 
+def _band_cuts(cf: np.ndarray, js: np.ndarray, x_lo: np.ndarray,
+               x_hi: np.ndarray, rho: float) -> np.ndarray:
+    """Rows a, s0, s1, b of the band of each block with ends x_lo, x_hi.
+
+    Row i of the (blocks x coefficients) arrays is the bound vector of block
+    i, formed by the elementwise expressions of log_series_eval, so the cuts
+    are the integers one block at a time gives.  A row with bound >= -rho
+    also clears the two edges, so [s0, s1) lies inside [a, b).
+    """
+    t_lo = cf + js * x_lo[:, None]
+    t_hi = cf + js * x_hi[:, None]
+    r = np.arange(len(t_lo))
+
+    def gap(k):
+        return np.maximum(t_lo - t_lo[r, k][:, None], t_hi - t_hi[r, k][:, None])
+
+    # bound[k_lo] = 0, so every cut below keeps at least that row
+    bound = np.minimum(gap(t_lo.argmax(axis=1)), gap(t_hi.argmax(axis=1)))
+    n = bound.shape[1]
+    a = (bound >= -(SERIES_CUT + rho)).argmax(axis=1)
+    b = n - (bound >= -(TAIL_CUT + rho))[:, ::-1].argmax(axis=1)
+    inside = bound >= -rho
+    s0 = inside.argmax(axis=1)
+    s1 = n - inside[:, ::-1].argmax(axis=1)
+    return np.stack([a, s0, s1, b])
+
+
 def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log sum_j |a_j| t^j at x = log t, plus the dominant index per point.
 
@@ -491,6 +519,16 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
       For the same reason the differences in the rows from s1 on are
       clamped at -TAIL_CUT before exp: a clamped term still adds nothing,
       and exp takes no subnormal or underflowing argument there.
+
+    The bound vectors of SCAN_CELLS // (finite coefficients) blocks (at
+    least one) are formed at once, as the rows of (blocks x coefficients)
+    arrays; the block ends come from minimum/maximum.reduceat over the block
+    starts, and every entry is the expression above, so each block gets the
+    cuts it would get alone (_band_cuts).  The terms go into one work array
+    per call, sized by the widest band times its block width: each block
+    fills a C-contiguous (rows, width) view of its prefix with fl(j x) and
+    adds c in place, which is fl(c + fl(j x)) as addition commutes, and such
+    a view sums row by row as a fresh array does.
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("series evaluation needs finite log t")
@@ -502,26 +540,27 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     args = np.empty(len(x), dtype=int)
     rho = 8.0 * np.finfo(float).eps * (
         np.max(np.abs(cf)) + js[-1] * np.max(np.abs(x), initial=0.0))
-    for lo in range(0, len(x), SCAN_CHUNK):
-        blk = x[lo:lo + SCAN_CHUNK]
-        n = len(blk)
-        if n == 1:
-            # numpy sums a lone column pairwise; a pair of columns sums by row
-            blk = np.repeat(blk, 2)
-        t_lo = cf + js * blk.min()
-        t_hi = cf + js * blk.max()
-        k_lo, k_hi = t_lo.argmax(), t_hi.argmax()
-        # bound[k_lo] = 0, so every cut below keeps at least that row
-        bound = np.minimum(np.maximum(t_lo - t_lo[k_lo], t_hi - t_hi[k_lo]),
-                           np.maximum(t_lo - t_lo[k_hi], t_hi - t_hi[k_hi]))
-        a = (bound >= -(SERIES_CUT + rho)).argmax()
-        b = len(bound) - (bound >= -(TAIL_CUT + rho))[::-1].argmax()
-        inside = bound[a:b] >= -rho
-        s0 = inside.argmax()
-        s1 = len(inside) - inside[::-1].argmax()
-        terms = cf[a:b, None] + js[a:b, None] * blk
+    starts = np.arange(0, len(x), SCAN_CHUNK)
+    x_lo = np.minimum.reduceat(x, starts)
+    x_hi = np.maximum.reduceat(x, starts)
+    cuts = np.empty((4, len(starts)), dtype=int)
+    group = max(1, SCAN_CELLS // len(cf))
+    for g in range(0, len(starts), group):
+        cuts[:, g:g + group] = _band_cuts(cf, js, x_lo[g:g + group],
+                                          x_hi[g:g + group], rho)
+    widths = np.minimum(len(x) - starts, SCAN_CHUNK)
+    # numpy sums a lone column pairwise; a pair of columns sums by row
+    cols = np.maximum(widths, 2)
+    work = np.empty(np.max((cuts[3] - cuts[0]) * cols, initial=0))
+    for lo, n, w, a, s0, s1, b in zip(starts.tolist(), widths.tolist(),
+                                      cols.tolist(), *cuts.tolist()):
+        blk = x[lo:lo + n] if n == w else np.repeat(x[lo:lo + n], w)
+        terms = work[:(b - a) * w].reshape(b - a, w)
+        np.multiply.outer(js[a:b], blk, out=terms)
+        terms += cf[a:b, None]
+        s0, s1 = s0 - a, s1 - a
         k = s0 + terms[s0:s1].argmax(axis=0)
-        m = terms[k, np.arange(len(blk))]
+        m = terms[k, np.arange(w)]
         terms -= m
         np.maximum(terms[s1:], -TAIL_CUT, out=terms[s1:])
         np.exp(terms, out=terms)

@@ -17,8 +17,8 @@ from growthcomp import (FLAVORS, PowerSeries, RoutingError, SpaceSpec,
                         membership, monomial, norm_estimate, seq_preceq,
                         system_equiv, system_equiv_weight, theta_series)
 from growthcomp.acceptance import THETA_PROBES
-from growthcomp.associated_weight import OM6_LADDER
-from growthcomp.spaces import TAIL_CUT
+from growthcomp.associated_weight import OM6_LADDER, SCAN_CELLS
+from growthcomp.spaces import SCAN_CHUNK, TAIL_CUT
 
 # ---------------------------------------------------------------------------
 # space specifications
@@ -184,6 +184,42 @@ def test_theta_separates_the_dilation_modes(g1):
     assert membership(f, SpaceSpec("ProjectiveDila", g1)).fails
 
 
+def test_membership_abstains_where_no_window_decides(g1):
+    # dilated by 1e6 the weight is faithful only below t = 512e-6, under the
+    # grid start, so the series is evaluated on no point at all
+    probe = theta_series(ThetaFunction(g1, "dila", 1.0))
+    got = membership(probe, SpaceSpec("SingleO", g1, c=1e6))
+    assert got.inconclusive and got.note == "faithful range leaves no window"
+    # the top index dominates from the grid start on (2 log 1e-3 > -100)
+    top = PowerSeries([-100.0, -np.inf, 0.0], "top")
+    for flavor, c, note in (
+            ("SingleO", 1.0, "series truncation dominates the window"),
+            ("InductiveDila", None, "some family members window-limited and none admitted"),
+            ("ProjectiveDila", None, "some family members window-limited; none rejected")):
+        got = membership(top, SpaceSpec(flavor, g1, c=c))
+        assert got.inconclusive and got.note == note, flavor
+
+
+def test_little_o_membership_asks_for_decay(g1):
+    # the probe is about exp(omega(t/2)): under exp(omega(t)) it decays,
+    # against exp(omega(t/4)) it grows
+    probe = theta_series(ThetaFunction(g1, "dila", 1.0))
+    held = membership(probe, SpaceSpec("SingleLittleO", g1, c=1.0))
+    assert held.holds and held.note == "weighted modulus decays on the window"
+    assert held.witnesses["decay_slope"] < 0.0 and len(held.evidence) == 1
+    failed = membership(probe, SpaceSpec("SingleLittleO", g1, c=0.25))
+    assert failed.fails and failed.note.startswith("weighted modulus does not decay (slope ")
+    assert len(failed.evidence) == 1
+
+
+def test_inductive_membership_fails_when_no_member_admits(g1, g3):
+    got = membership(theta_series(ThetaFunction(g1, "dila", 1.0)),
+                     SpaceSpec("InductiveDila", g3))
+    assert got.fails
+    assert got.note == f"no family member up to c={OM6_LADDER[-1]:g} admits the series"
+    assert len(got.evidence) == 4
+
+
 def test_membership_evaluates_the_series_once(g1, monkeypatch):
     calls = []
     evaluate = growthcomp.spaces.log_series_eval
@@ -291,6 +327,7 @@ def test_banded_series_kernel_equals_the_dense_sum(battery_probes, g1):
     # leading terms under -37 still count: together they move 1.0 by an ulp
     lead_sum = PowerSeries([-37.01, -37.02, -37.03, 0.0, -38.0], "leading sum")
     assert 1.0 + np.exp([-37.01, -37.02, -37.03]).sum() > 1.0
+    exp_series = PowerSeries(-np.cumsum(np.log(np.maximum(np.arange(600.0), 1.0))), "exp")
     cases = [(f, x) for f in battery_probes] + [
         # -inf holes between the stored powers
         (theta_series(ThetaFunction(g1, "pow", 3.0)), x),
@@ -314,9 +351,29 @@ def test_banded_series_kernel_equals_the_dense_sum(battery_probes, g1):
         # the last block holds one point
         (theta_series(ThetaFunction(g1, "dila", 1.0)), x[:1025]),
         (PowerSeries(rough), x[1000:1513]),
+        # the widest band lies in a later block: the exponential series needs
+        # 7 rows at x = -5 and 265 across [-5, 5]
+        (exp_series, np.concatenate([np.full(SCAN_CHUNK, -5.0),
+                                     np.linspace(-5.0, 5.0, SCAN_CHUNK)])),
+        (PowerSeries(rough), x[2000:2001]),
+        (PowerSeries(rough), x[:0]),
     ]
     for f, xs in cases:
         _assert_dense(f, xs)
+    vals, args = log_series_eval(PowerSeries(rough), x[:0])
+    assert vals.shape == args.shape == (0,)
+    assert vals.dtype == float and args.dtype == int
+    # 20 blocks, more than one group of band bounds holds (16 at 4,000 terms);
+    # each column of the reference stands alone, so it runs block by block
+    big = PowerSeries(-np.cumsum(np.log(np.maximum(np.arange(4000.0), 1.0))), "exp, 4000")
+    xs = np.linspace(-3.0, math.log(3000.0), 20 * SCAN_CHUNK)
+    assert len(xs) // SCAN_CHUNK > SCAN_CELLS // 4000
+    vals, args = log_series_eval(big, xs)
+    for lo in range(0, len(xs), SCAN_CHUNK):
+        ref_vals, ref_args = _dense_log_series(big, xs[lo:lo + SCAN_CHUNK])
+        np.testing.assert_array_equal(vals[lo:lo + SCAN_CHUNK].view(np.int64),
+                                      ref_vals.view(np.int64), err_msg=f"block at {lo}")
+        np.testing.assert_array_equal(args[lo:lo + SCAN_CHUNK], ref_args)
 
 
 def _assert_dense(f, xs):
@@ -363,6 +420,28 @@ def test_numpy_keeps_what_the_series_kernel_rests_on():
     np.testing.assert_array_equal(a.sum(axis=0), [1.0, 1.0])
     np.testing.assert_array_equal(np.repeat(col[:, None], 512, axis=1).sum(axis=0),
                                   np.ones(512))
+    # so does a (rows, >= 2) view of a prefix of a larger flat array, as the
+    # kernel's work array hands each block
+    flat = np.empty(1000 * 512 + 7)
+    for w in (2, 512):
+        view = flat[:1000 * w].reshape(1000, w)
+        view[...] = col[:, None]
+        assert view.flags.c_contiguous and not view.flags.owndata
+        np.testing.assert_array_equal(view.sum(axis=0), np.ones(w))
+    # multiply.outer into such a view, then c added in place, is c + j x
+    rng = np.random.default_rng(19)
+    js, cf, blk = np.arange(300.0), rng.normal(0.0, 300.0, 300), rng.normal(0.0, 30.0, 512)
+    view = flat[:300 * 512].reshape(300, 512)
+    np.multiply.outer(js, blk, out=view)
+    view += cf[:, None]
+    np.testing.assert_array_equal(view.view(np.int64),
+                                  (cf[:, None] + js[:, None] * blk).view(np.int64))
+    # reduceat over the block starts gives each block's min and max
+    xs = rng.normal(0.0, 30.0, 5 * 512 + 1)
+    starts = np.arange(0, len(xs), 512)
+    for ends, per_block in ((np.minimum, np.min), (np.maximum, np.max)):
+        np.testing.assert_array_equal(ends.reduceat(xs, starts),
+                                      [per_block(xs[i:i + 512]) for i in starts])
     # exp underflows to exactly 0.0 below -745.14 and is exactly 1.0 at +-0
     below = np.array([-745.14, -745.5, -746.0, -1e4, -1e300])
     np.testing.assert_array_equal(np.exp(below).view(np.int64), np.zeros(5, np.int64))

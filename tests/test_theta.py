@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import growthcomp.special_functions
 from growthcomp import (ThetaFunction, bounds_check, gevrey, log_factorials,
                         q_gevrey, theta_eval, theta_series)
 from growthcomp.special_functions import THETA_KINDS
@@ -89,3 +90,26 @@ def test_bounds_hold_for_both_kinds(g1):
 
 def test_bounds_hold_for_q_growth(q15):
     assert bounds_check(ThetaFunction(q15, "dila", 1.0)).holds
+
+
+def test_bounds_abstain_without_certified_points(g1):
+    # certified below log t = log mu_end - log c, under the grid start
+    got = bounds_check(ThetaFunction(g1, "dila", 1e12))
+    assert got.inconclusive
+    assert got.note == "no certified grid points inside the faithful range"
+
+
+def test_bounds_catch_a_series_kernel_that_misreports(g1, monkeypatch):
+    # the envelope holds for the true partial sum, so only a wrong series
+    # value breaks it: one under by 1 fails the lower bound, one over by 1
+    # the upper bound, near t = 0 where both bounds are within 1 of it
+    evaluate = growthcomp.special_functions.log_series_eval
+    for shift in (-1.0, 1.0):
+        def shifted(f, x, shift=shift):
+            vals, args = evaluate(f, x)
+            return vals + shift, args
+
+        monkeypatch.setattr(growthcomp.special_functions, "log_series_eval", shifted)
+        got = bounds_check(ThetaFunction(g1, "dila", 1.0))
+        assert got.fails and len(got.evidence) == 1, shift
+        assert got.note.startswith("envelope violated at "), shift
