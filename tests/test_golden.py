@@ -9,8 +9,8 @@ and the windowed recovery of a sequence weight (weight analyze gevrey:2).  bridg
 bridges (triangle_routes and pow_routes, one repr of to_dict() per route) on
 every 21st of the 420 ordered pairs of standard_battery(512).
 weight_routes.txt pins decide_inclusion on weight sources (both weight
-crossings, both family swaps, the same-source routes, the o-collapse gate)
-and system_equiv_weight, then all seven weight comparisons over every
+crossings, both family swaps, the same-source routes, every verdict of the
+o-collapse gate and of the normalization probe) and system_equiv_weight, then all seven weight comparisons over every
 ordered pair of those weights.  Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -89,6 +89,24 @@ def _weights() -> dict:
     }
 
 
+def _probe_weights() -> dict:
+    """Weights only the inclusion probes read: an unnormalized sequence
+    weight, a dilated one whose omega still vanishes up to t = 1, a linear
+    table no dilation absorbs the doubling of, and a table ending at
+    log t = 0.4."""
+    log_t = np.linspace(-2.0, 8.0, 200)
+    short = np.linspace(-2.0, 0.4, 25)
+    return {
+        "unnormalized": from_sequence(from_log_quotients(np.linspace(-1.0, 4.0, 128))),
+        "lifted": from_sequence(
+            from_log_quotients(np.linspace(1.0, 5.0, 128))).dilate(2.0),
+        "linear": from_table(np.exp(log_t), 3.0 * np.maximum(log_t, 0.0),
+                             label="linear"),
+        "short": from_table(np.exp(short), 0.5 * np.maximum(short, 0.0) ** 2,
+                            label="short"),
+    }
+
+
 # (left flavor, left weight, right flavor, right weight, left o-growth)
 INCLUSION_PROBES = (
     ("InductiveDila", "convex", "ProjectiveDila", "convex_quarter", False),
@@ -112,6 +130,11 @@ INCLUSION_PROBES = (
     ("SingleO", "normalized", "SingleO", "plain", False),
     ("InductiveDila", "normalized", "ProjectiveDila", "plain", False),
     ("InductivePow", "normalized", "ProjectivePow", "plain", False),
+    ("InductiveDila", "unnormalized", "ProjectiveDila", "convex", False),
+    ("InductiveDila", "lifted", "InductivePow", "lifted", False),
+    ("InductiveDila", "linear", "ProjectiveDila", "convex", True),
+    ("SingleLittleO", "linear", "SingleO", "linear", False),
+    ("InductiveDila", "short", "ProjectiveDila", "convex", True),
 )
 
 WEIGHT_COMPARISONS = (weight_preceq, weight_triangle, weight_preceq_dila,
@@ -121,12 +144,13 @@ WEIGHT_COMPARISONS = (weight_preceq, weight_triangle, weight_preceq_dila,
 
 def _weight_route_lines() -> str:
     ws = _weights()
+    probed = {**ws, **_probe_weights()}
     lines = []
     for fa, a, fb, b, little in INCLUSION_PROBES:
         head = f"{fa}({a}{', o' if little else ''}) <= {fb}({b})"
-        A = SpaceSpec(fa, ws[a], little_o=little)
+        A = SpaceSpec(fa, probed[a], little_o=little)
         try:
-            r = decide_inclusion(A, SpaceSpec(fb, ws[b]))
+            r = decide_inclusion(A, SpaceSpec(fb, probed[b]))
         except (RoutingError, ValueError) as exc:
             lines.append(f"{head} | {type(exc).__name__}({str(exc)!r})")
             continue

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import growthcomp.associated_weight
 import growthcomp.spaces
-from growthcomp import (FLAVORS, PowerSeries, RoutingError, SpaceSpec,
-                        ThetaFunction, decide_inclusion, default_grid,
-                        from_sequence, from_values, gevrey, log_series_eval,
-                        membership, monomial, norm_estimate, seq_preceq,
-                        system_equiv, system_equiv_weight, theta_series)
+from growthcomp import (FLAVORS, InclusionVerdict, PowerSeries, RoutingError,
+                        SpaceSpec, ThetaFunction, decide_inclusion,
+                        default_grid, from_log_quotients, from_sequence,
+                        from_table, from_values, gevrey, holds, inconclusive,
+                        log_series_eval, membership, monomial, norm_estimate,
+                        seq_preceq, system_equiv, system_equiv_weight,
+                        theta_series)
 from growthcomp.acceptance import THETA_PROBES
 from growthcomp.associated_weight import OM6_LADDER, SCAN_CELLS
 from growthcomp.spaces import SCAN_CHUNK, TAIL_CUT
@@ -145,6 +147,64 @@ def test_single_spaces_of_sequences_of_different_J_raise(flavors):
     with pytest.raises(RoutingError, match="need one J, not J = 128 and J = 64"):
         decide_inclusion(SpaceSpec(left, gevrey(2.0, 128), c=1.0),
                          SpaceSpec(right, gevrey(1.0, 64), c=1.0))
+
+
+def _table(log_t, omega_of_log_t):
+    return from_table(np.exp(log_t), omega_of_log_t(np.maximum(log_t, 0.0)))
+
+
+TABLE_LOG_T = np.linspace(-2.0, 8.0, 200)
+
+
+def test_normalized_precondition_reads_omega_below_one():
+    convex = _table(TABLE_LOG_T, lambda y: 0.5 * y ** 2)
+    low = from_sequence(from_log_quotients(np.linspace(-1.0, 4.0, 128)))
+    iv = decide_inclusion(SpaceSpec("InductiveDila", low),
+                          SpaceSpec("ProjectiveDila", convex))
+    norm = iv.preconditions["normalized_left"]
+    assert norm.fails and norm.note == "omega does not vanish on t <= 1; normalize first"
+    t, omega = norm.evidence[0]
+    assert t == 1.0 and omega > 1.0
+    assert iv.verdict.inconclusive and "normalized_left" in iv.verdict.note
+    # quotients from e on keep omega at 0 up to t = e / 2, but a dilation by 2
+    # drops the constructed flag, so the probe decides
+    lifted = from_sequence(from_log_quotients(np.linspace(1.0, 5.0, 128))).dilate(2.0)
+    assert not lifted.normalized
+    iv = decide_inclusion(SpaceSpec("InductiveDila", lifted),
+                          SpaceSpec("InductivePow", lifted))
+    assert iv.theorem_tag == "same-source family comparison (weight)"
+    norm = iv.preconditions["normalized"]
+    assert norm.holds and norm.note == "omega vanishes up to t = 1"
+    assert norm.witnesses == {"omega_at_1": 0.0}
+
+
+def test_o_collapse_gate_fails_when_no_dilation_absorbs_the_doubling():
+    linear = _table(TABLE_LOG_T, lambda y: 3.0 * y)
+    convex = _table(TABLE_LOG_T, lambda y: 0.5 * y ** 2)
+    iv = decide_inclusion(SpaceSpec("InductiveDila", linear, little_o=True),
+                          SpaceSpec("ProjectiveDila", convex))
+    assert iv.preconditions["o_collapse_left"].fails
+    iv = decide_inclusion(SpaceSpec("SingleLittleO", linear), SpaceSpec("SingleO", linear))
+    gate = iv.preconditions["o_vs_O_collapse"]
+    assert gate.fails and gate.evidence == ((2.0, 0.0),)
+    assert iv.sides["weight_order"].holds
+    assert iv.verdict.inconclusive and "o_vs_O_collapse" in iv.verdict.note
+
+
+def test_o_collapse_gate_abstains_on_a_short_table():
+    short = _table(np.linspace(-2.0, 0.4, 25), lambda y: 0.5 * y ** 2)
+    convex = _table(TABLE_LOG_T, lambda y: 0.5 * y ** 2)
+    iv = decide_inclusion(SpaceSpec("InductiveDila", short, little_o=True),
+                          SpaceSpec("ProjectiveDila", convex))
+    gate = iv.preconditions["o_collapse_left"]
+    assert gate.inconclusive
+    assert gate.note == "collapse gate undecided on the faithful window"
+
+
+def test_a_decisive_inclusion_names_its_route():
+    with pytest.raises(ValueError, match="must name its route"):
+        InclusionVerdict(holds(witnesses={"trivial": 1.0}), "")
+    assert InclusionVerdict(inconclusive("undecided"), "").verdict.inconclusive
 
 
 # ---------------------------------------------------------------------------
