@@ -293,9 +293,9 @@ def cmd_weight_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     doc["associated_sequence"] = {
         "J": Mu.J,
         "label": Mu.label,
-        "reliable_max_index": int(Mu.meta.get("reliable_max_index", Mu.J)),
-        "origin_shift": float(Mu.meta.get("origin_shift", 0.0)),
-        "projection_magnitude": float(Mu.meta.get("projection_magnitude", 0.0)),
+        "reliable_max_index": Mu.meta["reliable_max_index"],
+        "origin_shift": Mu.meta["origin_shift"],
+        "projection_magnitude": Mu.meta["projection_magnitude"],
     }
     emit(doc, cfg)
     return 0

@@ -29,9 +29,10 @@ from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
                     classify)
 from .verdicts import (State, Verdict, fails, fuse_conjunction, fuse_unanimous,
                        holds, inconclusive)
-from .weight_functions import (FORALL_LADDER, Weight, associated_sequence,
-                               check_om1_weight, check_om6_weight,
-                               from_sequence, is_convex_weight, sandwich_check,
+from .weight_functions import (FORALL_LADDER, PLATEAU_FLOOR, Weight,
+                               associated_sequence, check_om1_weight,
+                               check_om6_weight, from_sequence,
+                               is_convex_weight, sandwich_check,
                                strong_ratio_check, weight_preceq,
                                weight_triangle_dila, weight_triangle_pow)
 
@@ -130,22 +131,13 @@ class InclusionVerdict:
 # routing helpers
 # ---------------------------------------------------------------------------
 
-def _plain_ratio_bounded(N: WeightSequence, M: WeightSequence,
-                         policy: TrendPolicy) -> Verdict:
-    """Exists A with N_j <= A * M_j (plain ratio, no j-th roots); M and N
-    share J."""
-    d = N.log_values[1:] - M.log_values[1:]
-    return bounded_on_index(d, policy, "plain ratio",
-                            lambda m: {"A": float(np.exp(max(0.0, m)))})
-
-
 def _normalized_verdict(u: Weight) -> Verdict:
     if u.normalized:
         return holds(witnesses={"omega_at_1": 0.0}, note="constructed normalized")
     probe = np.array([-3.0, -1.0, 0.0])
     w = u.omega_log(probe)
     k = int(np.argmax(np.abs(w)))
-    if float(np.max(np.abs(w))) <= 1e-9:
+    if abs(w[k]) <= PLATEAU_FLOOR:
         return holds(witnesses={"omega_at_1": float(w[-1])},
                      note="omega vanishes up to t = 1")
     return fails(evidence=((float(np.exp(probe[k])), float(w[k])),),
@@ -167,8 +159,6 @@ def _o_collapse_gate(S: SpaceSpec, policy: TrendPolicy) -> Verdict:
     for c in OM1_LADDER:
         r = strong_ratio_check(u, c, 2.0, policy=policy)
         if r.holds:
-            if conv.inconclusive:
-                return inconclusive("iterated-ratio bound found but convexity undecided")
             return holds(witnesses={"H": float(c), **r.witnesses},
                          note=f"doubling absorbed by dilation {c:g}")
         if not r.fails:
@@ -180,13 +170,29 @@ def _o_collapse_gate(S: SpaceSpec, policy: TrendPolicy) -> Verdict:
     return inconclusive("collapse gate undecided on the faithful window")
 
 
-def _gate(rel: Verdict, precs: dict[str, Verdict]) -> Verdict:
-    """Downgrade a decisive relation when a licensing precondition is not held."""
+def _route(rel: Verdict, tag: str, sides: dict[str, Verdict],
+           precs: dict[str, Verdict]) -> InclusionVerdict:
+    """The decision of one route; a decisive relation turns Inconclusive
+    when a licensing precondition is not held."""
     bad = [name for name, v in precs.items() if not v.holds]
-    if not bad or rel.state is State.INCONCLUSIVE:
-        return rel
-    return inconclusive(f"route precondition not established: {', '.join(sorted(bad))}",
-                        witnesses=rel.witnesses, evidence=rel.evidence)
+    if bad and rel.state is not State.INCONCLUSIVE:
+        rel = inconclusive(f"route precondition not established: {', '.join(sorted(bad))}",
+                           witnesses=rel.witnesses, evidence=rel.evidence)
+    return InclusionVerdict(rel, tag, sides, precs)
+
+
+def _sequences(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
+               precs: dict[str, Verdict]) -> tuple[WeightSequence, WeightSequence] | None:
+    """The sequences behind A and B, or None unless both have one.  A pair
+    licenses the sequence routes by the log-convexity of each side."""
+    M, N = A.sequence(), B.sequence()
+    if M is None or N is None:
+        return None
+    if M.J != N.J:
+        raise RoutingError(f"the sequence routes need one J, not J = {M.J} and J = {N.J}")
+    precs["log_convex_left"] = is_LC(M, policy)
+    precs["log_convex_right"] = is_LC(N, policy)
+    return M, N
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +216,17 @@ def _decide_single(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> Inclusion
     precs: dict[str, Verdict] = {}
     if A.flavor != B.flavor:
         precs["o_vs_O_collapse"] = _o_collapse_gate(A, policy)
-    Ms = A.sequence()
-    Ns = B.sequence()
-    if Ms is not None and Ns is not None:
-        if Ms.J != Ns.J:
-            raise RoutingError(f"the sequence routes need one J, not J = {Ms.J} and J = {Ns.J}")
-        precs["log_convex_left"] = is_LC(Ms, policy)
-        precs["log_convex_right"] = is_LC(Ns, policy)
-        rel = _plain_ratio_bounded(Ns, Ms, policy)
-        return InclusionVerdict(_gate(rel, precs),
-                                "plain-ratio comparison of sequence weights",
-                                {"plain_ratio": rel}, precs)
+    pair = _sequences(A, B, policy, precs)
+    if pair is not None:
+        M, N = pair
+        # exists A with N_j <= A * M_j (plain ratio, no j-th roots)
+        rel = bounded_on_index(N.log_values[1:] - M.log_values[1:], policy,
+                               "plain ratio", lambda m: {"A": float(np.exp(max(0.0, m)))})
+        return _route(rel, "plain-ratio comparison of sequence weights",
+                      {"plain_ratio": rel}, precs)
     precs["essential_left"] = sandwich_check(u)
     rel = weight_preceq(u, v, policy)
-    return InclusionVerdict(_gate(rel, precs), "weighted sup-norm comparison",
-                            {"weight_order": rel}, precs)
+    return _route(rel, "weighted sup-norm comparison", {"weight_order": rel}, precs)
 
 
 def _same_source(A: SpaceSpec, B: SpaceSpec) -> bool:
@@ -248,16 +250,14 @@ def _decide_systems(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> Inclusio
         if A.flavor == B.flavor:
             rel = holds(witnesses={"trivial": 1.0},
                         note="same flavor over the same source")
-            return InclusionVerdict(_gate(rel, precs), "reflexive inclusion",
-                                    {}, precs)
+            return _route(rel, "reflexive inclusion", {}, precs)
         if A.mode == B.mode and A.axis != B.axis:
             return _same_source_family_swap(A, B, policy, precs)
         if A.axis == B.axis and A.mode == "projective" and B.mode == "inductive":
             rel = holds(witnesses={"c": 1.0},
                         note="the intersection over a family lies inside the "
                              "union over the same family")
-            return InclusionVerdict(_gate(rel, precs), "projective-inside-inductive",
-                                    {}, precs)
+            return _route(rel, "projective-inside-inductive", {}, precs)
         # inductive into projective over one source is a genuine crossing;
         # fall through to the crossing routes below
         if not crossing:
@@ -265,12 +265,7 @@ def _decide_systems(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy) -> Inclusio
                                f"({A.flavor} vs {B.flavor})")
 
     if crossing:
-        Ns, Ms = A.sequence(), B.sequence()
-        if Ns is not None and Ms is not None and Ns.J != Ms.J:
-            raise RoutingError(f"the sequence routes need one J, not J = {Ns.J} and J = {Ms.J}")
-        if A.axis == "dila":
-            return _crossing_dila(A, B, policy, precs)
-        return _crossing_pow(A, B, policy, precs)
+        return _crossing(A, B, policy, precs)
 
     raise RoutingError(f"no characterization covers {A.flavor} inside {B.flavor} "
                        "over different sources; only inductive-into-projective "
@@ -297,65 +292,44 @@ def _same_source_family_swap(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
                                "diverging roots")
         cond = check_om1_index(Ms, policy) if needs_om1 else check_mg(Ms, policy)
         name = "index_doubling" if needs_om1 else "moderate_growth"
-        return InclusionVerdict(_gate(cond, precs), "same-source family comparison",
-                                {name: cond}, precs)
+        return _route(cond, "same-source family comparison", {name: cond}, precs)
     u = A.weight()
     precs["normalized"] = _normalized_verdict(u)
     precs["convex"] = is_convex_weight(u)
     cond = check_om1_weight(u) if needs_om1 else check_om6_weight(u)
     name = "value_doubling" if needs_om1 else "shift_doubling"
-    return InclusionVerdict(_gate(cond, precs),
-                            "same-source family comparison (weight)",
-                            {name: cond}, precs)
+    return _route(cond, "same-source family comparison (weight)", {name: cond}, precs)
 
 
-def _crossing_dila(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
-                   precs: dict[str, Verdict]) -> InclusionVerdict:
-    Nseq = A.sequence()
-    Mseq = B.sequence()
-    if Nseq is not None and Mseq is not None:
-        precs["log_convex_left"] = is_LC(Nseq, policy)
-        precs["log_convex_right"] = is_LC(Mseq, policy)
-        sides = triangle_routes(Mseq, Nseq, policy)
-        rel = fuse_unanimous(sides, note_prefix=TRIANGLE_BRIDGE)
-        return InclusionVerdict(_gate(rel, precs), "dilation-system crossing",
-                                sides, precs)
+def _crossing(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
+              precs: dict[str, Verdict]) -> InclusionVerdict:
+    """The inductive system of A inside the projective system of B, one axis."""
+    dila = A.axis == "dila"
+    pair = _sequences(A, B, policy, precs)
+    if pair is not None:
+        N, M = pair
+        routes, bridge, tag = (
+            (triangle_routes, TRIANGLE_BRIDGE, "dilation-system crossing") if dila
+            else (pow_routes, POW_BRIDGE, "power-system crossing"))
+        sides = routes(M, N, policy)
+        return _route(fuse_unanimous(sides, note_prefix=bridge), tag, sides, precs)
     u = A.weight()
     w = B.weight()
-    precs["normalized_left"] = _normalized_verdict(u)
-    precs["normalized_right"] = _normalized_verdict(w)
-    precs["convex_left"] = is_convex_weight(u)
-    precs["shift_doubling_left"] = check_om6_weight(u)
-    rel = weight_triangle_dila(u, w, policy)
-    return InclusionVerdict(_gate(rel, precs), "dilation-weight-system crossing",
-                            {"dilation_gap": rel}, precs)
-
-
-def _crossing_pow(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
-                  precs: dict[str, Verdict]) -> InclusionVerdict:
-    Nseq = A.sequence()
-    Mseq = B.sequence()
-    if Nseq is not None and Mseq is not None:
-        precs["log_convex_left"] = is_LC(Nseq, policy)
-        precs["log_convex_right"] = is_LC(Mseq, policy)
-        sides = pow_routes(Mseq, Nseq, policy)
-        rel = fuse_unanimous(sides, note_prefix=POW_BRIDGE)
-        return InclusionVerdict(_gate(rel, precs), "power-system crossing",
-                                sides, precs)
-    u = A.weight()
-    w = B.weight()
+    if dila:
+        precs["normalized_left"] = _normalized_verdict(u)
+        precs["normalized_right"] = _normalized_verdict(w)
+        precs["convex_left"] = is_convex_weight(u)
+        precs["shift_doubling_left"] = check_om6_weight(u)
+        rel = weight_triangle_dila(u, w, policy)
+        return _route(rel, "dilation-weight-system crossing", {"dilation_gap": rel}, precs)
     precs["convex_left"] = is_convex_weight(u)
     sides = {"power_gap": weight_triangle_pow(u, w, policy)}
-    wc = is_convex_weight(w)
-    if wc.holds:
-        Mu = associated_sequence(u)
-        Mw = associated_sequence(w)
-        sides["compressed_roots"] = tildestrong_check(Mw, Mu, policy)
+    rel = sides["power_gap"]
+    if is_convex_weight(w).holds:
+        sides["compressed_roots"] = tildestrong_check(
+            associated_sequence(w), associated_sequence(u), policy)
         rel = fuse_unanimous(sides, note_prefix="power-weight-system crossing")
-    else:
-        rel = sides["power_gap"]
-    return InclusionVerdict(_gate(rel, precs), "power-weight-system crossing",
-                            sides, precs)
+    return _route(rel, "power-weight-system crossing", sides, precs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ tier-1 tests never execute.
 
 Runs the tier-1 suite in this process with a sys.settrace line tracer on the
 package's frames, then prints, for each module, how many of its function-body
-statements no test reached and their line numbers, and the total.  A
+statements no test reached and their line numbers, and the total.  A raise
+statement is marked "(raise)" and counted apart, so what remains past the
+raises are the unreached computations and verdicts.  A
 statement counts by its own lines (the header of a compound statement);
 docstrings, try, global and nonlocal carry no code of their own and are not
 counted.  Standard library only, besides pytest itself; the tracer makes the
@@ -23,8 +25,9 @@ PACKAGE = ROOT / "src" / "growthcomp"
 NO_CODE = (ast.Try, getattr(ast, "TryStar", ast.Try), ast.Global, ast.Nonlocal)
 
 
-def statements(path: Path) -> dict[int, range]:
-    """First line -> own lines of each statement inside a function body."""
+def statements(path: Path) -> dict[int, tuple[range, bool]]:
+    """First line -> (own lines, is a raise) of each statement inside a
+    function body."""
     tree = ast.parse(path.read_text(), str(path))
     docstrings = {id(node.body[0]) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
@@ -40,7 +43,8 @@ def statements(path: Path) -> dict[int, range]:
                         and not isinstance(node, NO_CODE)):
                     body = getattr(node, "body", None)
                     last = body[0].lineno - 1 if body else node.end_lineno
-                    found[node.lineno] = range(node.lineno, max(last, node.lineno) + 1)
+                    found[node.lineno] = (range(node.lineno, max(last, node.lineno) + 1),
+                                          isinstance(node, ast.Raise))
     return found
 
 
@@ -68,16 +72,21 @@ def main(args: list[str]) -> int:
     finally:
         sys.settrace(None)
 
-    total = missed_total = 0
+    total = missed_total = raises_total = 0
     for path, stmts in modules.items():
-        missed = sorted(first for first, own in stmts.items()
+        missed = sorted((first, is_raise) for first, (own, is_raise) in stmts.items()
                         if not any(line in seen[path] for line in own))
+        raises = sum(is_raise for _, is_raise in missed)
         total += len(stmts)
         missed_total += len(missed)
+        raises_total += raises
         if missed:
-            print(f"{Path(path).name}: {len(missed)} of {len(stmts)} unexecuted: "
-                  + ", ".join(map(str, missed)))
-    print(f"total: {missed_total} of {total} function-body statements unexecuted")
+            print(f"{Path(path).name}: {len(missed)} of {len(stmts)} unexecuted, "
+                  f"{raises} raise: "
+                  + ", ".join(f"{first} (raise)" if is_raise else str(first)
+                              for first, is_raise in missed))
+    print(f"total: {missed_total} of {total} function-body statements unexecuted, "
+          f"{raises_total} of them raise")
     return int(code)
 
 
