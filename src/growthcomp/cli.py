@@ -213,9 +213,15 @@ def emit(doc: dict, cfg: RunConfig) -> None:
     sys.stdout.write(out.getvalue())
 
 
-def _base_doc(cfg: RunConfig, command: str, inputs: dict) -> dict:
+def _base_doc(cfg: RunConfig, command: str, inputs: dict,
+              sources: tuple[str, ...] = ()) -> dict:
+    """Report head.  A file keeps its own J, so "J" is not echoed when every
+    sequence source of the command is a file."""
+    fields = COMMAND_FIELDS[command]
+    if sources and all(s.startswith("file:") for s in sources):
+        fields = tuple(k for k in fields if k != "J")
     return {"command": command,
-            "config": {k: getattr(cfg, k) for k in COMMAND_FIELDS[command]},
+            "config": {k: getattr(cfg, k) for k in fields},
             "inputs": inputs}
 
 
@@ -234,7 +240,7 @@ def cmd_seq_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
               ("strong_2j", check_strong_2j(M, pol)),
               ("alternative_56", check_56_alternative(M, pol, C_max=cfg.C_max))]
     doc = _base_doc(cfg, "seq analyze", {"source": args.source, "label": M.label,
-                                         "J": M.J})
+                                         "J": M.J}, (args.source,))
     doc["results"] = [_verdict_entry(name, vd) for name, vd in checks]
     emit(doc, cfg)
     return 0
@@ -256,7 +262,8 @@ def cmd_seq_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
               ("bridge_pow_ab", bridge_pow_seq(A, B, policy=pol)),
               ("bridge_pow_ba", bridge_pow_seq(B, A, policy=pol))]
     doc = _base_doc(cfg, "seq compare", {"a": args.source_a, "b": args.source_b,
-                                         "label_a": A.label, "label_b": B.label})
+                                         "label_a": A.label, "label_b": B.label},
+                    (args.source_a, args.source_b))
     doc["results"] = [_verdict_entry(name, vd) for name, vd in checks]
     emit(doc, cfg)
     return 0
@@ -308,7 +315,8 @@ def cmd_spaces_decide(cfg: RunConfig, args: argparse.Namespace) -> int:
         iv = decide_inclusion(A, B, policy=cfg.policy())
     except RoutingError as exc:
         raise UsageError(f"no decision route: {exc}") from exc
-    doc = _base_doc(cfg, "spaces decide", {"left": args.left, "right": args.right})
+    doc = _base_doc(cfg, "spaces decide", {"left": args.left, "right": args.right},
+                    (args.left.partition(":")[2], args.right.partition(":")[2]))
     doc["results"] = [_verdict_entry("inclusion", iv.verdict)]
     doc["route"] = iv.theorem_tag
     doc["sides"] = {k: _verdict_entry(k, v) for k, v in sorted(iv.sides.items())}
@@ -325,7 +333,7 @@ def cmd_system_equiv(cfg: RunConfig, args: argparse.Namespace) -> int:
     except RoutingError as exc:
         raise UsageError(str(exc)) from exc
     doc = _base_doc(cfg, "spaces system-equiv", {"source": args.source,
-                                                 "label": M.label})
+                                                 "label": M.label}, (args.source,))
     doc["results"] = [_verdict_entry("system_equiv", vd)]
     emit(doc, cfg)
     return 0
@@ -353,7 +361,7 @@ def cmd_theta_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         rows.append({"t": float(t), "log_value": val, "tail_error": err})
     doc = _base_doc(cfg, "theta eval",
                     {"source": source, "kind": kind, "c": float(c),
-                     "certified_log_t": float(T.log_t_certified)})
+                     "certified_log_t": float(T.log_t_certified)}, (source,))
     doc["results"] = rows
     emit(doc, cfg)
     return 0

@@ -157,8 +157,12 @@ def test_csv_format_shape(capsys):
 # each command offers and echoes only the settings it reads
 # ---------------------------------------------------------------------------
 
+WALK = Path(__file__).resolve().parent / "golden" / "walk.csv"
+
 ECHOED = {
     ("seq", "analyze", "gevrey:1"): {"J", "margin", "L_max", "C_max", "fmt"},
+    # a file keeps its own J, so --J goes unread and unechoed
+    ("seq", "analyze", f"file:{WALK}"): {"margin", "L_max", "C_max", "fmt"},
     ("seq", "compare", "gevrey:1", "gevrey:2"): {"J", "margin", "fmt"},
     ("weight", "analyze", "gevrey:1"): {"t_min", "t_max", "grid_n", "knot_augmented",
                                         "J", "margin", "H_max", "safety", "cond_n",
@@ -171,11 +175,25 @@ ECHOED = {
 }
 
 
-@pytest.mark.parametrize("argv", list(ECHOED), ids=lambda a: " ".join(a[:2]))
+@pytest.mark.parametrize("argv", list(ECHOED), ids=lambda a: " ".join(a[:2])
+                         + (" file" if any(w.startswith("file:") for w in a) else ""))
 def test_report_echoes_the_settings_its_command_reads(capsys, argv):
     code, out, _ = run(capsys, *argv, "--J", "64")
     assert code == 0
     assert set(json.loads(out)["config"]) == ECHOED[argv]
+
+
+@pytest.mark.parametrize("left, right, echoed", [
+    (f"file:{WALK}", f"file:{WALK}", False),
+    (f"file:{WALK}", "gevrey:1", True),
+], ids=["files only", "file and gevrey"])
+def test_j_is_echoed_when_some_source_reads_it(capsys, left, right, echoed):
+    for argv in (("seq", "compare", left, right),
+                 ("spaces", "decide", "--left", f"InductiveDila:{left}",
+                  "--right", f"ProjectiveDila:{right}")):
+        code, out, _ = run(capsys, *argv, "--J", "300")
+        assert code == 0
+        assert ("J" in json.loads(out)["config"]) is echoed
 
 
 def test_unread_flag_is_a_usage_error(capsys):
@@ -277,8 +295,6 @@ def test_member_selector_on_a_system_exits_two(capsys):
     assert code == 2 and out == ""
     assert "applies to single spaces" in err
 
-
-WALK = Path(__file__).resolve().parent / "golden" / "walk.csv"
 
 
 @pytest.mark.parametrize("argv", [
