@@ -89,14 +89,22 @@ def _weights() -> dict:
     }
 
 
-def _probe_weights() -> dict:
+def _probe_weights(ws: dict) -> dict:
     """Weights only the inclusion probes read: an unnormalized sequence
     weight, a dilated one whose omega still vanishes up to t = 1, a linear
-    table no dilation absorbs the doubling of, and a table ending at
-    log t = 0.4."""
+    table no dilation absorbs the doubling of, a table ending at
+    log t = 0.4, the normalized convex tables (the golden grid misses
+    log t = 0, so omega(1) of the raw ones is about 4e-5), a table that is
+    0 at its first point but 1 at t = 1, and a normalized table that
+    decreases below t = 1."""
     log_t = np.linspace(-2.0, 8.0, 200)
     short = np.linspace(-2.0, 0.4, 25)
     return {
+        "norm_convex": normalize(ws["convex"]),
+        "norm_convex_quarter": normalize(ws["convex_quarter"]),
+        "table_a": from_table([0.5, 1.0, 4.0], [0.0, 1.0, 2.0], label="table_a"),
+        "table_b": normalize(from_table([0.1, 0.5, 1.0, 4.0], [1.0, 3.0, 2.0, 4.0],
+                                        label="table_b")),
         "unnormalized": from_sequence(from_log_quotients(np.linspace(-1.0, 4.0, 128))),
         "lifted": from_sequence(
             from_log_quotients(np.linspace(1.0, 5.0, 128))).dilate(2.0),
@@ -135,6 +143,13 @@ INCLUSION_PROBES = (
     ("InductiveDila", "linear", "ProjectiveDila", "convex", True),
     ("SingleLittleO", "linear", "SingleO", "linear", False),
     ("InductiveDila", "short", "ProjectiveDila", "convex", True),
+    ("InductiveDila", "table_a", "ProjectiveDila", "table_b", False),
+    ("InductiveDila", "norm_convex", "ProjectiveDila", "norm_convex_quarter", False),
+    ("InductiveDila", "norm_convex", "InductivePow", "norm_convex", False),
+    ("InductivePow", "norm_convex", "InductiveDila", "norm_convex", False),
+    ("InductiveDila", "norm_convex", "ProjectiveDila", "norm_convex", False),
+    ("InductiveDila", "norm_convex", "ProjectiveDila", "norm_convex_quarter", True),
+    ("InductiveDila", "powered", "ProjectiveDila", "norm_convex", True),
 )
 
 WEIGHT_COMPARISONS = (weight_preceq, weight_triangle, weight_preceq_dila,
@@ -144,7 +159,7 @@ WEIGHT_COMPARISONS = (weight_preceq, weight_triangle, weight_preceq_dila,
 
 def _weight_route_lines() -> str:
     ws = _weights()
-    probed = {**ws, **_probe_weights()}
+    probed = {**ws, **_probe_weights(ws)}
     lines = []
     for fa, a, fb, b, little in INCLUSION_PROBES:
         head = f"{fa}({a}{', o' if little else ''}) <= {fb}({b})"
@@ -158,9 +173,9 @@ def _weight_route_lines() -> str:
         precs = {k: v.to_dict() for k, v in r.preconditions.items()}
         lines.append(f"{head} | {r.theorem_tag!r} | {r.verdict.to_dict()!r} | "
                      f"sides {sides!r} | preconditions {precs!r}")
-    for name in ("convex", "concave", "dilated"):
+    for name in ("convex", "concave", "dilated", "norm_convex", "table_a", "table_b"):
         lines.append(f"system_equiv_weight({name}) | "
-                     f"{system_equiv_weight(ws[name]).to_dict()!r}")
+                     f"{system_equiv_weight(probed[name]).to_dict()!r}")
     for a, v in ws.items():
         for b, w in ws.items():
             if a != b:
