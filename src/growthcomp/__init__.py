@@ -34,8 +34,9 @@ from .verdicts import (State, Verdict, fails, fuse_conjunction,
                        fuse_unanimous, holds, inconclusive)
 from .weight_functions import (Weight, associated_sequence, check_om1_weight,
                                check_om6_weight, from_sequence, from_table,
-                               is_convex_weight, normalize, rapidly_decreasing,
-                               sandwich_check, strong_ratio_check,
+                               is_convex_weight, is_normalized, normalize,
+                               rapidly_decreasing, sandwich_check,
+                               strong_ratio_check,
                                weight_preceq, weight_preceq_all_dila,
                                weight_preceq_dila, weight_preceq_pow,
                                weight_triangle, weight_triangle_dila,

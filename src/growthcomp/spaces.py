@@ -29,12 +29,12 @@ from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
                     classify)
 from .verdicts import (State, Verdict, fails, fuse_conjunction, fuse_unanimous,
                        holds, inconclusive)
-from .weight_functions import (FORALL_LADDER, PLATEAU_FLOOR, Weight,
-                               associated_sequence, check_om1_weight,
-                               check_om6_weight, from_sequence,
-                               is_convex_weight, sandwich_check,
-                               strong_ratio_check, weight_preceq,
-                               weight_triangle_dila, weight_triangle_pow)
+from .weight_functions import (FORALL_LADDER, Weight, associated_sequence,
+                               check_om1_weight, check_om6_weight,
+                               from_sequence, is_convex_weight, is_normalized,
+                               sandwich_check, strong_ratio_check,
+                               weight_preceq, weight_triangle_dila,
+                               weight_triangle_pow)
 
 SINGLE_FLAVORS = ("SingleO", "SingleLittleO")
 SYSTEM_FLAVORS = ("InductiveDila", "ProjectiveDila", "InductivePow", "ProjectivePow")
@@ -130,19 +130,6 @@ class InclusionVerdict:
 # ---------------------------------------------------------------------------
 # routing helpers
 # ---------------------------------------------------------------------------
-
-def _normalized_verdict(u: Weight) -> Verdict:
-    if u.normalized:
-        return holds(witnesses={"omega_at_1": 0.0}, note="constructed normalized")
-    probe = np.array([-3.0, -1.0, 0.0])
-    w = u.omega_log(probe)
-    k = int(np.argmax(np.abs(w)))
-    if abs(w[k]) <= PLATEAU_FLOOR:
-        return holds(witnesses={"omega_at_1": float(w[-1])},
-                     note="omega vanishes up to t = 1")
-    return fails(evidence=((float(np.exp(probe[k])), float(w[k])),),
-                 note="omega does not vanish on t <= 1; normalize first")
-
 
 def _o_collapse_gate(S: SpaceSpec, policy: TrendPolicy) -> Verdict:
     """License for reading an o-growth system as its O-growth counterpart."""
@@ -294,7 +281,7 @@ def _same_source_family_swap(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
         name = "index_doubling" if needs_om1 else "moderate_growth"
         return _route(cond, "same-source family comparison", {name: cond}, precs)
     u = A.weight()
-    precs["normalized"] = _normalized_verdict(u)
+    precs["normalized"] = is_normalized(u)
     precs["convex"] = is_convex_weight(u)
     cond = check_om1_weight(u) if needs_om1 else check_om6_weight(u)
     name = "value_doubling" if needs_om1 else "shift_doubling"
@@ -316,8 +303,8 @@ def _crossing(A: SpaceSpec, B: SpaceSpec, policy: TrendPolicy,
     u = A.weight()
     w = B.weight()
     if dila:
-        precs["normalized_left"] = _normalized_verdict(u)
-        precs["normalized_right"] = _normalized_verdict(w)
+        precs["normalized_left"] = is_normalized(u)
+        precs["normalized_right"] = is_normalized(w)
         precs["convex_left"] = is_convex_weight(u)
         precs["shift_doubling_left"] = check_om6_weight(u)
         rel = weight_triangle_dila(u, w, policy)
@@ -364,7 +351,7 @@ def system_equiv(M: WeightSequence,
 def system_equiv_weight(u: Weight,
                         policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Weight-system analogue of system_equiv, for normalized convex weights."""
-    norm = _normalized_verdict(u)
+    norm = is_normalized(u)
     conv = is_convex_weight(u)
     if not (norm.holds and conv.holds):
         return inconclusive("characterization needs a normalized convex weight "

@@ -91,10 +91,10 @@ class Weight:
         omega(x) = max(0, scale * base(x + shift) - offset).
 
     base is the AssociatedWeight of a sequence or an OmegaTable.  offset is
-    None for a weight that was never normalized; then omega is not clamped.
-    normalized records that omega is pinned to 0 on t <= 1.  Transforms
-    fold into the fields: a dilation of a dilation adds the shifts, a power
-    of a normalized weight scales the offset.
+    None for a weight that was never normalized; then omega is not clamped
+    (is_normalized reads whether omega vanishes on t <= 1 off the data).
+    Transforms fold into the fields: a dilation of a dilation adds the
+    shifts, a power of a normalized weight scales the offset.
     """
 
     base: AssociatedWeight | OmegaTable
@@ -102,7 +102,6 @@ class Weight:
     shift: float = 0.0
     scale: float = 1.0
     offset: float | None = None
-    normalized: bool = False
 
     def omega_log(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -146,8 +145,7 @@ class Weight:
         if not (c > 0 and np.isfinite(c)):
             raise ValueError("need finite c > 0")
         return replace(self, label=f"dil({self.label},{c:g})",
-                       shift=self.shift + float(np.log(c)),
-                       normalized=self.normalized and c <= 1.0)
+                       shift=self.shift + float(np.log(c)))
 
     def power(self, c: float) -> "Weight":
         """Weight t -> v(t)^c; omega rescales, the faithful range is unchanged."""
@@ -160,8 +158,7 @@ class Weight:
 
 def from_sequence(M: WeightSequence) -> Weight:
     """The decreasing weight exp(-omega_M) of a sequence."""
-    return Weight(AssociatedWeight(M), label=f"v({M.label})" if M.label else "v",
-                  normalized=bool(np.all(M.log_values >= 0.0)))
+    return Weight(AssociatedWeight(M), label=f"v({M.label})" if M.label else "v")
 
 
 def from_table(t, omega, label: str = "") -> Weight:
@@ -175,18 +172,18 @@ def from_table(t, omega, label: str = "") -> Weight:
         raise ValueError("t must be positive and strictly increasing")
     if not np.all(np.isfinite(ws)):
         raise ValueError("omega must be finite")
-    return Weight(OmegaTable(np.log(ts), ws), label=label,
-                  normalized=bool(ws[0] == 0.0 and ts[0] <= 1.0))
+    return Weight(OmegaTable(np.log(ts), ws), label=label)
 
 
 def normalize(v: Weight) -> Weight:
-    """Pin omega to 0 at t = 1 and clamp below: max(0, omega(x) - omega(0))."""
-    if v.normalized:
+    """v when is_normalized(v) holds, else max(0, omega(x) - omega(0)).  The
+    offset is the unclamped omega(0), u0 = scale * base(shift), or the old
+    offset when larger: a maximum composes two clamps with no rounding."""
+    if is_normalized(v).holds:
         return v
-    # omega(0) >= 0 once an offset clamps, so the two offsets add
-    offset = (v.offset or 0.0) + float(v.omega_log(0.0))
+    u0 = v.scale * float(v.base.omega_log(np.array([v.shift]))[0])
     return replace(v, label=f"norm({v.label})" if v.label else "norm",
-                   offset=offset, normalized=True)
+                   offset=u0 if v.offset is None else max(v.offset, u0))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +230,21 @@ def rapidly_decreasing(v: Weight, grid: Grid | None = None,
     k = int(np.argmax(r))
     return fails(evidence=((float(np.exp(x[k])), float(r[k])),),
                  note=f"omega/log t not rising (slope {rep.slope:.3g}); decay is at most polynomial")
+
+
+def is_normalized(u: Weight) -> Verdict:
+    """omega = 0 on t <= 1, decided exactly: under any shift, scale and clamp
+    omega is linear in log t between the knots and flat below the first, so
+    omega at the knots below 0 and at 0 decides.  Fails gives (t, omega) at max |omega|."""
+    if u.log_t_reliable < 0.0:
+        return inconclusive("faithful range ends before t = 1")
+    x = np.unique(np.minimum(u.knots_log, 0.0))
+    w = u.omega_log(x)
+    k = int(np.argmax(np.abs(w)))
+    if w[k] == 0.0:
+        return holds(witnesses={"omega_at_1": 0.0}, note="omega vanishes up to t = 1")
+    return fails(evidence=((float(np.exp(x[k])), float(w[k])),),
+                 note="omega does not vanish on t <= 1; normalize first")
 
 
 def is_convex_weight(u: Weight, grid: Grid | None = None) -> Verdict:

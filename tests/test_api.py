@@ -1,5 +1,5 @@
-"""Public surface: which callables take a grid, the trend policy fields, and
-the names the benchmark's tracer wraps."""
+"""Public surface: which callables take a grid, the trend policy and weight
+fields, and the names the benchmark's tracer wraps."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import growthcomp
-from growthcomp import TrendPolicy, default_grid
+from growthcomp import TrendPolicy, Weight, default_grid
 
 # weight analyze hands these the grid of its run configuration; everything
 # else samples the default grid
@@ -48,6 +48,12 @@ def test_trend_policy_derives_its_ratio_margin():
     assert [f.name for f in dataclasses.fields(TrendPolicy)] == ["margin", "window_fraction"]
     for m in (0.05, 0.1, 0.3, 0.07):
         assert TrendPolicy(margin=m).ratio_margin == m / 2
+
+
+def test_weight_is_plain_data():
+    # normalization is read off omega (is_normalized), never stored
+    assert [f.name for f in dataclasses.fields(Weight)] == [
+        "base", "label", "shift", "scale", "offset"]
 
 
 def test_default_grid_is_built_once():

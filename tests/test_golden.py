@@ -10,8 +10,9 @@ bridges (triangle_routes and pow_routes, one repr of to_dict() per route) on
 every 21st of the 420 ordered pairs of standard_battery(512).
 weight_routes.txt pins decide_inclusion on weight sources (both weight
 crossings, both family swaps, the same-source routes, every verdict of the
-o-collapse gate and of the normalization probe) and system_equiv_weight, then all seven weight comparisons over every
-ordered pair of those weights.  Regenerate the files with
+o-collapse gate, Holds and Fails of is_normalized) and system_equiv_weight,
+then all seven weight comparisons over every ordered pair of those weights.
+Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 

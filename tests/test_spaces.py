@@ -15,9 +15,9 @@ from growthcomp import (FLAVORS, InclusionVerdict, PowerSeries, RoutingError,
                         SpaceSpec, ThetaFunction, decide_inclusion,
                         default_grid, from_log_quotients, from_sequence,
                         from_table, from_values, gevrey, holds, inconclusive,
-                        log_series_eval, membership, monomial, norm_estimate,
-                        seq_preceq, system_equiv, system_equiv_weight,
-                        theta_series)
+                        is_normalized, log_series_eval, membership, monomial,
+                        norm_estimate, normalize, seq_preceq, system_equiv,
+                        system_equiv_weight, theta_series)
 from growthcomp.acceptance import THETA_PROBES
 from growthcomp.associated_weight import OM6_LADDER, SCAN_CELLS
 from growthcomp.spaces import SCAN_CHUNK, TAIL_CUT
@@ -166,16 +166,40 @@ def test_normalized_precondition_reads_omega_below_one():
     t, omega = norm.evidence[0]
     assert t == 1.0 and omega > 1.0
     assert iv.verdict.inconclusive and "normalized_left" in iv.verdict.note
-    # quotients from e on keep omega at 0 up to t = e / 2, but a dilation by 2
-    # drops the constructed flag, so the probe decides
+    # quotients from e on keep omega at 0 up to t = e / 2, a dilation by 2
+    # included
     lifted = from_sequence(from_log_quotients(np.linspace(1.0, 5.0, 128))).dilate(2.0)
-    assert not lifted.normalized
     iv = decide_inclusion(SpaceSpec("InductiveDila", lifted),
                           SpaceSpec("InductivePow", lifted))
     assert iv.theorem_tag == "same-source family comparison (weight)"
     norm = iv.preconditions["normalized"]
     assert norm.holds and norm.note == "omega vanishes up to t = 1"
     assert norm.witnesses == {"omega_at_1": 0.0}
+
+
+def test_tables_that_only_looked_normalized_fail_the_precondition():
+    # 0 at its first point but 1 at t = 1; and a table that decreases below
+    # t = 1, whose normalization leaves omega(0.5) = 1
+    a = from_table([0.5, 1.0, 4.0], [0.0, 1.0, 2.0])
+    b = normalize(from_table([0.1, 0.5, 1.0, 4.0], [1.0, 3.0, 2.0, 4.0]))
+    for u, point in ((a, (1.0, 1.0)), (b, (0.5, 1.0))):
+        vd = is_normalized(u)
+        assert vd.fails and vd.evidence == (point,)
+        assert "normalized=Fails" in system_equiv_weight(u).note
+    iv = decide_inclusion(SpaceSpec("InductiveDila", a), SpaceSpec("ProjectiveDila", b))
+    assert iv.preconditions["normalized_left"].fails
+    assert iv.preconditions["normalized_right"].fails
+
+
+def test_a_table_ending_before_one_leaves_the_precondition_open():
+    # omega[0] = 0 does not say what omega does on (0.5, 1]
+    for first in (1.0, 0.0):
+        u = from_table([0.1, 0.5], [first, 2.0])
+        vd = system_equiv_weight(u)
+        assert vd.inconclusive and "normalized=Inconclusive" in vd.note
+        iv = decide_inclusion(SpaceSpec("InductiveDila", u), SpaceSpec("ProjectiveDila", u))
+        assert iv.preconditions["normalized_left"].inconclusive
+        assert iv.verdict.inconclusive
 
 
 def test_o_collapse_gate_fails_when_no_dilation_absorbs_the_doubling():

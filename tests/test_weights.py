@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from growthcomp import (AssociatedWeight, Weight, associated_sequence,
                         check_om1_weight, check_om6_weight, from_log_quotients,
                         from_sequence, from_table, gevrey, is_convex_weight,
-                        normalize, product, q_gevrey, rapidly_decreasing,
+                        is_normalized, normalize, product, q_gevrey,
+                        rapidly_decreasing,
                         sandwich_check, strong_ratio_check, triangle_routes,
                         weight_preceq, weight_preceq_all_dila,
                         weight_preceq_dila, weight_preceq_pow, weight_triangle,
@@ -76,13 +77,13 @@ def test_sequence_weight_matches_the_two_axes(g1):
 
 def test_sequence_weight_is_already_normalized(g1):
     u = from_sequence(g1)
-    assert u.normalized
+    assert is_normalized(u).holds
     assert normalize(u) is u
 
 
 def test_normalize_pins_the_low_range():
     sh = from_table([0.1, 1.0, 10.0, 100.0], [0.3, 0.5, 2.0, 9.0])
-    assert not sh.normalized
+    assert is_normalized(sh).fails
     ns = normalize(sh)
     np.testing.assert_array_equal(ns.omega_log(np.array([-2.0, 0.0])),
                                   [0.0, 0.0])
@@ -95,10 +96,99 @@ def test_transforms_of_a_normalized_weight_fold():
     np.testing.assert_allclose(ns.power(2.0).omega_log(x),
                                2.0 * ns.omega_log(x), rtol=0, atol=1e-12)
     dn = ns.dilate(4.0)
-    assert not dn.normalized
+    assert is_normalized(dn).fails
     want = np.maximum(0.0, dn.omega_log(x) - dn.omega_log(0.0))
     np.testing.assert_allclose(normalize(dn).omega_log(x), want, rtol=0,
                                atol=1e-12)
+
+
+def test_nested_normalization_vanishes_exactly():
+    # the offset is max(offset, u0), not offset + omega(0): that sum rounds,
+    # and left omega(1) of a nested normalization at a few 1e-16
+    rng = np.random.default_rng(1)
+    checked = 0
+    for _ in range(600):
+        log_t = np.sort(rng.uniform(-3.0, 4.0, int(rng.integers(3, 12))))
+        om = np.cumsum(rng.uniform(0.0, 2.0, len(log_t))) + rng.uniform(-1.0, 1.0)
+        if log_t[-1] < 0.0 or np.any(np.diff(log_t) <= 0.0):
+            continue
+        u = normalize(from_table(np.exp(log_t), om))
+        for c in (0.3, 1.5, 2.0, 3.7, 10.0):
+            v = u.dilate(c)
+            if v.log_t_reliable < 0.0:
+                continue
+            w = normalize(v)
+            assert is_normalized(w).holds
+            x = np.linspace(-4.0, v.log_t_reliable, 50)
+            want = np.maximum(0.0, v.omega_log(x) - v.omega_log(0.0))
+            np.testing.assert_allclose(w.omega_log(x), want, rtol=0, atol=1e-9)
+            checked += 1
+    assert checked > 2000
+
+
+def test_a_table_ending_before_one_is_not_known_normalized():
+    for first in (1.0, 0.0):
+        u = from_table([0.1, 0.5], [first, 2.0])
+        vd = is_normalized(u)
+        assert vd.inconclusive and vd.note == "faithful range ends before t = 1"
+        with pytest.raises(ValueError, match="beyond the tabulated range"):
+            normalize(u)
+
+
+def _vanishes_densely(u: Weight) -> bool:
+    """Oracle: omega == 0 at every knot at or below log t = 0, at their
+    midpoints, and at 200 points on [min knot - 1, 0]."""
+    k = u.knots_log
+    low = k[k <= 0.0]
+    x = np.concatenate((low, (low[1:] + low[:-1]) / 2.0,
+                        np.linspace(min(float(k[0]), 0.0) - 1.0, 0.0, 200)))
+    return bool(np.all(u.omega_log(x) == 0.0))
+
+
+def _seeded_tables():
+    """Tables that do not decrease (some with a zero prefix), non-monotone
+    ones, ones with negative values, and ones with a knot at t = 1."""
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        log_t = np.sort(rng.uniform(-3.0, 3.0, 8))
+        steps = rng.uniform(0.0, 1.0, 8) * (rng.random(8) < 0.6)
+        yield log_t, np.cumsum(steps)
+        yield log_t, rng.normal(1.0, 1.0, 8)
+        yield log_t, rng.uniform(-2.0, 0.0, 8)
+        at_one = np.concatenate((np.sort(rng.uniform(-3.0, -0.1, 3)), [0.0],
+                                 np.sort(rng.uniform(0.1, 3.0, 4))))
+        yield at_one, np.concatenate((np.zeros(4) if rng.random() < 0.5
+                                      else rng.uniform(0.0, 1.0, 4),
+                                      np.cumsum(rng.uniform(0.1, 1.0, 4))))
+
+
+def test_is_normalized_matches_a_dense_oracle(small_battery, battery):
+    weights = []
+    for log_t, om in _seeded_tables():
+        if log_t[-1] >= np.log(2.0) and np.all(np.diff(log_t) > 0.0):
+            weights.append(from_table(np.exp(log_t), om))
+    weights += [from_sequence(M) for M in list(small_battery) + list(battery)]
+    states = {"Holds": 0, "Fails": 0}
+    for u in weights:
+        for v in (u, u.dilate(0.5), u.dilate(2.0), u.power(1.5), normalize(u),
+                  normalize(u.dilate(2.0)), normalize(u).dilate(0.5)):
+            vd = is_normalized(v)
+            assert vd.holds == _vanishes_densely(v) and not vd.inconclusive
+            states[vd.state.value] += 1
+    assert min(states.values()) > 100
+
+
+def test_is_normalized_agrees_with_the_exact_constructions(small_battery):
+    # from_sequence flagged exactly the sequences with every log M_j >= 0, and
+    # a dilation by c <= 1 kept that flag
+    seqs = list(small_battery) + [from_log_quotients(np.linspace(q1, 4.0, 64))
+                                  for q1 in (-2.0, -1.0, -0.1, 0.0, 0.5)]
+    for M in seqs:
+        flag = bool(np.all(M.log_values >= 0.0))
+        u = from_sequence(M)
+        assert is_normalized(u).holds == flag
+        for c in (1.0, 0.5, 0.125):
+            assert is_normalized(u.dilate(c)).holds or not flag
 
 
 def test_only_omega_m_itself_has_a_sequence():
@@ -139,6 +229,18 @@ def test_convexity_check_discriminates(g1):
     assert is_convex_weight(from_sequence(g1)).holds
     kink = from_table([1.0, 10.0, 100.0], [0.0, 10.0, 12.0])
     assert is_convex_weight(kink).fails
+
+
+def test_structure_checks_abstain_on_a_short_range():
+    narrow = from_table(np.exp(np.linspace(-2.0, -1.99, 20)), np.linspace(0.0, 1.0, 20))
+    vd = rapidly_decreasing(narrow)
+    assert vd.inconclusive
+    assert vd.note == "faithful range leaves no window above t = e^0.5"
+    tiny = from_table(np.geomspace(1e-4, 1.05e-3, 30), np.zeros(30))
+    vd = is_convex_weight(tiny)
+    assert vd.inconclusive and vd.note == "faithful range too short to sample convexity"
+    vd = sandwich_check(tiny)
+    assert vd.inconclusive and vd.note == "faithful range too short for the sandwich window"
 
 
 def test_rapid_decrease_needs_unbounded_omega(g1):
@@ -335,6 +437,17 @@ def test_sandwich_on_sequence_weight(g1):
     vd = sandwich_check(from_sequence(g1))
     assert vd.holds
     assert abs(vd.witnesses["A"] - 1.0) <= 1e-6
+
+
+def test_sandwich_fails_on_either_side():
+    log_t = np.linspace(-2.0, 8.0, 200)
+    half_square = 0.5 * np.maximum(log_t, 0.0) ** 2
+    vd = sandwich_check(from_table(np.exp(log_t), half_square - 1.0))
+    assert vd.fails and vd.note.startswith("recovered weight exceeds the input")
+    holed = half_square.copy()
+    holed[::10] = 0.0
+    vd = sandwich_check(from_table(np.exp(log_t), holed))
+    assert vd.fails and vd.note.startswith("no finite sandwich constant")
 
 
 def test_sandwich_on_concave_table():
