@@ -36,11 +36,10 @@ from .weight_functions import (Weight, associated_sequence, check_om1_weight,
                                check_om6_weight, from_sequence, from_table,
                                is_convex_weight, is_normalized, normalize,
                                rapidly_decreasing, sandwich_check,
-                               strong_ratio_check,
-                               weight_preceq, weight_preceq_all_dila,
-                               weight_preceq_dila, weight_preceq_pow,
-                               weight_triangle, weight_triangle_dila,
-                               weight_triangle_pow)
+                               strong_ratio_check, weight_preceq,
+                               weight_preceq_all_dila, weight_preceq_dila,
+                               weight_preceq_pow, weight_triangle,
+                               weight_triangle_dila, weight_triangle_pow)
 
 __version__ = "0.1.0"
 

@@ -233,9 +233,10 @@ def rapidly_decreasing(v: Weight, grid: Grid | None = None,
 
 
 def is_normalized(u: Weight) -> Verdict:
-    """omega = 0 on t <= 1, decided exactly: under any shift, scale and clamp
-    omega is linear in log t between the knots and flat below the first, so
-    omega at the knots below 0 and at 0 decides.  Fails gives (t, omega) at max |omega|."""
+    """omega = 0 on t <= 1, decided exactly.  Under any shift, scale and
+    clamp, omega is linear in log t between the knots and flat below the
+    first, so omega at the knots below log t = 0 and at 0 decides it, with
+    no tolerance.  Fails gives (t, omega) where |omega| is largest."""
     if u.log_t_reliable < 0.0:
         return inconclusive("faithful range ends before t = 1")
     x = np.unique(np.minimum(u.knots_log, 0.0))

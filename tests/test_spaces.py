@@ -166,8 +166,8 @@ def test_normalized_precondition_reads_omega_below_one():
     t, omega = norm.evidence[0]
     assert t == 1.0 and omega > 1.0
     assert iv.verdict.inconclusive and "normalized_left" in iv.verdict.note
-    # quotients from e on keep omega at 0 up to t = e / 2, a dilation by 2
-    # included
+    # quotients from e on keep omega at 0 up to t = e, and up to t = e / 2
+    # after a dilation by 2
     lifted = from_sequence(from_log_quotients(np.linspace(1.0, 5.0, 128))).dilate(2.0)
     iv = decide_inclusion(SpaceSpec("InductiveDila", lifted),
                           SpaceSpec("InductivePow", lifted))
