@@ -50,6 +50,7 @@ OM1_LADDER = OM6_LADDER[1:]
 LADDER_GRID_N = 2048
 LADDER_ATOL = 1e-9
 MIN_WINDOW_SPAN = 0.05
+LOG2 = float(np.log(2))
 # share of the grid-supported index range a recovery reports as reliable
 RELIABLE_FRACTION = 0.5
 
@@ -295,12 +296,12 @@ def om6_ladder(omega_log, x_hi: float, H_values=OM6_LADDER,
 
 def om1_ladder(omega_log, x_hi: float, n: int = LADDER_GRID_N) -> Verdict:
     """Exists L with omega(2t) <= L * (omega(t) + 1) on t >= 1."""
-    span = x_hi - np.log(2.0)
+    span = x_hi - LOG2
     if span <= MIN_WINDOW_SPAN:
         return inconclusive("faithful range too short for the doubling window")
     x = np.linspace(0.0, span, n)
     w_x = omega_log(x)
-    w_2x = omega_log(x + np.log(2.0))
+    w_2x = omega_log(x + LOG2)
     violations: list[tuple[float, float]] = []
     for L in OM1_LADDER:
         excess = w_2x - L * (w_x + 1.0)

@@ -38,7 +38,7 @@ from .sequence_core import (WeightSequence, check_56_alternative, check_mg,
 from .spaces import (FLAVORS, RoutingError, SpaceSpec, decide_inclusion,
                      system_equiv)
 from .special_functions import THETA_KINDS, ThetaFunction, theta_eval
-from .verdicts import Verdict, fails, holds
+from .verdicts import Verdict, fails, holds, inconclusive
 from .weight_functions import (Weight, associated_sequence, from_sequence,
                                from_table, is_convex_weight,
                                rapidly_decreasing, sandwich_check)
@@ -213,16 +213,16 @@ def emit(doc: dict, cfg: RunConfig) -> None:
     sys.stdout.write(out.getvalue())
 
 
-def _base_doc(cfg: RunConfig, command: str, inputs: dict,
-              sources: tuple[str, ...] = ()) -> dict:
-    """Report head.  A file keeps its own J, so "J" is not echoed when every
-    sequence source of the command is a file."""
+def _report(cfg: RunConfig, command: str, inputs: dict, results: list,
+            sources: tuple[str, ...] = (), **extra) -> None:
+    """Emit command, config, inputs, results and then the extra sections.  A file
+    keeps its own J, so "J" is not echoed when every sequence source is a file."""
     fields = COMMAND_FIELDS[command]
     if sources and all(s.startswith("file:") for s in sources):
         fields = tuple(k for k in fields if k != "J")
-    return {"command": command,
-            "config": {k: getattr(cfg, k) for k in fields},
-            "inputs": inputs}
+    emit({"command": command,
+          "config": {k: getattr(cfg, k) for k in fields},
+          "inputs": inputs, "results": results, **extra}, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +239,8 @@ def cmd_seq_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
               ("om1_index", check_om1_index(M, pol, L_max=cfg.L_max)),
               ("strong_2j", check_strong_2j(M, pol)),
               ("alternative_56", check_56_alternative(M, pol, C_max=cfg.C_max))]
-    doc = _base_doc(cfg, "seq analyze", {"source": args.source, "label": M.label,
-                                         "J": M.J}, (args.source,))
-    doc["results"] = [_verdict_entry(name, vd) for name, vd in checks]
-    emit(doc, cfg)
+    _report(cfg, "seq analyze", {"source": args.source, "label": M.label, "J": M.J},
+            [_verdict_entry(name, vd) for name, vd in checks], (args.source,))
     return 0
 
 
@@ -261,15 +259,16 @@ def cmd_seq_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
               ("bridge_triangle_ba", bridge_triangle_seq(B, A, policy=pol)),
               ("bridge_pow_ab", bridge_pow_seq(A, B, policy=pol)),
               ("bridge_pow_ba", bridge_pow_seq(B, A, policy=pol))]
-    doc = _base_doc(cfg, "seq compare", {"a": args.source_a, "b": args.source_b,
-                                         "label_a": A.label, "label_b": B.label},
-                    (args.source_a, args.source_b))
-    doc["results"] = [_verdict_entry(name, vd) for name, vd in checks]
-    emit(doc, cfg)
+    _report(cfg, "seq compare", {"a": args.source_a, "b": args.source_b,
+                                 "label_a": A.label, "label_b": B.label},
+            [_verdict_entry(name, vd) for name, vd in checks],
+            (args.source_a, args.source_b))
     return 0
 
 
 def _normalized_check(u: Weight, cfg: RunConfig) -> Verdict:
+    if u.log_t_reliable < 0.0:
+        return inconclusive("faithful range ends before t = 1")
     x = np.linspace(np.log(cfg.t_min), 0.0, 64)
     dev = np.abs(u.omega_log(x))
     k = int(np.argmax(dev))
@@ -293,18 +292,17 @@ def cmd_weight_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
                                         H_values=h_values, n=cfg.cond_n)),
               ("sandwich", sandwich_check(u, grid=g, J=cfg.J, policy=pol))]
     Mu = associated_sequence(u, J=cfg.J, grid=g, safety=cfg.safety)
-    doc = _base_doc(cfg, "weight analyze",
-                    {"source": args.source, "label": u.label,
-                     "faithful_log_t": float(u.log_t_reliable)})
-    doc["results"] = [_verdict_entry(name, vd) for name, vd in checks]
-    doc["associated_sequence"] = {
-        "J": Mu.J,
-        "label": Mu.label,
-        "reliable_max_index": Mu.meta["reliable_max_index"],
-        "origin_shift": Mu.meta["origin_shift"],
-        "projection_magnitude": Mu.meta["projection_magnitude"],
-    }
-    emit(doc, cfg)
+    _report(cfg, "weight analyze",
+            {"source": args.source, "label": u.label,
+             "faithful_log_t": float(u.log_t_reliable)},
+            [_verdict_entry(name, vd) for name, vd in checks],
+            associated_sequence={
+                "J": Mu.J,
+                "label": Mu.label,
+                "reliable_max_index": Mu.meta["reliable_max_index"],
+                "origin_shift": Mu.meta["origin_shift"],
+                "projection_magnitude": Mu.meta["projection_magnitude"],
+            })
     return 0
 
 
@@ -315,14 +313,13 @@ def cmd_spaces_decide(cfg: RunConfig, args: argparse.Namespace) -> int:
         iv = decide_inclusion(A, B, policy=cfg.policy())
     except RoutingError as exc:
         raise UsageError(f"no decision route: {exc}") from exc
-    doc = _base_doc(cfg, "spaces decide", {"left": args.left, "right": args.right},
-                    (args.left.partition(":")[2], args.right.partition(":")[2]))
-    doc["results"] = [_verdict_entry("inclusion", iv.verdict)]
-    doc["route"] = iv.theorem_tag
-    doc["sides"] = {k: _verdict_entry(k, v) for k, v in sorted(iv.sides.items())}
-    doc["preconditions"] = {k: _verdict_entry(k, v)
-                            for k, v in sorted(iv.preconditions.items())}
-    emit(doc, cfg)
+    _report(cfg, "spaces decide", {"left": args.left, "right": args.right},
+            [_verdict_entry("inclusion", iv.verdict)],
+            (args.left.partition(":")[2], args.right.partition(":")[2]),
+            route=iv.theorem_tag,
+            sides={k: _verdict_entry(k, v) for k, v in sorted(iv.sides.items())},
+            preconditions={k: _verdict_entry(k, v)
+                           for k, v in sorted(iv.preconditions.items())})
     return 0
 
 
@@ -332,10 +329,8 @@ def cmd_system_equiv(cfg: RunConfig, args: argparse.Namespace) -> int:
         vd = system_equiv(M, cfg.policy())
     except RoutingError as exc:
         raise UsageError(str(exc)) from exc
-    doc = _base_doc(cfg, "spaces system-equiv", {"source": args.source,
-                                                 "label": M.label}, (args.source,))
-    doc["results"] = [_verdict_entry("system_equiv", vd)]
-    emit(doc, cfg)
+    _report(cfg, "spaces system-equiv", {"source": args.source, "label": M.label},
+            [_verdict_entry("system_equiv", vd)], (args.source,))
     return 0
 
 
@@ -359,11 +354,9 @@ def cmd_theta_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         rows.append({"t": float(t), "log_value": val, "tail_error": err})
-    doc = _base_doc(cfg, "theta eval",
-                    {"source": source, "kind": kind, "c": float(c),
-                     "certified_log_t": float(T.log_t_certified)}, (source,))
-    doc["results"] = rows
-    emit(doc, cfg)
+    _report(cfg, "theta eval",
+            {"source": source, "kind": kind, "c": float(c),
+             "certified_log_t": float(T.log_t_certified)}, rows, (source,))
     return 0
 
 
@@ -371,12 +364,11 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     battery = standard_battery(cfg.J)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [run_suite(name, battery) for name in names]
-    doc = _base_doc(cfg, "verify", {"suite": args.suite})
-    doc["results"] = [{"suite": r.name, "passed": r.passed, "detail": r.detail}
-                      for r in results]
-    doc["passed"] = all(r.passed for r in results)
-    emit(doc, cfg)
-    return 0 if doc["passed"] else 1
+    passed = all(r.passed for r in results)
+    _report(cfg, "verify", {"suite": args.suite},
+            [{"suite": r.name, "passed": r.passed, "detail": r.detail}
+             for r in results], passed=passed)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,13 @@ def tildestrong_check(M: WeightSequence, N: WeightSequence,
 def omega_little_o(A: WeightSequence, B: WeightSequence,
                    policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """omega_A = o(omega_B) on the shared faithful window."""
-    return _little_o(RungSamples(from_sequence(A), from_sequence(B), "power"),
-                     policy)
+    return _little_o(RungSamples(from_sequence(A), from_sequence(B), "power", policy))
 
 
-def _little_o(samples: RungSamples, policy: TrendPolicy) -> Verdict:
+def _little_o(samples: RungSamples) -> Verdict:
     """omega_little_o read off the window of a sample set: omega_A is its v
-    side and omega_B its w side, both on the full grid."""
+    side and omega_B its w side, both on the full grid, judged with its policy."""
+    policy = samples.policy
     if samples.window is None:
         return inconclusive("shared faithful range leaves no window")
     x, wa, wb = samples.window
@@ -147,7 +147,7 @@ def pow_routes(M: WeightSequence, N: WeightSequence,
     return {
         "compressed_roots": tildestrong_check(M, N, policy),
         "power_gap": power_gap(powers),
-        "omega_ratio": _little_o(powers, policy),
+        "omega_ratio": _little_o(powers),
     }
 
 
@@ -168,11 +168,9 @@ def mg_transfer_check(M: WeightSequence, N: WeightSequence,
                             evidence=eq.evidence)
     a = check_mg(M, policy)
     b = check_mg(N, policy)
-    if a.inconclusive or b.inconclusive:
-        return inconclusive("a growth verdict on one side is undecided")
     if a.state == b.state:
         return holds(witnesses={"agreed": 1.0},
                      note=f"both sides {a.state.value}")
-    return fails(evidence=(a.evidence + b.evidence)[:2] or ((0.0, 0.0),),
+    return fails(evidence=(a.evidence + b.evidence)[:2],
                  note="equivalent sequences received different growth verdicts; "
                       "one side is a windowing artifact")

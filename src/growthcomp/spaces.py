@@ -99,12 +99,9 @@ class SpaceSpec:
         return w if self.c is None else w.dilate(self.c)
 
     def sequence(self) -> WeightSequence | None:
-        """The sequence behind the weight, or None (also when c dilates it)."""
-        if self.c not in (None, 1.0):
-            return None
-        if isinstance(self.source, WeightSequence):
-            return self.source
-        return self.source.sequence if self.source.shift == 0.0 else None
+        """The sequence behind the weight, or None (also when a dilation remains)."""
+        w = self.weight()
+        return w.sequence if w.shift == 0.0 else None
 
     def describe(self) -> str:
         src = self.source.label or "unlabeled"
@@ -534,9 +531,9 @@ def norm_estimate(f: PowerSeries, v: Weight) -> tuple[float, float]:
     """Bracket for log sup_t (sum_j |a_j| t^j) * v(t).
 
     The lower bound is the grid supremum.  The upper bound adds a Lipschitz
-    margin between samples and is finite only when the weight's end slope
-    exceeds the series' top power, so the supremum is certified interior;
-    it assumes omega is non-decreasing with its steepest slope at the end
+    margin between samples; it is inf unless the weight's end slope exceeds
+    the series' top power, so that the supremum is certified interior.  It
+    assumes omega is non-decreasing with its steepest slope at the end
     (true for convex weights).
     """
     g = default_grid().clip(None, v.log_t_reliable)

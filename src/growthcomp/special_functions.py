@@ -19,13 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .associated_weight import AssociatedWeight
+from .associated_weight import LOG2, AssociatedWeight
 from .grids import default_grid
 from .sequence_core import WeightSequence
 from .spaces import PowerSeries, log_series_eval
 from .verdicts import Verdict, fails, holds, inconclusive
 
-LOG2 = math.log(2.0)
 THETA_KINDS = ("dila", "pow")
 # relative slack of the envelope bounds, for the rounding of both sides
 BOUNDS_RTOL = 1e-9
@@ -55,16 +54,11 @@ class ThetaFunction:
         return AssociatedWeight(self.source)
 
     @property
-    def log_mu_end(self) -> float:
-        """Final quotient of the minorant; anchors every tail certificate."""
-        return float(self._aw.knots[-1])
-
-    @property
     def log_t_certified(self) -> float:
         """Evaluation is certified for log t strictly below this."""
         if self.kind == "dila":
-            return self.log_mu_end - math.log(self.c)
-        return self.log_mu_end
+            return self._aw.log_mu_max - math.log(self.c)
+        return self._aw.log_mu_max
 
     @property
     def label(self) -> str:
@@ -90,13 +84,14 @@ def _tail_log(T: ThetaFunction, x: np.ndarray | float) -> np.ndarray | float:
     """log of the geometric tail bound beyond the stored range, at log t = x."""
     J = T.source.J
     P = T.source.log_values
+    x = np.asarray(x, dtype=float)
     if T.kind == "dila":
-        r_log = math.log(T.c) + np.asarray(x, dtype=float) - LOG2 - T.log_mu_end
-        top_log = J * (math.log(T.c) - LOG2) - P[J] + J * np.asarray(x, dtype=float)
+        r_log = math.log(T.c) + x - LOG2 - T._aw.log_mu_max
+        top_log = J * (math.log(T.c) - LOG2) - P[J] + J * x
     else:
         c = T.c
-        r_log = c * (np.asarray(x, dtype=float) - T.log_mu_end) - LOG2
-        top_log = -J * LOG2 - c * P[J] + c * J * np.asarray(x, dtype=float)
+        r_log = c * (x - T._aw.log_mu_max) - LOG2
+        top_log = -J * LOG2 - c * P[J] + c * J * x
     r = np.exp(r_log)
     return top_log + r_log - np.log1p(-r)
 

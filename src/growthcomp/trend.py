@@ -78,10 +78,8 @@ class TrendReport:
 
 
 def ls_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of y against x; 0.0 for degenerate windows."""
+    """Least-squares slope of y against x (two or more points); 0.0 for constant x."""
     n = len(x)
-    if n < 2:
-        return 0.0
     # np.add.reduce(x) / n is the arithmetic of x.mean() and xm.dot that of
     # np.dot, each without its Python wrapper
     xm = x - np.add.reduce(x) / n

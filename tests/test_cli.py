@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import growthcomp.associated_weight
 import growthcomp.cli
 from growthcomp import holds
 from growthcomp.cli import main
@@ -83,6 +84,20 @@ def test_weight_analyze_from_table(capsys, tmp_path):
     assert doc["associated_sequence"]["J"] == 16
 
 
+def test_weight_analyze_abstains_on_normalization_before_t_one(capsys, tmp_path):
+    # the table ends at t = 0.5, so omega on [t_min, 1] is not known
+    p = tmp_path / "short.csv"
+    p.write_text("0.1,0\n0.5,2\n")
+    code, out, err = run(capsys, "weight", "analyze", f"file:{p}")
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_reject_constant)
+    normalized = doc["results"][0]
+    assert normalized["check"] == "normalized"
+    assert normalized["state"] == "Inconclusive"
+    assert normalized["note"] == "faithful range ends before t = 1"
+    assert len(doc["results"]) == 6
+
+
 def test_spaces_decide_report(capsys):
     code, out, _ = run(capsys, "spaces", "decide",
                        "--left", "InductiveDila:gevrey:2",
@@ -127,9 +142,34 @@ def test_verify_exit_zero_on_pass(capsys):
     assert doc["results"][0]["suite"] == "dual-routes"
 
 
+def test_verify_exits_one_on_a_planted_defect(capsys, monkeypatch):
+    # the sup-scan route of omega moved by 1e-9, above the 1e-12 tolerance
+    real = growthcomp.associated_weight.conjugate
+    monkeypatch.setattr(growthcomp.associated_weight, "conjugate",
+                        lambda a, b, c: real(a, b, c) + 1e-9)
+    code, out, _ = run(capsys, "verify", "dual-routes", "--J", "64")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False and doc["results"][0]["passed"] is False
+    assert doc["results"][0]["detail"].startswith("max absolute gap 1e-09 over 4096")
+    assert "tolerance 1e-12; worst member" in doc["results"][0]["detail"]
+
+
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(growthcomp.cli, "check_mg", interrupted)
+    assert run(capsys, "seq", "analyze", "gevrey:1", "--J", "64") == (130, "", "")
+
+
 # ---------------------------------------------------------------------------
 # determinism and formats
 # ---------------------------------------------------------------------------
+
+def test_json_text_writes_none_as_null():
+    assert growthcomp.cli._json_text(None) == "null"
+    assert growthcomp.cli._json_text({"a": [None]}) == '{\n  "a": [\n    null\n  ]\n}'
+
 
 def test_reports_are_byte_identical(capsys):
     argv = ("seq", "analyze", "gevrey:1", "--J", "64")
@@ -151,6 +191,18 @@ def test_csv_format_shape(capsys):
     assert any(l.startswith("# config:") for l in comments)
     header = next(l for l in lines if not l.startswith("#"))
     assert header == "check,state,witnesses,evidence,note"
+
+
+def test_csv_float_cells_carry_the_json_digits(capsys):
+    argv = ("theta", "eval", "gevrey:1", "--J", "64", "--t", "1,10")
+    _, out, _ = run(capsys, *argv)
+    rows = json.loads(out)["results"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = [l for l in out.splitlines() if not l.startswith("# ")]
+    assert lines[0] == "t,log_value,tail_error"
+    assert lines[1:] == [",".join(f"{row[k]:.17g}" for k in ("t", "log_value", "tail_error"))
+                         for row in rows]
 
 
 # ---------------------------------------------------------------------------

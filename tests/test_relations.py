@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from growthcomp import (Verdict, Weight, bridge_pow_seq, bridge_triangle_seq,
-                        check_mg, fails, fuse_conjunction, fuse_unanimous,
-                        holds, inconclusive, mg_transfer_check, mixture,
-                        omega_little_o, pow_routes, product, scale_pow,
-                        seq_approx, seq_preceq, tildestrong_check,
-                        triangle_routes)
+from growthcomp import (TrendPolicy, Verdict, Weight, bridge_pow_seq,
+                        bridge_triangle_seq, check_mg, fails,
+                        from_log_quotients, from_values, fuse_conjunction,
+                        fuse_unanimous, gevrey, holds, inconclusive,
+                        mg_transfer_check, mixture, omega_little_o, pow_routes,
+                        product, scale_pow, seq_approx, seq_preceq,
+                        tildestrong_check, triangle_routes)
 from growthcomp import weight_functions
 from growthcomp.weight_functions import RungSamples, forall_ladder, from_sequence
 
@@ -119,15 +120,54 @@ def test_mg_transfers_along_equivalence(g1, g2):
     assert mg_transfer_check(g1, g2).state.value == "Inconclusive"
 
 
+def test_mg_transfer_fails_where_equivalent_sequences_disagree():
+    # N is M up to a factor e^(0.25 j sin j), so the two are equivalent, but
+    # the wobble makes N's windowed pairing defect rise while M's stays flat
+    M = gevrey(2.0, 128)
+    j = np.arange(M.J + 1)
+    N = from_values(M.log_values + 0.25 * j * np.sin(j))
+    assert seq_approx(M, N).holds
+    assert check_mg(M).holds and check_mg(N).fails
+    vd = mg_transfer_check(M, N)
+    assert vd.fails
+    assert vd.note.startswith("equivalent sequences received different growth verdicts")
+    assert vd.evidence == check_mg(M).evidence + check_mg(N).evidence
+
+
 def test_little_o_orientation(g1, g2):
     assert omega_little_o(g2, g1).holds
     assert omega_little_o(g1, g2).fails
     assert omega_little_o(g1, g1).fails
 
 
+def test_little_o_abstains_without_a_window():
+    # every quotient of A is e^-8, so omega_A is faithful only below t = e^-8
+    vd = omega_little_o(from_log_quotients(np.full(16, -8.0)), gevrey(1.0, 16))
+    assert vd.inconclusive and vd.note == "shared faithful range leaves no window"
+    # omega_B = 0 below its single quotient e^5, all of the shared window
+    vd = omega_little_o(from_log_quotients(np.linspace(-6.5, -6.0, 16)),
+                        from_log_quotients(np.full(16, 5.0)))
+    assert vd.inconclusive and vd.note == "denominator weight vanishes on the window"
+
+
+def test_little_o_judges_with_the_policy_it_is_given(g1, g2):
+    # omega_g2 / omega_g1 stays below 1: a margin above that decides at once,
+    # the default margin reads the trend of the ratio
+    vd = omega_little_o(g2, g1, TrendPolicy(margin=1e3))
+    assert vd.holds and vd.note == "ratio already below the margin on the whole window"
+    assert omega_little_o(g2, g1).note.startswith("ratio falling on the window")
+
+
 def test_tildestrong_orientation(g1, fact_sq):
     assert tildestrong_check(g1, fact_sq).holds
     assert tildestrong_check(fact_sq, g1).fails
+
+
+def test_tildestrong_abstains_when_every_rung_is_short():
+    vd = tildestrong_check(gevrey(1.0, 7), gevrey(2.0, 7))
+    assert vd.inconclusive
+    assert vd.note == ("no compression rung decidable "
+                       "(short: [1, 2, 4, 8, 16], window-limited: [])")
 
 
 def test_approx_is_transitive_on_decided_triples(g1, g2, g3):

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcomp import (WeightSequence, check_56_alternative, check_mg,
-                        check_mg_diag, from_file, from_quotients, from_values,
-                        gevrey, is_log_convex, log_convex_minorant,
-                        log_factorials, mixture, product, q_gevrey, scale_pow,
-                        seq_approx, seq_preceq, seq_triangle, tilde)
+                        check_mg_diag, check_om1_index, check_strong_2j,
+                        from_file, from_log_quotients, from_quotients,
+                        from_values, gevrey, is_LC, is_log_convex,
+                        log_convex_minorant, log_factorials, mixture, product,
+                        q_gevrey, scale_pow, seq_approx, seq_preceq,
+                        seq_triangle, tilde)
 from growthcomp import sequence_core
 from growthcomp.sequence_core import _lower_hull_vertices, _pairing_minima
 
@@ -285,6 +287,44 @@ def test_alternative_rejects_squared_factorial(fact_sq):
     vd = check_56_alternative(fact_sq)
     assert vd.fails
     assert "every C" in vd.note
+
+
+# every quotient is 2, so the roots log(M_j)/j are log 2 throughout
+CONSTANT_QUOTIENT = from_log_quotients(np.full(64, np.log(2.0)))
+
+
+def test_lc_fails_on_each_missing_part():
+    # log-convex, but M_1 = e^-1 < 1
+    vd = is_LC(from_values([0, -1, -1, 0, 2, 5, 9]))
+    assert vd.fails and vd.note == "not normalized: M_1 < 1"
+    assert vd.evidence == ((1.0, -1.0),)
+    vd = is_LC(CONSTANT_QUOTIENT)
+    assert vd.fails and vd.note.startswith("root sequence not diverging on window")
+    assert vd.evidence[0][0] == 64.0
+
+
+@pytest.mark.parametrize("check, M, note", [
+    (check_mg_diag, from_values([0, 1, 3, 6]), "sequence too short for the diagonal check"),
+    (check_strong_2j, from_values([0, 1, 3, 6]), "sequence too short for the doubling check"),
+    # J = 7 leaves fewer than four indices for every step, which each skips
+    (check_56_alternative, gevrey(1.0, 7),
+     "sequence too short for the factorial-quotient check"),
+    (check_om1_index, gevrey(1.0, 7), "sequence too short for the index ladder"),
+], ids=["mg_diag", "strong_2j", "alternative_56", "om1_index"])
+def test_short_sequences_abstain(check, M, note):
+    vd = check(M)
+    assert vd.inconclusive and vd.note == note
+
+
+def test_index_ladder_fails_on_pinned_roots_and_abstains_on_a_straddle():
+    vd = check_om1_index(CONSTANT_QUOTIENT)
+    assert vd.fails and vd.note == "root ratio pinned near 1 for every L <= 16"
+    assert vd.evidence == ((64.0, float(np.log1p(0.05))),)
+    # the windowed root gap of a slow Gevrey sequence clears the margin
+    # somewhere on the window but not everywhere, for every L
+    vd = check_om1_index(gevrey(0.02, 128))
+    assert vd.inconclusive
+    assert vd.note == "windowed root gap straddles the margin for all tested L"
 
 
 def _pairing_minima_per_n(y: np.ndarray) -> np.ndarray:

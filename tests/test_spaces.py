@@ -53,6 +53,18 @@ def test_member_selector_dilates_a_single_space(g1, g2):
     assert iv.verdict.holds
 
 
+def test_a_selector_that_cancels_its_dilation_takes_the_sequence_routes(g1, g2):
+    # log 2 + log 0.5 is 0.0 exactly, so the member's weight is omega_g2 itself
+    A = SpaceSpec("SingleO", from_sequence(g2).dilate(2.0), c=0.5)
+    assert A.sequence() is g2
+    plain, B = SpaceSpec("SingleO", g2, c=1.0), SpaceSpec("SingleO", g1, c=1.0)
+    for got, want in ((decide_inclusion(A, B), decide_inclusion(plain, B)),
+                      (decide_inclusion(B, A), decide_inclusion(B, plain))):
+        assert got.theorem_tag == want.theorem_tag
+        assert got.theorem_tag == "plain-ratio comparison of sequence weights"
+        assert repr(got.verdict) == repr(want.verdict)
+
+
 def test_spec_describe(g1):
     assert SpaceSpec("SingleO", g1, c=2.0).describe() == "SingleO(gevrey(1), c=2)"
 
@@ -347,6 +359,12 @@ def test_norm_estimate_brackets(g1):
     assert lo <= hi and np.isfinite(hi)
 
 
+def test_norm_estimate_has_no_upper_bound_past_the_end_slope():
+    # omega of gevrey(1, 512) has slope at most 512 < 600, the top power
+    lo, hi = norm_estimate(monomial(600), from_sequence(gevrey(1.0, 512)))
+    assert np.isfinite(lo) and hi == np.inf
+
+
 def test_series_evaluation_of_monomials():
     f = monomial(3, log_scale=np.log(2.0))
     x = np.array([0.0, 1.0, 2.5])
@@ -364,17 +382,22 @@ def test_series_evaluation_rejects_non_finite_points():
 
 def _dense_log_series(f, x):
     """Reference kernel: the full terms matrix, its first-occurrence argmax
-    and an explicit row-by-row sum."""
+    and an explicit row-by-row sum.  Each column is computed on its own, so
+    the columns go through 512 at a time."""
     c = f.log_abs_coeffs
     idx = np.nonzero(np.isfinite(c))[0]
-    terms = c[idx][:, None] + idx.astype(float)[:, None] * x[None, :]
-    k = terms.argmax(axis=0)
-    m = terms[k, np.arange(len(x))]
-    e = np.exp(terms - m)
-    s = e[0].copy()
-    for row in e[1:]:
-        s = s + row
-    return m + np.log(s), idx[k]
+    vals, args = np.empty(len(x)), np.empty(len(x), dtype=idx.dtype)
+    for lo in range(0, len(x), 512):
+        xb = x[lo:lo + 512]
+        terms = c[idx][:, None] + idx.astype(float)[:, None] * xb[None, :]
+        k = terms.argmax(axis=0)
+        m = terms[k, np.arange(len(xb))]
+        e = np.exp(terms - m)
+        s = e[0].copy()
+        for row in e[1:]:
+            s = s + row
+        vals[lo:lo + 512], args[lo:lo + 512] = m + np.log(s), idx[k]
+    return vals, args
 
 
 @pytest.fixture(scope="module")
