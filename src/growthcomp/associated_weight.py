@@ -259,8 +259,7 @@ def legendre_recover(omega: AssociatedWeight, J: int,
 # doubling-condition ladders (shared by sequence and weight front ends)
 # ---------------------------------------------------------------------------
 
-def om6_ladder(omega_log, x_hi: float, H_values=OM6_LADDER,
-               n: int = LADDER_GRID_N) -> Verdict:
+def om6_ladder(omega_log, x_hi: float) -> Verdict:
     """Exists H >= 1 with 2*omega(t) <= omega(H t) + H on t >= 1.
 
     Each rung is checked on the geometric window [1, t_hi / H] so every
@@ -271,13 +270,13 @@ def om6_ladder(omega_log, x_hi: float, H_values=OM6_LADDER,
     violations: list[tuple[float, float]] = []
     skipped: list[float] = []
     evaluated = 0
-    for H in H_values:
+    for H in OM6_LADDER:
         span = x_hi - np.log(H)
         if span <= MIN_WINDOW_SPAN:
             skipped.append(H)
             continue
         evaluated += 1
-        x = np.linspace(0.0, span, n)
+        x = np.linspace(0.0, span, LADDER_GRID_N)
         excess = 2.0 * omega_log(x) - omega_log(x + np.log(H)) - H
         k = int(np.argmax(excess))
         if excess[k] <= LADDER_ATOL:
@@ -294,12 +293,12 @@ def om6_ladder(omega_log, x_hi: float, H_values=OM6_LADDER,
     return fails(evidence=tuple(violations), note=note)
 
 
-def om1_ladder(omega_log, x_hi: float, n: int = LADDER_GRID_N) -> Verdict:
+def om1_ladder(omega_log, x_hi: float) -> Verdict:
     """Exists L with omega(2t) <= L * (omega(t) + 1) on t >= 1."""
     span = x_hi - LOG2
     if span <= MIN_WINDOW_SPAN:
         return inconclusive("faithful range too short for the doubling window")
-    x = np.linspace(0.0, span, n)
+    x = np.linspace(0.0, span, LADDER_GRID_N)
     w_x = omega_log(x)
     w_2x = omega_log(x + LOG2)
     violations: list[tuple[float, float]] = []

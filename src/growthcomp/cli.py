@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import SUITES, run_suite
-from .associated_weight import OM6_LADDER, om1_ladder, om6_ladder
 from .battery import standard_battery
 from .config import FORMATS, RunConfig, from_json
 from .relations import bridge_pow_seq, bridge_triangle_seq
@@ -38,9 +37,10 @@ from .sequence_core import (WeightSequence, check_56_alternative, check_mg,
 from .spaces import (FLAVORS, RoutingError, SpaceSpec, decide_inclusion,
                      system_equiv)
 from .special_functions import THETA_KINDS, ThetaFunction, theta_eval
-from .verdicts import Verdict, fails, holds, inconclusive
-from .weight_functions import (Weight, associated_sequence, from_sequence,
-                               from_table, is_convex_weight,
+from .verdicts import Verdict
+from .weight_functions import (Weight, associated_sequence, check_om1_weight,
+                               check_om6_weight, from_sequence, from_table,
+                               is_convex_weight, is_normalized,
                                rapidly_decreasing, sandwich_check)
 
 SEQUENCE_SOURCES = "gevrey:S | qgevrey:Q | file:PATH"
@@ -48,10 +48,9 @@ SEQUENCE_SOURCES = "gevrey:S | qgevrey:Q | file:PATH"
 # the RunConfig fields each command reads: only these are offered as flags and
 # echoed into its report (a --config file may still set any field)
 COMMAND_FIELDS = {
-    "seq analyze": ("J", "margin", "L_max", "C_max", "fmt"),
+    "seq analyze": ("J", "margin", "fmt"),
     "seq compare": ("J", "margin", "fmt"),
-    "weight analyze": ("t_min", "t_max", "grid_n", "knot_augmented", "J",
-                       "margin", "H_max", "fmt", "safety", "cond_n"),
+    "weight analyze": ("t_min", "t_max", "grid_n", "J", "margin", "fmt"),
     "spaces decide": ("J", "margin", "fmt"),
     "spaces system-equiv": ("J", "margin", "fmt"),
     "theta eval": ("J", "fmt"),
@@ -236,9 +235,9 @@ def cmd_seq_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
               ("LC", is_LC(M, pol)),
               ("mg", check_mg(M, pol)),
               ("mg_diag", check_mg_diag(M, pol)),
-              ("om1_index", check_om1_index(M, pol, L_max=cfg.L_max)),
+              ("om1_index", check_om1_index(M, pol)),
               ("strong_2j", check_strong_2j(M, pol)),
-              ("alternative_56", check_56_alternative(M, pol, C_max=cfg.C_max))]
+              ("alternative_56", check_56_alternative(M, pol))]
     _report(cfg, "seq analyze", {"source": args.source, "label": M.label, "J": M.J},
             [_verdict_entry(name, vd) for name, vd in checks], (args.source,))
     return 0
@@ -266,32 +265,17 @@ def cmd_seq_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _normalized_check(u: Weight, cfg: RunConfig) -> Verdict:
-    if u.log_t_reliable < 0.0:
-        return inconclusive("faithful range ends before t = 1")
-    x = np.linspace(np.log(cfg.t_min), 0.0, 64)
-    dev = np.abs(u.omega_log(x))
-    k = int(np.argmax(dev))
-    if dev[k] == 0.0:
-        return holds(witnesses={"max_abs_low": 0.0},
-                     note="identically one up to t = 1")
-    return fails(evidence=((float(np.exp(x[k])), float(dev[k])),),
-                 note="not pinned to one below t = 1; normalize() repairs this")
-
-
 def cmd_weight_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     u = parse_weight(args.source, cfg.J)
     pol = cfg.policy()
     g = cfg.grid(u)
-    h_values = tuple(H for H in OM6_LADDER if H <= cfg.H_max)
-    checks = [("normalized", _normalized_check(u, cfg)),
+    checks = [("normalized", is_normalized(u)),
               ("rapidly_decreasing", rapidly_decreasing(u, g, pol)),
               ("convex_in_log", is_convex_weight(u, g)),
-              ("om1_weight", om1_ladder(u.omega_log, u.log_t_reliable, n=cfg.cond_n)),
-              ("om6_weight", om6_ladder(u.omega_log, u.log_t_reliable,
-                                        H_values=h_values, n=cfg.cond_n)),
+              ("om1_weight", check_om1_weight(u)),
+              ("om6_weight", check_om6_weight(u)),
               ("sandwich", sandwich_check(u, grid=g, J=cfg.J, policy=pol))]
-    Mu = associated_sequence(u, J=cfg.J, grid=g, safety=cfg.safety)
+    Mu = associated_sequence(u, J=cfg.J, grid=g)
     _report(cfg, "weight analyze",
             {"source": args.source, "label": u.label,
              "faithful_log_t": float(u.log_t_reliable)},
@@ -379,19 +363,10 @@ _FLAGS = {
     "t_min": ("--grid-min", {"type": float, "metavar": "T"}),
     "t_max": ("--grid-max", {"type": float, "metavar": "T"}),
     "grid_n": ("--grid-n", {"type": int, "metavar": "N"}),
-    "knot_augmented": ("--no-knots", {"action": "store_false", "default": None,
-                                      "help": "plain geometric grid, no knot points"}),
     "J": ("--J", {"type": int, "metavar": "J",
                   "help": "index range for constructed sequences"}),
     "margin": ("--margin", {"type": float, "metavar": "M",
                             "help": "trend slope threshold"}),
-    "L_max": ("--L-max", {"type": int, "metavar": "L"}),
-    "H_max": ("--H-max", {"type": float, "metavar": "H"}),
-    "C_max": ("--C-max", {"type": int, "metavar": "C"}),
-    "safety": ("--safety", {"type": float, "metavar": "S",
-                            "help": "reliable-range fraction for recovered sequences"}),
-    "cond_n": ("--cond-n", {"type": int, "metavar": "N",
-                            "help": "grid points per ladder-condition window"}),
     "fmt": ("--format", {"choices": FORMATS}),
 }
 

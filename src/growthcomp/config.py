@@ -7,15 +7,14 @@ import json
 import math
 from dataclasses import dataclass
 
-from .associated_weight import LADDER_GRID_N, OM6_LADDER, RELIABLE_FRACTION
 from .grids import GRID_N, T_MAX, T_MIN, Grid
-from .sequence_core import DEFAULT_J, LADDER_MAX_INDEX
+from .sequence_core import DEFAULT_J
 from .trend import DEFAULT_POLICY, TrendPolicy
 from .weight_functions import Weight
 
 FORMATS = ("json", "csv")
 # exact types, since bool is a subclass of int
-_ADMITS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+_ADMITS = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -25,15 +24,9 @@ class RunConfig:
     t_min: float = T_MIN
     t_max: float = T_MAX
     grid_n: int = GRID_N
-    knot_augmented: bool = True
     J: int = DEFAULT_J
     margin: float = DEFAULT_POLICY.margin
-    L_max: int = LADDER_MAX_INDEX
-    C_max: int = LADDER_MAX_INDEX
-    H_max: float = OM6_LADDER[-1]
     fmt: str = "json"
-    safety: float = RELIABLE_FRACTION
-    cond_n: int = LADDER_GRID_N
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -43,23 +36,18 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be {kind}, got {v!r}")
         if not (0.0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
-        if self.grid_n < 16 or self.cond_n < 16:
-            raise ValueError("grid_n and cond_n need at least 16 points")
+        if self.grid_n < 16:
+            raise ValueError("grid_n needs at least 16 points")
         if self.J < 8:
             raise ValueError("J must be at least 8")
-        if min(self.L_max, self.C_max, self.H_max) < 1:
-            raise ValueError("ladder bounds must be at least 1")
-        if not (0.0 < self.margin < 1.0) or not (0.0 < self.safety <= 1.0):
-            raise ValueError("margin in (0,1), safety in (0,1]")
+        if not (0.0 < self.margin < 1.0):
+            raise ValueError("margin must lie in (0,1)")
         if self.fmt not in FORMATS:
             raise ValueError(f"fmt must be one of {FORMATS}")
 
-    def grid(self, *sources: Weight) -> Grid:
-        g = Grid.geometric(self.t_min, self.t_max, self.grid_n)
-        if self.knot_augmented:
-            for u in sources:
-                g = g.augment(u.knots_log)
-        return g
+    def grid(self, u: Weight) -> Grid:
+        """The geometric analysis grid, augmented with the knots of u."""
+        return Grid.geometric(self.t_min, self.t_max, self.grid_n).augment(u.knots_log)
 
     def policy(self) -> TrendPolicy:
         return TrendPolicy(margin=self.margin)

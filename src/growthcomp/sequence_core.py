@@ -406,13 +406,13 @@ def check_strong_2j(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY) -> 
                             lambda m: {"A": 1.0, "B": float(np.exp(max(0.0, m)))})
 
 
-def check_56_alternative(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY,
-                         C_max: int = LADDER_MAX_INDEX) -> Verdict:
+def check_56_alternative(M: WeightSequence,
+                         policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Exists C in N, D, h >= 1 with m_{2j} <= D h^j (m_{Cj})^(1/C), m_j = M_j / j!."""
     y = M.log_values
     logm = y - log_factorials(M.J)
     best_diag: list[tuple[float, float]] = []
-    for C in range(1, C_max + 1):
+    for C in range(1, LADDER_MAX_INDEX + 1):
         jmax = M.J // max(2, C)
         if jmax < 4:
             continue
@@ -431,11 +431,11 @@ def check_56_alternative(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY
     if not best_diag:
         return inconclusive("sequence too short for the factorial-quotient check")
     return fails(evidence=tuple(best_diag),
-                 note=f"factorial-quotient defect grows for every C <= {C_max}")
+                 note=f"factorial-quotient defect grows for every C <= {LADDER_MAX_INDEX}")
 
 
-def check_om1_index(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY,
-                    L_max: int = LADDER_MAX_INDEX) -> Verdict:
+def check_om1_index(M: WeightSequence,
+                    policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Index form of the doubling condition for the associated weight:
     exists L with liminf (M_{Lj})^(1/(Lj)) / (M_j)^(1/j) > 1.
 
@@ -449,7 +449,7 @@ def check_om1_index(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY,
     thresh = float(np.log1p(policy.margin))
     all_below = True
     tested = 0
-    for L in range(2, L_max + 1):
+    for L in range(2, LADDER_MAX_INDEX + 1):
         jmax = M.J // L
         if jmax < 4:
             continue
@@ -469,7 +469,7 @@ def check_om1_index(M: WeightSequence, policy: TrendPolicy = DEFAULT_POLICY,
         return inconclusive("sequence too short for the index ladder")
     if all_below:
         return fails(evidence=((float(M.J), thresh),),
-                     note=f"root ratio pinned near 1 for every L <= {L_max}")
+                     note=f"root ratio pinned near 1 for every L <= {LADDER_MAX_INDEX}")
     return inconclusive("windowed root gap straddles the margin for all tested L")
 
 

@@ -269,8 +269,8 @@ def is_convex_weight(u: Weight, grid: Grid | None = None) -> Verdict:
 # associated sequence of a weight and the sandwich identity
 # ---------------------------------------------------------------------------
 
-def associated_sequence(u: Weight, J: int = DEFAULT_J, grid: Grid | None = None,
-                        safety: float = RELIABLE_FRACTION) -> WeightSequence:
+def associated_sequence(u: Weight, J: int = DEFAULT_J,
+                        grid: Grid | None = None) -> WeightSequence:
     """M^u_j = sup_t t^j u(t), computed as sup_x (j x - omega(x)) on the grid.
 
     The raw suprema are convex in j up to rounding; the quotient array is
@@ -297,13 +297,13 @@ def associated_sequence(u: Weight, J: int = DEFAULT_J, grid: Grid | None = None,
     q = np.maximum.accumulate(np.diff(vals))
     rebuilt = np.concatenate(([0.0], np.cumsum(q)))
     proj = float(np.max(np.abs(rebuilt - vals)))
-    k_end = float((w[-1] - w[-2]) / (x[-1] - x[-2]))
+    k_end = max(0.0, float((w[-1] - w[-2]) / (x[-1] - x[-2])))
     return WeightSequence(rebuilt,
                           label=f"assoc({u.label})" if u.label else "assoc",
                           log_quotients=np.concatenate(([0.0], q)),
                           meta={"origin_shift": shift,
                                 "projection_magnitude": proj,
-                                "reliable_max_index": int(np.floor(max(0.0, k_end) * safety))})
+                                "reliable_max_index": int(np.floor(k_end * RELIABLE_FRACTION))})
 
 
 def sandwich_check(u: Weight, grid: Grid | None = None, J: int = DEFAULT_J,

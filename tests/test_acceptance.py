@@ -12,6 +12,7 @@ only when a suite's detail is meant to change, and say why in the change log.
 
 from __future__ import annotations
 
+import importlib
 import time
 from pathlib import Path
 
@@ -61,6 +62,22 @@ def test_acceptance_dual_routes(timed_suite):
 
 def test_acceptance_growth_chains(timed_suite):
     _check("growth-chains", timed_suite)
+
+
+@pytest.mark.parametrize("module, constant, value, culprits", [
+    ("associated_weight", "OM6_LADDER", (1.0,),
+     ("shift-doubling weight=Fails, want Holds", "omega=Fails")),
+    ("sequence_core", "LADDER_MAX_INDEX", 1,
+     ("value-doubling index=Inconclusive, want Holds",)),
+], ids=["shift ladder cut to H = 1", "index ladder cut to L = 1"])
+def test_growth_chains_fail_on_a_cut_ladder(battery, monkeypatch, module, constant,
+                                            value, culprits):
+    # the ladders read their rungs from the module constants when they run
+    monkeypatch.setattr(importlib.import_module(f"growthcomp.{module}"), constant, value)
+    result = run_suite("growth-chains", battery)
+    assert not result.passed
+    for culprit in culprits:
+        assert culprit in result.detail
 
 
 def test_acceptance_theta_envelope(timed_suite):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import growthcomp.associated_weight
 import growthcomp.cli
-from growthcomp import holds
+from growthcomp import from_table, holds, is_normalized
 from growthcomp.cli import main
 
 # ---------------------------------------------------------------------------
@@ -96,6 +97,24 @@ def test_weight_analyze_abstains_on_normalization_before_t_one(capsys, tmp_path)
     assert normalized["state"] == "Inconclusive"
     assert normalized["note"] == "faithful range ends before t = 1"
     assert len(doc["results"]) == 6
+
+
+BUMP_ROWS = ((0.001, 0.0), (0.5, 0.0), (0.505, 1.0), (0.51, 0.0),
+             (1.0, 0.0), (10.0, 5.0), (100.0, 20.0))
+
+
+def test_weight_analyze_catches_a_bump_between_samples(capsys, tmp_path):
+    # omega is 1 at t = 0.505 only, between the points of any coarse sampling
+    # of [t_min, 1]; the exact test reads it off the knots
+    p = tmp_path / "bump.csv"
+    p.write_text("\n".join(f"{t:g},{w:g}" for t, w in BUMP_ROWS) + "\n")
+    code, out, err = run(capsys, "weight", "analyze", f"file:{p}")
+    assert (code, err) == (0, "")
+    normalized = json.loads(out)["results"][0]
+    assert normalized["state"] == "Fails"
+    assert normalized["evidence"] == [[0.505, 1.0]]
+    exact = is_normalized(from_table(*zip(*BUMP_ROWS), label="bump"))
+    assert normalized == growthcomp.cli._verdict_entry("normalized", exact)
 
 
 def test_spaces_decide_report(capsys):
@@ -212,12 +231,11 @@ def test_csv_float_cells_carry_the_json_digits(capsys):
 WALK = Path(__file__).resolve().parent / "golden" / "walk.csv"
 
 ECHOED = {
-    ("seq", "analyze", "gevrey:1"): {"J", "margin", "L_max", "C_max", "fmt"},
+    ("seq", "analyze", "gevrey:1"): {"J", "margin", "fmt"},
     # a file keeps its own J, so --J goes unread and unechoed
-    ("seq", "analyze", f"file:{WALK}"): {"margin", "L_max", "C_max", "fmt"},
+    ("seq", "analyze", f"file:{WALK}"): {"margin", "fmt"},
     ("seq", "compare", "gevrey:1", "gevrey:2"): {"J", "margin", "fmt"},
-    ("weight", "analyze", "gevrey:1"): {"t_min", "t_max", "grid_n", "knot_augmented",
-                                        "J", "margin", "H_max", "safety", "cond_n",
+    ("weight", "analyze", "gevrey:1"): {"t_min", "t_max", "grid_n", "J", "margin",
                                         "fmt"},
     ("spaces", "decide", "--left", "InductiveDila:gevrey:2",
      "--right", "ProjectiveDila:gevrey:1"): {"J", "margin", "fmt"},
@@ -246,6 +264,25 @@ def test_j_is_echoed_when_some_source_reads_it(capsys, left, right, echoed):
         code, out, _ = run(capsys, *argv, "--J", "300")
         assert code == 0
         assert ("J" in json.loads(out)["config"]) is echoed
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the table under "flags besides `--config`": one row per command group
+    text = README.read_text()
+    start = text.index("| command | flags besides `--config` |")
+    rows = {}
+    for line in text[start:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        commands, flags = line.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            assert command not in rows, f"{command} has two rows"
+            rows[command] = re.findall(r"`([^`]+)`", flags)
+    assert rows == {command: [growthcomp.cli._FLAGS[field][0] for field in fields]
+                    for command, fields in growthcomp.cli.COMMAND_FIELDS.items()}
 
 
 def test_unread_flag_is_a_usage_error(capsys):
@@ -295,19 +332,23 @@ def test_flags_override_the_config_file(capsys, tmp_path):
     assert json.loads(out)["config"]["J"] == 32
 
 
-def test_unknown_config_key_rejected(capsys, tmp_path):
+# the last six are ladder, grid and recovery settings that the analyses now
+# take from their library constants: a config file that still sets one of them
+# is refused, not silently run with a value it no longer controls
+@pytest.mark.parametrize("key", ["bogus", "knot_augmented", "L_max", "C_max",
+                                 "H_max", "safety", "cond_n"])
+def test_unknown_config_key_rejected(capsys, tmp_path, key):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"bogus": 1}))
-    code, _, err = run(capsys, "seq", "analyze", "gevrey:1",
-                       "--config", str(p))
-    assert code == 2
-    assert "growthcomp: error:" in err and "bogus" in err
+    p.write_text(json.dumps({key: 1}))
+    code, out, err = run(capsys, "seq", "analyze", "gevrey:1",
+                         "--config", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"growthcomp: error: bad configuration: unknown config keys: {key}\n"
 
 
 @pytest.mark.parametrize("fields, message", [
     ({"grid_n": 2048.5}, "grid_n must be int"),
     ({"J": 300.5}, "J must be int"),
-    ({"knot_augmented": "no"}, "knot_augmented must be bool"),
     ({"J": 64, "margin": True}, "margin must be a finite number"),
     ({"t_max": float("inf")}, "t_max must be a finite number"),
 ])
