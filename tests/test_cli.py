@@ -332,9 +332,9 @@ def test_flags_override_the_config_file(capsys, tmp_path):
     assert json.loads(out)["config"]["J"] == 32
 
 
-# the last six are ladder, grid and recovery settings that the analyses now
-# take from their library constants: a config file that still sets one of them
-# is refused, not silently run with a value it no longer controls
+# the ladders, the knot grid and the recovery read library constants, so a
+# config file that sets knot_augmented or the ladder and recovery keys is
+# refused rather than run with a value it does not control
 @pytest.mark.parametrize("key", ["bogus", "knot_augmented", "L_max", "C_max",
                                  "H_max", "safety", "cond_n"])
 def test_unknown_config_key_rejected(capsys, tmp_path, key):
@@ -349,12 +349,13 @@ def test_unknown_config_key_rejected(capsys, tmp_path, key):
 @pytest.mark.parametrize("fields, message", [
     ({"grid_n": 2048.5}, "grid_n must be int"),
     ({"J": 300.5}, "J must be int"),
+    ({"fmt": 1}, "fmt must be str"),
     ({"J": 64, "margin": True}, "margin must be a finite number"),
     ({"t_max": float("inf")}, "t_max must be a finite number"),
 ])
 def test_config_value_of_the_wrong_type_rejected(capsys, tmp_path, fields, message):
-    # a float count was rounded or crashed numpy, a string flag read as true
-    # and an infinite grid end crashed, while the report echoed the value
+    # a float count was rounded or crashed numpy and an infinite grid end
+    # crashed, while the report echoed the value
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(fields))
     code, out, err = run(capsys, "weight", "analyze", "gevrey:1",
