@@ -104,8 +104,8 @@ BUMP_ROWS = ((0.001, 0.0), (0.5, 0.0), (0.505, 1.0), (0.51, 0.0),
 
 
 def test_weight_analyze_catches_a_bump_between_samples(capsys, tmp_path):
-    # omega is 1 at t = 0.505 only, between the points of any coarse sampling
-    # of [t_min, 1]; the exact test reads it off the knots
+    # omega is 1 at t = 0.505 only, a bump that a sampled check of [t_min, 1]
+    # can step over; the exact test reads it off the knots
     p = tmp_path / "bump.csv"
     p.write_text("\n".join(f"{t:g},{w:g}" for t, w in BUMP_ROWS) + "\n")
     code, out, err = run(capsys, "weight", "analyze", f"file:{p}")
