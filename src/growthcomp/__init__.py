@@ -9,8 +9,7 @@ nothing decisive is ever reported without them.
 from types import ModuleType as _ModuleType
 
 from .associated_weight import (AssociatedWeight, check_om1_omega,
-                                check_om6_omega, counting, legendre_recover,
-                                omega_eval)
+                                check_om6_omega, legendre_recover)
 from .battery import is_q_dominated, standard_battery
 from .config import RunConfig
 from .grids import Grid, default_grid

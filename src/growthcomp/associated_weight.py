@@ -220,32 +220,23 @@ def recover(J: int, x: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def omega_eval(M: WeightSequence, t, mode: str = "closed_form"):
-    return AssociatedWeight(M).omega(t, mode=mode)
-
-
-def counting(M: WeightSequence, t):
-    return AssociatedWeight(M).counting(t)
-
-
 # ---------------------------------------------------------------------------
 # Legendre-type recovery
 # ---------------------------------------------------------------------------
 
-def legendre_recover(omega: AssociatedWeight, J: int,
-                     safety: float = RELIABLE_FRACTION) -> WeightSequence:
+def legendre_recover(omega: AssociatedWeight, J: int) -> WeightSequence:
     """Recover M_j = sup_t t^j / exp(omega(t)) on the default grid, for j = 0..J.
 
     The grid is augmented with the quotient knots, which makes the recovery
-    exact on the faithful range.  Indices beyond safety * (counting at the
-    grid end) are grid-limited underestimates; a warning is emitted when J
-    exceeds that cap.  (A Weight recovers its sequence through
+    exact on the faithful range.  Indices beyond RELIABLE_FRACTION *
+    (counting at the grid end) are grid-limited underestimates; a warning is
+    emitted when J exceeds that cap.  (A Weight recovers its sequence through
     weight_functions.associated_sequence.)
     """
     x = default_grid().augment(omega.knots[1:]).log_t
     k_end = float(omega.counting(np.exp(x[-1])))
     label = f"recovered({omega.source.label})" if omega.source.label else "recovered"
-    j_reliable = int(np.floor(max(0.0, k_end) * safety))
+    j_reliable = int(np.floor(max(0.0, k_end) * RELIABLE_FRACTION))
     if J > j_reliable:
         warnings.warn(f"recovery requested up to j={J} but the grid only "
                       f"supports j<={j_reliable}; higher indices are "

@@ -140,20 +140,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _json_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
-                for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+def _json_text(obj, indent: int | None = 0) -> str:
+    """obj as JSON: nested blocks indent levels deep, or one line when
+    indent is None."""
+    if isinstance(obj, (dict, list, tuple)):
+        deeper = None if indent is None else indent + 1
+        if isinstance(obj, dict):
+            brackets = "{}"
+            items = [f"{json.dumps(str(k))}: {_json_text(v, deeper)}"
+                     for k, v in obj.items()]
+        else:
+            brackets = "[]"
+            items = [_json_text(v, deeper) for v in obj]
+        if not items:
+            return brackets
+        if indent is None:
+            return brackets[0] + ", ".join(items) + brackets[1]
+        pad = "  " * indent
+        return (f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items)
+                + f"\n{pad}{brackets[1]}")
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -171,15 +176,6 @@ def _verdict_entry(name: str, vd: Verdict) -> dict:
             "witnesses": {k: float(v) for k, v in sorted(vd.witnesses.items())},
             "evidence": [[float(a), float(b)] for a, b in vd.evidence],
             "note": vd.note}
-
-
-def _json_line(obj) -> str:
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_line(v)}"
-                               for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_line(v) for v in obj) + "]"
-    return _json_text(obj)
 
 
 def _csv_cell(value) -> str:
@@ -201,7 +197,7 @@ def emit(doc: dict, cfg: RunConfig) -> None:
     for key, value in doc.items():
         if key == "results":
             continue
-        out.write(f"# {key}: {_json_line(value)}\n")
+        out.write(f"# {key}: {_json_text(value, None)}\n")
     rows = doc.get("results", [])
     if rows:
         fields = list(rows[0])
@@ -327,17 +323,14 @@ def cmd_theta_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError(f"bad evaluation points {points!r}") from exc
     if not ts:
         raise UsageError("need at least one evaluation point")
+    rows = []
     try:
         T = ThetaFunction(M, kind, c)
+        for t in ts:
+            val, err = theta_eval(T, t)
+            rows.append({"t": float(t), "log_value": val, "tail_error": err})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = []
-    for t in ts:
-        try:
-            val, err = theta_eval(T, t)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        rows.append({"t": float(t), "log_value": val, "tail_error": err})
     _report(cfg, "theta eval",
             {"source": source, "kind": kind, "c": float(c),
              "certified_log_t": float(T.log_t_certified)}, rows, (source,))

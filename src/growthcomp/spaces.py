@@ -36,9 +36,11 @@ from .weight_functions import (FORALL_LADDER, Weight, associated_sequence,
                                weight_preceq, weight_triangle_dila,
                                weight_triangle_pow)
 
-SINGLE_FLAVORS = ("SingleO", "SingleLittleO")
-SYSTEM_FLAVORS = ("InductiveDila", "ProjectiveDila", "InductivePow", "ProjectivePow")
-FLAVORS = SINGLE_FLAVORS + SYSTEM_FLAVORS
+# flavor -> (mode, axis) of its system; a single space has neither
+_SHAPES = {"SingleO": (None, None), "SingleLittleO": (None, None),
+           "InductiveDila": ("inductive", "dila"), "ProjectiveDila": ("projective", "dila"),
+           "InductivePow": ("inductive", "pow"), "ProjectivePow": ("projective", "pow")}
+FLAVORS = tuple(_SHAPES)
 
 
 class RoutingError(Exception):
@@ -69,30 +71,22 @@ class SpaceSpec:
             raise ValueError(f"unknown flavor {self.flavor!r}; expected one of {FLAVORS}")
         if not isinstance(self.source, (WeightSequence, Weight)):
             raise ValueError("source must be a WeightSequence or a Weight")
-        if self.little_o and self.flavor in SINGLE_FLAVORS:
+        if self.little_o and self.is_single:
             raise ValueError("little_o applies to systems; use SingleLittleO instead")
-        if self.c is not None and self.flavor not in SINGLE_FLAVORS:
+        if self.c is not None and not self.is_single:
             raise ValueError(f"c applies to single spaces, not {self.flavor}")
 
     @property
     def is_single(self) -> bool:
-        return self.flavor in SINGLE_FLAVORS
-
-    @property
-    def axis(self) -> str | None:
-        if self.flavor.endswith("Dila"):
-            return "dila"
-        if self.flavor.endswith("Pow"):
-            return "pow"
-        return None
+        return self.mode is None
 
     @property
     def mode(self) -> str | None:
-        if self.flavor.startswith("Inductive"):
-            return "inductive"
-        if self.flavor.startswith("Projective"):
-            return "projective"
-        return None
+        return _SHAPES[self.flavor][0]
+
+    @property
+    def axis(self) -> str | None:
+        return _SHAPES[self.flavor][1]
 
     def weight(self) -> Weight:
         w = from_sequence(self.source) if isinstance(self.source, WeightSequence) else self.source
@@ -141,7 +135,7 @@ def _o_collapse_gate(S: SpaceSpec, policy: TrendPolicy) -> Verdict:
                      note="collapse gate needs omega convex in log t")
     rungs_failed = True
     for c in OM1_LADDER:
-        r = strong_ratio_check(u, c, 2.0, policy=policy)
+        r = strong_ratio_check(u, c, policy=policy)
         if r.holds:
             return holds(witnesses={"H": float(c), **r.witnesses},
                          note=f"doubling absorbed by dilation {c:g}")

@@ -356,23 +356,23 @@ def check_om1_weight(u: Weight) -> Verdict:
     return om1_ladder(u.omega_log, u.log_t_reliable)
 
 
-def strong_ratio_check(u: Weight, c: float, d: float,
+def strong_ratio_check(u: Weight, c: float,
                        policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
-    """Exists C with d * omega(t) <= omega(c t) + C on t >= 1."""
-    if not (c > 0 and d > 0):
-        raise ValueError("need positive c and d")
+    """Exists C with 2 omega(t) <= omega(c t) + C on t >= 1."""
+    if not c > 0:
+        raise ValueError("need positive c")
     span = u.log_t_reliable - np.log(c)
     if span <= MIN_WINDOW_SPAN:
         return inconclusive("faithful range too short for this dilation factor")
     x = np.linspace(0.0, span, LADDER_GRID_N)
-    gdiag = d * u.omega_log(x) - u.omega_log(x + np.log(c))
+    gdiag = 2.0 * u.omega_log(x) - u.omega_log(x + np.log(c))
     rep = classify(x, gdiag, policy)
     k = int(np.argmax(gdiag))
     # evidence abscissa is log t: the faithful span overflows exp
     point = (float(x[k]), float(gdiag[k]))
     if rep.kind is Trend.RISING:
         return fails(evidence=(point,),
-                     note=f"d*omega outruns the dilated omega (slope {rep.slope:.3g})")
+                     note=f"2*omega outruns the dilated omega (slope {rep.slope:.3g})")
     return holds(witnesses={"C": float(max(0.0, gdiag[k]))}, evidence=(point,),
                  note="iterated-ratio slack bounded on the window")
 

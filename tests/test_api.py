@@ -1,5 +1,5 @@
-"""Public surface: which callables take a grid, the trend policy and weight
-fields, and the names the benchmark's tracer wraps."""
+"""Public surface: which callables take a grid, the retired spellings, the
+trend policy and weight fields, and the names the benchmark's tracer wraps."""
 
 from __future__ import annotations
 
@@ -28,6 +28,18 @@ def test_public_names_are_the_package_imports():
         obj = getattr(growthcomp, name)
         assert not inspect.ismodule(obj), name
         assert any(getattr(m, name, None) is obj for m in modules), name
+
+
+def test_retired_spellings_are_gone():
+    # omega_M and its counting function are AssociatedWeight methods only
+    for name in ("omega_eval", "counting"):
+        assert name not in growthcomp.__all__
+        assert not hasattr(growthcomp.associated_weight, name)
+    # the recovery's reliable share and the gate's factor 2 are constants
+    assert list(inspect.signature(growthcomp.legendre_recover).parameters) == [
+        "omega", "J"]
+    assert list(inspect.signature(growthcomp.strong_ratio_check).parameters) == [
+        "u", "c", "policy"]
 
 
 def test_only_the_weight_analyze_checks_take_a_grid():

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcomp import (AssociatedWeight, WeightSequence, associated_sequence,
-                        check_om1_omega, check_om6_omega, counting,
-                        default_grid, from_log_quotients, from_sequence,
-                        from_values, gevrey, is_log_convex, legendre_recover,
-                        log_convex_minorant, normalize, omega_eval,
-                        q_gevrey, standard_battery)
+                        check_om1_omega, check_om6_omega, default_grid,
+                        from_log_quotients, from_sequence, from_values, gevrey,
+                        is_log_convex, legendre_recover, log_convex_minorant,
+                        normalize, q_gevrey, standard_battery)
+from growthcomp import associated_weight
 from growthcomp.associated_weight import (MIN_WINDOW_SPAN, OM1_LADDER,
                                           OM6_LADDER, OMEGA_MODES, SCAN_CELLS,
                                           conjugate, om1_ladder, om6_ladder,
@@ -26,24 +26,24 @@ from growthcomp.associated_weight import (MIN_WINDOW_SPAN, OM1_LADDER,
 # ---------------------------------------------------------------------------
 
 def test_counting_factorial_quotients(g1):
-    assert counting(g1, 3.5) == 3
-    assert counting(g1, 0.5) == 0
-    np.testing.assert_array_equal(counting(g1, np.array([0.5, 1.0, 3.5])),
+    aw = AssociatedWeight(g1)
+    assert aw.counting(3.5) == 3
+    assert aw.counting(0.5) == 0
+    np.testing.assert_array_equal(aw.counting(np.array([0.5, 1.0, 3.5])),
                                   [0, 1, 3])
 
 
 def test_counting_saturates_at_top_index():
-    M = gevrey(1.0, 16)
-    assert counting(M, 1e12) == 16
+    assert AssociatedWeight(gevrey(1.0, 16)).counting(1e12) == 16
 
 
 def test_counting_rejects_nan_and_negative_t():
-    M = gevrey(1.0, 64)
+    aw = AssociatedWeight(gevrey(1.0, 64))
     for bad in ([np.nan, 2.0], [-3.0, 2.0], -1.0, np.nan):
         with pytest.raises(ValueError, match="non-negative"):
-            counting(M, bad)
+            aw.counting(bad)
     # t = 0 counts nothing and t = inf every quotient (an overflowed exp)
-    np.testing.assert_array_equal(counting(M, [0.0, 2.0, np.inf]), [0, 2, 64])
+    np.testing.assert_array_equal(aw.counting([0.0, 2.0, np.inf]), [0, 2, 64])
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +142,6 @@ def test_omega_rejects_non_finite_points(g1, mode):
     for t in ([np.nan, 2.0], np.inf):
         with pytest.raises(ValueError, match="finite"):
             aw.omega(t, mode=mode)
-    with pytest.raises(ValueError, match="finite"):
-        omega_eval(g1, [np.nan, 2.0], mode=mode)
     assert aw.omega(0.0, mode=mode) == 0.0
 
 
@@ -185,12 +183,6 @@ def test_unknown_mode_rejected(g1):
         AssociatedWeight(g1).omega_log(np.array([1.0]), mode="bogus")
 
 
-def test_omega_eval_wraps_the_class(g1):
-    t = np.array([1.0, 7.5, 100.0])
-    np.testing.assert_array_equal(omega_eval(g1, t),
-                                  AssociatedWeight(g1).omega_log(np.log(t)))
-
-
 def test_minorant_shares_the_weight():
     M = from_values(np.log([1.0, 10.0, 20.0, 200.0]))
     x = np.linspace(-1.0, 8.0, 101)
@@ -204,24 +196,27 @@ def test_minorant_shares_the_weight():
 # recovery
 # ---------------------------------------------------------------------------
 
-def test_recovery_roundtrip_factorials():
+def test_recovery_roundtrip_factorials(monkeypatch):
     M = gevrey(1.0, 50)
     with pytest.warns(UserWarning, match="grid only supports"):
         R = legendre_recover(AssociatedWeight(M), J=50)
     cap = int(R.meta["reliable_max_index"])
-    # the default safety factor halves the grid-supported index range
+    # RELIABLE_FRACTION halves the grid-supported index range
     assert cap == 25
     np.testing.assert_allclose(R.log_values[1:cap + 1],
                                M.log_values[1:cap + 1], rtol=1e-9)
-    full = legendre_recover(AssociatedWeight(M), J=50, safety=1.0)
+    # the recovery reads the constant when it runs
+    monkeypatch.setattr(associated_weight, "RELIABLE_FRACTION", 1.0)
+    full = legendre_recover(AssociatedWeight(M), J=50)
     assert int(full.meta["reliable_max_index"]) == 50
     np.testing.assert_allclose(full.log_values[1:], M.log_values[1:],
                                rtol=1e-9)
 
 
-def test_recovery_of_non_convex_input_is_the_minorant():
+def test_recovery_of_non_convex_input_is_the_minorant(monkeypatch):
+    monkeypatch.setattr(associated_weight, "RELIABLE_FRACTION", 1.0)
     M = from_values(np.log([1.0, 10.0, 20.0, 200.0]))
-    R = legendre_recover(AssociatedWeight(M), J=3, safety=1.0)
+    R = legendre_recover(AssociatedWeight(M), J=3)
     np.testing.assert_allclose(R.log_values,
                                log_convex_minorant(M).log_values,
                                rtol=0, atol=1e-9)

@@ -186,8 +186,15 @@ def test_interrupt_exits_130(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_json_text_writes_none_as_null():
-    assert growthcomp.cli._json_text(None) == "null"
-    assert growthcomp.cli._json_text({"a": [None]}) == '{\n  "a": [\n    null\n  ]\n}'
+    text = growthcomp.cli._json_text
+    assert text(None) == "null"
+    assert text({"a": [None]}) == '{\n  "a": [\n    null\n  ]\n}'
+    # one line, as the CSV comment lines write it
+    doc = {"a": [None, 1, {"b": 0.5, "c": [True, "x"]}], "d": {}, "e": []}
+    assert text(doc, None) == ('{"a": [null, 1, {"b": 0.5, "c": [true, "x"]}], '
+                               '"d": {}, "e": []}')
+    assert text({}, None) == "{}" and text([], None) == "[]"
+    assert json.loads(text(doc, None)) == json.loads(text(doc)) == doc
 
 
 def test_reports_are_byte_identical(capsys):

@@ -33,6 +33,19 @@ def test_spec_axis_and_mode(g1):
     assert T.axis is None and T.mode is None and T.is_single
 
 
+def test_spec_shapes_follow_the_flavor_names(g1):
+    assert FLAVORS == ("SingleO", "SingleLittleO", "InductiveDila",
+                       "ProjectiveDila", "InductivePow", "ProjectivePow")
+    for flavor in FLAVORS:
+        single = flavor.startswith("Single")
+        S = SpaceSpec(flavor, g1, c=1.0 if single else None)
+        assert S.is_single == single
+        assert S.mode == next((m.lower() for m in ("Inductive", "Projective")
+                               if flavor.startswith(m)), None)
+        assert S.axis == next((a.lower() for a in ("Dila", "Pow")
+                               if flavor.endswith(a)), None)
+
+
 def test_spec_validation(g1):
     with pytest.raises(ValueError, match="flavor"):
         SpaceSpec("Bogus", g1)

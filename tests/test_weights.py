@@ -252,16 +252,17 @@ def test_rapid_decrease_needs_unbounded_omega(g1):
 
 def test_strong_ratio_inequality(g1):
     u = from_sequence(g1)
-    assert strong_ratio_check(u, 2.0, 2.0).holds
-    assert strong_ratio_check(u, 1.0, 2.0).fails
-    with pytest.raises(ValueError):
-        strong_ratio_check(u, -1.0, 1.0)
+    assert strong_ratio_check(u, 2.0).holds
+    assert strong_ratio_check(u, 1.0).fails
+    for c in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="positive c"):
+            strong_ratio_check(u, c)
 
 
 def test_strong_ratio_evidence_is_a_log_t_on_the_window():
     # the faithful span reaches log t ~ 1124, where exp overflows
     u = from_sequence(product(q_gevrey(1.5, 512), q_gevrey(2.0, 512)))
-    r = strong_ratio_check(u, 2.0, 2.0)
+    r = strong_ratio_check(u, 2.0)
     (x, gap), = r.evidence
     assert np.isfinite(x) and np.isfinite(gap)
     assert x in np.linspace(0.0, u.log_t_reliable - np.log(2.0), LADDER_GRID_N)
