@@ -12,6 +12,7 @@ only when a suite's detail is meant to change, and say why in the change log.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import time
 from pathlib import Path
@@ -19,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from growthcomp import standard_battery
+from growthcomp import (State, Verdict, WeightSequence, fails, holds, inconclusive,
+                        standard_battery)
 from growthcomp.acceptance import SUITES, _all_chords_envelope, run_suite
 
 RUNTIME_BUDGET_S = 60.0
@@ -75,6 +77,107 @@ def test_growth_chains_fail_on_a_cut_ladder(battery, monkeypatch, module, consta
     # the ladders read their rungs from the module constants when they run
     monkeypatch.setattr(importlib.import_module(f"growthcomp.{module}"), constant, value)
     result = run_suite("growth-chains", battery)
+    assert not result.passed
+    for culprit in culprits:
+        assert culprit in result.detail
+
+
+def _flipped(vd: Verdict) -> Verdict:
+    """vd with Holds and Fails swapped; an Inconclusive stays as it is."""
+    swap = {State.HOLDS: State.FAILS, State.FAILS: State.HOLDS}
+    return dataclasses.replace(vd, state=swap.get(vd.state, vd.state))
+
+
+def _flip(fn):
+    return lambda *args, **kwargs: _flipped(fn(*args, **kwargs))
+
+
+def _flip_route(route):
+    def plant(fn):
+        def routes(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            return {**out, route: _flipped(out[route])}
+        return routes
+    return plant
+
+
+def _shift_rows(fn):
+    # each recovered row j >= 2 takes the value of row j - 1
+    def shifted(*args):
+        out = fn(*args)
+        out[2:] = out[1:-1].copy()
+        return out
+    return shifted
+
+
+def _lower_one_value(fn):
+    def lowered(M):
+        y = fn(M).log_values.copy()
+        y[len(y) // 2] -= 1e-9
+        return WeightSequence(y, label=M.label)
+    return lowered
+
+
+def _clean_witness(fn):
+    # a Fails whose one witness, H = 1 at log t = 0, violates no rung
+    def planted(M):
+        vd = fn(M)
+        return fails(evidence=((1.0, 0.0),)) if vd.fails else vd
+    return planted
+
+
+# suite, module and name of the layer it looks up, plant, what the detail names
+PLANTS = {
+    "roundtrip: recovery off by one row": (
+        "roundtrip", "associated_weight", "recover", _shift_rows,
+        ("worst member gevrey(2)",)),
+    "fixed-point: weight recovery off by one row": (
+        "fixed-point", "weight_functions", "recover", _shift_rows,
+        ("gevrey(0.5): sandwich Fails",)),
+    "envelope: minorant lowered by 1e-9": (
+        "envelope", "acceptance", "log_convex_minorant", _lower_one_value,
+        ("100 oracle mismatches",)),
+    "bridges: roots route flipped": (
+        "bridges", "acceptance", "triangle_routes", _flip_route("roots"),
+        ("strong bridge decisive 0.0%", "route contradictions 420",
+         "7 entry-point mismatches")),
+    "bridges: compressed roots route flipped": (
+        "bridges", "acceptance", "pow_routes", _flip_route("compressed_roots"),
+        ("power bridge decisive 0.0%", "route contradictions 420",
+         "7 entry-point mismatches")),
+    "falsification: diagonal growth route flipped": (
+        "falsification", "acceptance", "check_mg_diag", _flip,
+        ("diagonal and full growth routes disagree",)),
+    "falsification: square-index comparison holds": (
+        "falsification", "acceptance", "check_strong_2j",
+        lambda fn: lambda *args: holds(witnesses={"C": 1.0}),
+        ("square-index comparison did not fail",)),
+    "membership-matrix: membership flipped": (
+        "membership-matrix", "acceptance", "membership", _flip,
+        ("378/378 wrong", "t^0 in SingleO")),
+    "theta-envelope: bounds undecided": (
+        "theta-envelope", "acceptance", "bounds_check",
+        lambda fn: lambda T: inconclusive("planted"),
+        ("envelope verified on 0/105 probes", "failing: gevrey(0.5):dila:0.5 Inconclusive")),
+    "system-equivalence: verdict flipped": (
+        "system-equivalence", "acceptance", "system_equiv", _flip,
+        ("gevrey(0.5): Fails, want Holds",)),
+    "system-equivalence: witness violates no rung": (
+        "system-equivalence", "acceptance", "system_equiv", _clean_witness,
+        ("qgevrey(1.5): rung H=1 witness does not violate",
+         "no certified witness at H in [1.0, 2.0")),
+}
+
+
+@pytest.mark.parametrize("suite, module, name, plant, culprits", PLANTS.values(),
+                         ids=PLANTS.keys())
+def test_suites_fail_on_a_planted_defect(battery, monkeypatch, suite, module, name,
+                                         plant, culprits):
+    # each suite reaches its layer through the module named here: acceptance
+    # and weight_functions hold their own references to what they import
+    target = importlib.import_module(f"growthcomp.{module}")
+    monkeypatch.setattr(target, name, plant(getattr(target, name)))
+    result = run_suite(suite, battery)
     assert not result.passed
     for culprit in culprits:
         assert culprit in result.detail

@@ -169,6 +169,9 @@ def test_omega_vanishes_up_to_first_quotient(g1):
     aw = AssociatedWeight(g1)
     np.testing.assert_array_equal(aw.omega_log(np.array([-5.0, -1.0, 0.0])),
                                   [0.0, 0.0, 0.0])
+    # omega(t) is omega_log(log t), and 0 at t = 0
+    np.testing.assert_array_equal(aw.omega(np.array([0.0, 0.5, 1.0, 7.5])),
+                                  [0.0, 0.0, 0.0, aw.omega_log(np.log(7.5))])
 
 
 def test_omega_monotone_and_convex_in_log_t(g1):
