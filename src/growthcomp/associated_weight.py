@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import default_grid
+from .grids import Grid, _span_grid, default_grid
 from .sequence_core import WeightSequence, log_convex_minorant
 from .verdicts import Verdict, fails, holds, inconclusive
 
@@ -83,6 +83,20 @@ class AssociatedWeight:
         """End of the faithful range: beyond the last quotient the truncated
         supremum freezes at the top index while the true weight keeps growing."""
         return float(self.knots[-1])
+
+    @cached_property
+    def grid(self) -> Grid | None:
+        """Comparison grid of the faithful span (grids._span_grid), built on
+        first use: every comparison whose shortest span is this undilated
+        weight's samples it (weight_functions._comparison_grid)."""
+        return _span_grid(self.log_mu_max)
+
+    @cached_property
+    def grid_omega(self) -> np.ndarray:
+        """Closed-form omega on grid, evaluated once; read-only."""
+        out = self.omega_log(self.grid.log_t)
+        out.flags.writeable = False
+        return out
 
     def omega_log(self, x, mode: str = "closed_form") -> np.ndarray:
         """Associated weight at t = exp(x), for scalar or array x."""
@@ -139,6 +153,11 @@ def conjugate(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ranges(starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The runs arange(s, s + w) over the pairs of starts and widths, end to end."""
+    return np.repeat(starts - (np.cumsum(widths) - widths), widths) + np.arange(widths.sum())
+
+
 def _closed_form(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Max of j*x - P[j] over the indices that can win it in float.
 
@@ -148,30 +167,46 @@ def _closed_form(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> np.ndarray
     a = #{q < x - tie} and fall by more than that past b = #{q <= x + tie},
     so the float maximum over all indices is the maximum over [a, b].  The
     counting index lies in that window, and b = a unless a quotient lies
-    within tie of x; those few points fold in a+1..b in one ragged gather.
+    within tie of x; those few points fold in a+1..b in one ragged gather,
+    each point's indices in rising order.
 
     a and b are counted by one search per point, or, when the points are
-    sorted and outnumber the quotients, by placing each quotient among the
-    points (xs - tie and xs + tie stay sorted, since rounding is monotone)
-    and summing the placements: the same comparisons, so the same integers.
+    sorted and outnumber the quotients, from where each quotient falls
+    among the points: quotient k lies in the windows of the points
+    [pb_k, pa_k), with pb_k = #{xs + tie < q_k} and pa_k = #{xs - tie <= q_k}
+    (xs - tie and xs + tie stay sorted, since rounding is monotone).  a is
+    the running count of the pa_k: the same comparisons as the search, so
+    the same integers.  b - a at point i counts the k with
+    pb_k <= i < pa_k, which are a+1..b since q is sorted; so b is never
+    formed, and each quotient with pb_k < pa_k folds into its points
+    instead: one expansion, over the few quotients within tie of a point.
+    The largest |x| of sorted points is at one of the two ends.
     """
     J = len(P) - 1
     q = knots[1:]
     n = len(xs)
-    tie = 4.0 * np.finfo(float).eps * (J * float(np.abs(xs).max(initial=0.0))
-                                       + float(np.abs(P).max()))
-    if n > J and not (xs[1:] < xs[:-1]).any():
-        a = np.bincount((xs - tie).searchsorted(q, "right"), minlength=n + 1)[:n].cumsum()
-        b = np.bincount((xs + tie).searchsorted(q, "left"), minlength=n + 1)[:n].cumsum()
+    ordered = n > J and not (xs[1:] < xs[:-1]).any()
+    x_abs = max(abs(xs[0]), abs(xs[-1])) if ordered else np.abs(xs).max(initial=0.0)
+    tie = 4.0 * np.finfo(float).eps * (J * float(x_abs) + float(np.abs(P).max()))
+    # near: the quotients within tie of a point (sorted points) or the
+    # points within tie of a quotient (one search per point)
+    if ordered:
+        pa = (xs - tie).searchsorted(q, "right")
+        pb = (xs + tie).searchsorted(q, "left")
+        a = np.bincount(pa, minlength=n + 1)[:n].cumsum()
+        near = np.flatnonzero(pb < pa)
+        width = pa[near] - pb[near]
     else:
         a = q.searchsorted(xs - tie, "left")
         b = q.searchsorted(xs + tie, "right")
+        near = np.flatnonzero(b > a)
+        width = b[near] - a[near]
     out = a.astype(float) * xs - P[a]
-    wide = np.flatnonzero(b > a)
-    if len(wide):
-        width = b[wide] - a[wide]
-        i = np.repeat(wide, width)
-        j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width, width) + a[i] + 1
+    if len(near):
+        if ordered:
+            i, j = _ranges(pb[near], width), np.repeat(near + 1, width)
+        else:
+            i, j = np.repeat(near, width), _ranges(a[near] + 1, width)
         np.maximum.at(out, i, j.astype(float) * xs[i] - P[j])
     return out
 
@@ -211,12 +246,11 @@ def recover(J: int, x: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     lo = x.searchsorted(ends[:-1] - m, "left")
     hi = x.searchsorted(ends[1:] + m, "right")
     width = hi - lo
-    start = np.cumsum(width) - width
-    i = np.arange(width.sum()) - np.repeat(start - lo, width)
+    i = _ranges(lo, width)
     js = np.repeat(np.arange(1, J + 1, dtype=float), width)
     out = np.empty(J + 1)
     out[0] = conjugate(np.zeros(1), x, w)[0]
-    out[1:] = np.maximum.reduceat(js * x[i] - w[i], start)
+    out[1:] = np.maximum.reduceat(js * x[i] - w[i], np.cumsum(width) - width)
     return out
 
 

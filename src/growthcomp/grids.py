@@ -79,3 +79,20 @@ _DEFAULT_GRID = Grid.geometric(T_MIN, T_MAX, GRID_N)
 def default_grid() -> Grid:
     """The default grid, built once: a Grid is frozen and its points read-only."""
     return _DEFAULT_GRID
+
+
+def _span_grid(x_hi: float) -> Grid | None:
+    """The comparison grid of a faithful span that ends at x_hi.
+
+    The faithful span of a sequence-backed weight routinely extends far past
+    the default grid's top (log mu grows linearly in the index for q-type
+    sequences), and the decisive crossovers of slowly separating pairs live
+    out there.  So past the top the span is sampled in full at the default
+    grid's resolution, GRID_N points from its first point to x_hi; below
+    the top, it is the default grid clipped at x_hi.  None when fewer than
+    two points remain.  Its points are linspace points, so none is -0.0.
+    """
+    g = default_grid()
+    if x_hi <= float(g.log_t[-1]):
+        return g.clip(None, x_hi)
+    return Grid.geometric_log(float(g.log_t[0]), x_hi, len(g))

@@ -25,12 +25,16 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .trend import DEFAULT_POLICY, Trend, TrendPolicy, classify, index_window
 from .verdicts import Verdict, fails, fuse_conjunction, holds, inconclusive
+
+if TYPE_CHECKING:
+    from .associated_weight import AssociatedWeight
 
 LADDER_MAX_INDEX = 16
 # index range of constructed sequences and recoveries unless a caller sets J
@@ -95,6 +99,13 @@ class WeightSequence:
         q[1:] = np.diff(self.log_values)
         q.flags.writeable = False
         return q
+
+    @cached_property
+    def associated_weight(self) -> AssociatedWeight:
+        """The associated weight of M, built once, so that every weight of M
+        shares its minorant, comparison grid and omega on that grid."""
+        from .associated_weight import AssociatedWeight  # it imports this module
+        return AssociatedWeight(self)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,22 @@ adds one evaluation of w.dilate(c), and a power rung is c * w(x), exact
 because each c is a power of two.  Only a dilation rung with c > 1 pulls
 w's end in by log c, and it samples its own window.
 
-Every comparison samples the default grid.  Only the checks on one weight
-(rapidly_decreasing, is_convex_weight, sandwich_check) and the recovery
-associated_sequence take a grid.
+A comparison window samples the span grid (grids._span_grid) of the
+shortest faithful span among its weights: the default grid clipped at that
+end, or the whole span at the default grid's resolution past its top.  All
+weights of one sequence share its one AssociatedWeight
+(WeightSequence.associated_weight), which holds two things, each built on
+first use: the span grid of its own faithful span, and closed-form omega on
+that grid.  A window whose shortest span is an undilated sequence weight's
+takes that grid, and the weight's omega there is read, not evaluated again;
+its scale and offset apply as before.  Dilated weights, the rungs included,
+are evaluated every time, so each sequence holds one grid and one omega
+array.  The awake part of a rung is a suffix of the window whenever both
+omegas are non-decreasing, as for every sequence weight; its arrays are
+then views of the window's, and any other mask gathers them.
+
+Only the checks on one weight (rapidly_decreasing, is_convex_weight,
+sandwich_check) and the recovery associated_sequence take a grid.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ import numpy as np
 from .associated_weight import (LADDER_GRID_N, MIN_WINDOW_SPAN, OM6_LADDER,
                                 RELIABLE_FRACTION, AssociatedWeight,
                                 conjugate, om1_ladder, om6_ladder, recover)
-from .grids import Grid, default_grid
+from .grids import Grid, _span_grid, default_grid
 from .sequence_core import DEFAULT_J, WeightSequence
 from .trend import (DEFAULT_POLICY, MIN_WINDOW_POINTS, Trend, TrendPolicy,
                     classify)
@@ -105,7 +118,14 @@ class Weight:
 
     def omega_log(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.scale * self.base.omega_log(xs + self.shift)
+        # an undilated sequence weight reads omega on the base's comparison
+        # grid once that grid is built (vars() holds a cached property only
+        # then); the grid holds no -0.0, so xs + 0.0 is xs bit for bit
+        grid = vars(self.base).get("grid") if self.shift == 0.0 else None
+        if grid is not None and xs is grid.log_t:
+            out = self.scale * self.base.grid_omega
+        else:
+            out = self.scale * self.base.omega_log(xs + self.shift)
         if self.offset is not None:
             out = np.maximum(0.0, out - self.offset)
         return out if np.ndim(x) else float(out[0])
@@ -158,7 +178,7 @@ class Weight:
 
 def from_sequence(M: WeightSequence) -> Weight:
     """The decreasing weight exp(-omega_M) of a sequence."""
-    return Weight(AssociatedWeight(M), label=f"v({M.label})" if M.label else "v")
+    return Weight(M.associated_weight, label=f"v({M.label})" if M.label else "v")
 
 
 def from_table(t, omega, label: str = "") -> Weight:
@@ -168,6 +188,8 @@ def from_table(t, omega, label: str = "") -> Weight:
     ws = np.asarray(omega, dtype=float)
     if ts.ndim != 1 or ts.shape != ws.shape or len(ts) < 2:
         raise ValueError("need matching 1-d arrays with at least two rows")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("t must be finite")
     if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("t must be positive and strictly increasing")
     if not np.all(np.isfinite(ws)):
@@ -198,20 +220,15 @@ def _clipped(grid: Grid | None, v: Weight, *others: Weight,
 
 
 def _comparison_grid(v: Weight, *others: Weight) -> Grid | None:
-    """Sampling grid for a comparison window.
-
-    The faithful span of sequence-backed weights routinely extends far past
-    the sampling grid's top (log mu grows linearly in the index for q-type
-    sequences), and the decisive crossovers of slowly separating pairs live
-    out there.  Comparisons therefore sample the full certified span at the
-    grid's resolution instead of truncating at the grid's last point.
-    """
-    g = default_grid()
-    x_hi = min([v.log_t_reliable] + [o.log_t_reliable for o in others])
-    x_lo = float(g.log_t[0])
-    if x_hi <= float(g.log_t[-1]):
-        return g.clip(None, x_hi)
-    return Grid.geometric_log(x_lo, x_hi, len(g))
+    """Sampling grid for a comparison window: the span grid (grids._span_grid)
+    of the shortest faithful span.  Comparisons sample that full certified
+    span instead of truncating at the default grid's last point.  When the
+    shortest span is an undilated sequence weight's, its base holds the
+    grid, which depends on the span's end alone."""
+    low = min((v, *others), key=lambda u: u.log_t_reliable)
+    if low.shift == 0.0 and isinstance(low.base, AssociatedWeight):
+        return low.base.grid
+    return _span_grid(low.log_t_reliable)
 
 
 def rapidly_decreasing(v: Weight, grid: Grid | None = None,
@@ -497,7 +514,8 @@ class RungSamples:
         return self.trends[key]
 
     def _sample(self, c: float) -> tuple | None:
-        """(x, wv, ww, wb) of rung c past the plateau; None to skip."""
+        """(x, wv, ww, wb) of rung c past the plateau, as views when that
+        part is a suffix of the window; None to skip."""
         if self.family == "dilate" and c > 1.0:
             window = _window(self.v, self.w, self.w.dilate(c))
         else:
@@ -514,6 +532,9 @@ class RungSamples:
         awake = _awake(wv, ww)
         if awake is None:
             return None
+        k = int(awake.argmax())
+        if awake[k:].all():
+            return x[k:], wv[k:], ww[k:], wb[k:]
         return x[awake], wv[awake], ww[awake], wb[awake]
 
 

@@ -133,6 +133,99 @@ def test_sorted_points_give_the_shuffled_points_bit_for_bit():
                                           shuffled.view(np.int64), err_msg=M.label)
 
 
+def _two_expansion_closed_form(P, knots, xs):
+    """The closed form that counted a and b in two full expansions over the
+    sorted points; returns omega and the number of points with b > a."""
+    J = len(P) - 1
+    q = knots[1:]
+    n = len(xs)
+    tie = 4.0 * np.finfo(float).eps * (J * float(np.abs(xs).max(initial=0.0))
+                                       + float(np.abs(P).max()))
+    if n > J and not (xs[1:] < xs[:-1]).any():
+        a = np.bincount((xs - tie).searchsorted(q, "right"), minlength=n + 1)[:n].cumsum()
+        b = np.bincount((xs + tie).searchsorted(q, "left"), minlength=n + 1)[:n].cumsum()
+    else:
+        a = q.searchsorted(xs - tie, "left")
+        b = q.searchsorted(xs + tie, "right")
+    out = a.astype(float) * xs - P[a]
+    wide = np.flatnonzero(b > a)
+    if len(wide):
+        width = b[wide] - a[wide]
+        i = np.repeat(wide, width)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width, width) + a[i] + 1
+        np.maximum.at(out, i, j.astype(float) * xs[i] - P[j])
+    return out, len(wide)
+
+
+def _tie_run_sequences(rng, count):
+    for _ in range(count):
+        mu = np.sort(rng.normal(0.0, 2.0, rng.integers(3, 40)))
+        yield from_log_quotients(np.repeat(mu, rng.integers(1, 13, len(mu))))
+
+
+def _points_near_quotients(aw, base):
+    """Sorted base points, and the same points shifted so that one lands on
+    each of a few quotients, with points a few float steps to either side."""
+    q = aw.knots[1:]
+    yield base
+    for k in np.unique(np.linspace(0, len(q) - 1, 5).astype(int)):
+        shifted = base + (q[k] - base[len(base) // 2])
+        near = q[k] + np.arange(-3, 4) * np.spacing(max(abs(q[k]), 1.0))
+        yield np.unique(np.concatenate((shifted, near, q)))
+
+
+def test_closed_form_is_the_two_expansion_kernel_bit_for_bit():
+    # one expansion counts a, and each quotient within tie of a point folds
+    # into the points of its range; omega must be the two-expansion kernel's
+    # in the int64 view, signed zeros included, on points where b > a
+    rng = np.random.default_rng(20261020)
+    seqs = [M for J in (64, 512, 4096) for M in standard_battery(J)]
+    seqs += list(_tie_run_sequences(rng, 40))
+    seqs.append(from_log_quotients(np.concatenate(([0.0], np.full(40, 0.3)))))
+    wide = 0
+    for M in seqs:
+        aw = AssociatedWeight(M)
+        P, knots = aw.hull.log_values, aw.knots
+        bases = [default_grid().log_t]
+        if aw.grid is not None:
+            bases.append(aw.grid.log_t)
+        for base in bases:
+            for xs in _points_near_quotients(aw, base):
+                for pts in (xs, xs[::-1]):
+                    want, n_wide = _two_expansion_closed_form(P, knots, pts)
+                    got = aw.omega_log(pts)
+                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                                  err_msg=M.label)
+                    if pts is xs and len(xs) > M.J:
+                        wide += n_wide
+    # the sorted route met points within tie of a quotient
+    assert wide > 0
+
+
+@st.composite
+def _tie_run_quotients(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    mu = np.sort(np.asarray(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))))
+    runs = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    return np.repeat(mu, runs)
+
+
+@given(_tie_run_quotients(), st.lists(st.integers(-4, 4), min_size=1, max_size=8),
+       st.integers(0, 64))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_equals_the_two_expansion_kernel_near_tie_runs(mu, steps, extra):
+    # sorted points on the quotients, a few float steps off them, and enough
+    # filler points that the sorted route runs
+    M = from_log_quotients(mu)
+    aw = AssociatedWeight(M)
+    q = aw.knots[1:]
+    near = np.concatenate([q + s * np.spacing(np.maximum(np.abs(q), 1.0)) for s in steps])
+    xs = np.sort(np.concatenate((near, np.linspace(q[0] - 1.0, q[-1] + 1.0, M.J + extra))))
+    for pts in (xs, xs[::-1]):
+        want, _ = _two_expansion_closed_form(aw.hull.log_values, aw.knots, pts)
+        np.testing.assert_array_equal(aw.omega_log(pts).view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("mode", OMEGA_MODES)
 def test_omega_rejects_non_finite_points(g1, mode):
     aw = AssociatedWeight(g1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,20 @@ def test_weight_analyze_abstains_on_normalization_before_t_one(capsys, tmp_path)
     assert normalized["state"] == "Inconclusive"
     assert normalized["note"] == "faithful range ends before t = 1"
     assert len(doc["results"]) == 6
+
+
+def test_weight_analyze_rejects_an_infinite_t(capsys, tmp_path):
+    # 1e400 parses as inf; the table is refused before any grid sees it, so
+    # nothing warns (pytest turns a RuntimeWarning into an error here, as
+    # python -W error::RuntimeWarning does)
+    p = tmp_path / "inf.csv"
+    p.write_text("0.5,0\n1,0\n10,3\n1e400,9\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "weight", "analyze", f"file:{p}")
+    assert caught == []
+    assert (code, out) == (2, "")
+    assert err == f"growthcomp: error: cannot build weight from 'file:{p}': t must be finite\n"
 
 
 BUMP_ROWS = ((0.001, 0.0), (0.5, 0.0), (0.505, 1.0), (0.51, 0.0),

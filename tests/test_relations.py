@@ -12,7 +12,7 @@ from growthcomp import (TrendPolicy, Verdict, Weight, bridge_pow_seq,
                         mg_transfer_check, mixture, omega_little_o, pow_routes,
                         product, scale_pow, seq_approx, seq_preceq,
                         tildestrong_check, triangle_routes)
-from growthcomp import weight_functions
+from growthcomp import Grid, associated_weight, grids, standard_battery, weight_functions
 from growthcomp.weight_functions import RungSamples, forall_ladder, from_sequence
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,52 @@ def test_one_pair_samples_each_forall_ladder_once(ghalf, g1, monkeypatch):
     assert tri["dilation_gap"].holds and tri["dilation_bounds"].holds
     assert pw["power_gap"].holds
     assert len(calls) <= 14, calls
+
+
+def test_a_sweep_builds_one_grid_per_member_and_evaluates_it_once(monkeypatch):
+    # a fresh battery: the session one may hold grids and evaluations already
+    battery = standard_battery(512)
+    ends = [M.associated_weight.log_mu_max for M in battery]
+    spans = []
+    real_span = grids._span_grid
+
+    def counted_span(x_hi):
+        spans.append(x_hi)
+        return real_span(x_hi)
+
+    for module in (associated_weight, weight_functions):
+        monkeypatch.setattr(module, "_span_grid", counted_span)
+    made = []
+    real_init = Grid.__post_init__
+
+    def counted_init(self):
+        made.append(1)
+        real_init(self)
+
+    monkeypatch.setattr(Grid, "__post_init__", counted_init)
+    # closed-form evaluations on a grid's own (read-only) points, by array
+    own: dict[int, list] = {}
+    real_closed_form = associated_weight._closed_form
+
+    def counted_closed_form(P, knots, xs):
+        if not xs.flags.writeable:
+            own.setdefault(id(xs), [xs, 0])[1] += 1
+        return real_closed_form(P, knots, xs)
+
+    monkeypatch.setattr(associated_weight, "_closed_form", counted_closed_form)
+    for M in battery:
+        for N in battery:
+            if M is not N:
+                triangle_routes(M, N)
+                pow_routes(M, N)
+    # a grid per member at most, and no more grids than distinct ends: two
+    # members share an end, and the longest span is never the shorter one
+    assert all(spans.count(e) <= ends.count(e) for e in spans)
+    assert len(made) == len(spans) <= len(set(ends))
+    # one evaluation on each grid built, by its owner
+    assert len(own) == len(spans)
+    assert set(own) <= {id(M.associated_weight.grid.log_t) for M in battery}
+    assert all(n == 1 for _, n in own.values())
 
 
 def test_the_preceq_ladder_reads_the_trends_the_triangle_ladder_fitted(

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcomp import (AssociatedWeight, Weight, associated_sequence,
-                        check_om1_weight, check_om6_weight, from_log_quotients,
-                        from_sequence, from_table, gevrey, is_convex_weight,
-                        is_normalized, normalize, product, q_gevrey,
+from growthcomp import (AssociatedWeight, Grid, Weight, associated_sequence,
+                        check_om1_weight, check_om6_weight, default_grid,
+                        from_log_quotients, from_sequence, from_table,
+                        from_values, gevrey, is_convex_weight, is_normalized,
+                        normalize, pow_routes, product, q_gevrey,
                         rapidly_decreasing,
                         sandwich_check, strong_ratio_check, triangle_routes,
                         weight_preceq, weight_preceq_all_dila,
@@ -20,6 +21,7 @@ from growthcomp import (AssociatedWeight, Weight, associated_sequence,
                         weight_triangle_dila)
 from growthcomp.associated_weight import LADDER_GRID_N, OM6_LADDER
 from growthcomp.trend import MIN_WINDOW_POINTS
+from growthcomp import associated_weight
 from growthcomp.weight_functions import (FORALL_LADDER, RungSamples, _awake,
                                          _comparison_grid)
 
@@ -225,6 +227,14 @@ def test_table_guards(ts, oms):
         from_table(ts, oms)
 
 
+@pytest.mark.parametrize("ts", [[1.0, np.inf], [0.5, 1.0, 10.0, float("1e400")],
+                                [np.nan, 1.0], [-np.inf, 1.0]])
+def test_table_rejects_a_non_finite_t(ts):
+    # an infinite t would pass the order check and reach the grids as inf
+    with pytest.raises(ValueError, match="t must be finite"):
+        from_table(ts, np.arange(len(ts), dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # structure checks
 # ---------------------------------------------------------------------------
@@ -395,6 +405,170 @@ def test_shared_forall_samples_equal_the_per_rung_samples(kind, family):
             if got is not None:
                 awake = np.isin(x, got[0])
                 np.testing.assert_array_equal(got[2], direct[awake])
+
+
+def _built_comparison_grid(*weights):
+    """The comparison grid built from the default grid, as every comparison
+    built it before the undilated sequence weights held theirs."""
+    g = default_grid()
+    x_hi = min(u.log_t_reliable for u in weights)
+    if x_hi <= float(g.log_t[-1]):
+        return g.clip(None, x_hi)
+    return Grid.geometric_log(float(g.log_t[0]), x_hi, len(g))
+
+
+def test_the_held_grid_is_the_built_comparison_grid(battery):
+    # each member's weight holds the grid of its own span, and a pair samples
+    # the grid of its shorter member; a table and a shortened dilation take
+    # the build path
+    weights = [from_sequence(M) for M in battery]
+    for v in weights:
+        g = _comparison_grid(v)
+        assert g is v.base.grid is from_sequence(v.source).base.grid
+        np.testing.assert_array_equal(g.log_t, _built_comparison_grid(v).log_t)
+        # a dilation with c <= 1 only raises the end: the grid stays v's own
+        for c in FORALL_LADDER:
+            assert _comparison_grid(v, v.dilate(c)) is g
+        # a dilation with c > 1 pulls the end in: built, never v's own
+        for c in (2.0, 1024.0):
+            built = _comparison_grid(v, v.dilate(c))
+            assert built is not g
+            np.testing.assert_array_equal(built.log_t,
+                                          _built_comparison_grid(v.dilate(c)).log_t)
+    for v, w in zip(weights, weights[1:]):
+        low = v if v.log_t_reliable <= w.log_t_reliable else w
+        assert _comparison_grid(v, w) is low.base.grid
+    table = _table_weight()
+    for others in ((), (weights[0],), (weights[-1],)):
+        got = _comparison_grid(table, *others)
+        np.testing.assert_array_equal(got.log_t,
+                                      _built_comparison_grid(table, *others).log_t)
+    # a window below the grid: neither route has a grid to give
+    tiny = from_table([1e-5, 1e-4], [0.0, 1.0])
+    assert _comparison_grid(tiny) is None and _built_comparison_grid(tiny) is None
+
+
+def test_a_held_evaluation_is_the_evaluation_bit_for_bit():
+    # omega on the held grid is read, not evaluated again, and the scale and
+    # the clamp of a powered or normalized weight apply to it as before
+    M = from_log_quotients(np.linspace(-1.0, 4.0, 128), label="lin")
+    u = from_sequence(M)
+    g = _comparison_grid(u)
+    assert g is u.base.grid
+    raw = u.base.omega_log(g.log_t + 0.0)
+    ns = normalize(u)
+    assert ns.offset
+    for w, want in ((u, raw), (u.dilate(1.0), raw), (u.power(4.0), 4.0 * raw),
+                    (ns, np.maximum(0.0, raw - ns.offset)),
+                    (ns.power(0.5), np.maximum(0.0, 0.5 * raw - 0.5 * ns.offset))):
+        got = w.omega_log(g.log_t)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # the caller gets its own array: writing to it leaves the held values
+        got[:] = -1.0
+    np.testing.assert_array_equal(u.omega_log(g.log_t), raw)
+    assert not u.base.grid_omega.flags.writeable
+    # a dilation moves the points: evaluated, never read
+    for c in (0.5, 2.0):
+        d = u.dilate(c)
+        np.testing.assert_array_equal(d.omega_log(g.log_t), u.base.omega_log(g.log_t + d.shift))
+    # a copy of the grid's points is evaluated as before
+    calls = []
+    real = associated_weight._closed_form
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(associated_weight, "_closed_form", counted)
+        u.omega_log(g.log_t)
+        assert calls == []
+        np.testing.assert_array_equal(u.omega_log(g.log_t.copy()), raw)
+        assert calls == [len(g)]
+
+
+def test_a_sequence_holds_one_associated_weight(monkeypatch):
+    # fresh sequences: a session fixture may have built its minorant already
+    walk = from_values(np.concatenate(([0.0], np.cumsum(
+        np.random.default_rng(7).normal(0.6, 1.5, 128)))), label="walk")
+    M, N = gevrey(1.0, 128), walk
+    assert from_sequence(M).base is from_sequence(M).base is M.associated_weight
+    assert M.associated_weight.source is M
+    built = []
+    real = associated_weight.log_convex_minorant
+
+    def counted(S):
+        built.append(S.label)
+        return real(S)
+
+    monkeypatch.setattr(associated_weight, "log_convex_minorant", counted)
+    triangle_routes(M, N)
+    pow_routes(M, N)
+    triangle_routes(N, M)
+    pow_routes(N, M)
+    assert sorted(built) == sorted([M.label, N.label])
+
+
+def _gathered_rung(samples, c):
+    """(x, wv, ww, wb) of rung c past the plateau, gathered by the awake mask:
+    the sampler before the rung arrays became views."""
+    if samples.family == "dilate" and c > 1.0:
+        g = _built_comparison_grid(samples.v, samples.w, samples.w.dilate(c))
+        window = None if g is None or len(g) < MIN_WINDOW_POINTS else (
+            g.log_t, samples.v.omega_log(g.log_t), samples.w.omega_log(g.log_t))
+    else:
+        window = samples.window
+    if window is None:
+        return None
+    x, wv, wb = window
+    if c == 1.0:
+        ww = wb
+    elif samples.family == "power":
+        ww = c * wb
+    else:
+        ww = samples.w.dilate(c).omega_log(x)
+    awake = _awake(wv, ww)
+    if awake is None:
+        return None
+    return x[awake], wv[awake], ww[awake], wb[awake]
+
+
+def _decreasing_table(a: float) -> Weight:
+    # omega is a on log t in [-4, -2], 0 on [-1, 5] and rises past 5, so the
+    # awake mask has a hole: the rung arrays are gathered
+    log_t = np.array([-6.0, -4.0, -2.0, -1.0, 5.0, 10.0, 15.0, 20.0])
+    om = np.array([0.0, a, a, 0.0, 0.0, 25.0 * a, 100.0 * a, 225.0 * a])
+    return from_table(np.exp(log_t), om, label=f"dip{a:g}")
+
+
+@pytest.mark.parametrize("family", ["dilate", "power"])
+def test_rung_samples_are_the_gathered_samples(family):
+    # sequence weights: the awake mask is a suffix and the rungs are views of
+    # the window; a decreasing table keeps the gather
+    seqs = (from_sequence(gevrey(2.0, 128)), from_sequence(q_gevrey(1.5, 128)),
+            from_sequence(product(gevrey(1.0, 128), q_gevrey(2.0, 128))))
+    cases = [(v, w, True) for v in seqs for w in seqs if v is not w]
+    cases.append((_decreasing_table(1.0), _decreasing_table(2.0), False))
+    viewed = gathered = 0
+    for v, w, suffix in cases:
+        samples = RungSamples(v, w, family)
+        for c in FORALL_LADDER + OM6_LADDER:
+            got = samples.rung(c)
+            want = _gathered_rung(samples, c)
+            assert (got is None) == (want is None), (v.label, w.label, c)
+            if got is None:
+                continue
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+            if family == "dilate" and c > 1.0:
+                continue
+            x = samples.window[0]
+            shared = np.shares_memory(got[0], x) and np.shares_memory(got[1],
+                                                                     samples.window[1])
+            assert shared == suffix, (v.label, w.label, c)
+            viewed += shared
+            gathered += not shared
+    assert viewed and gathered
 
 
 # every rung window-limited: each comparison abstains with its own note
