@@ -297,7 +297,8 @@ def associated_sequence(u: Weight, J: int = DEFAULT_J,
     The suprema of a sequence weight, dilated or not, are taken over one
     window per index (associated_weight.recover).  A power scale moves the
     slopes of omega off the integers and a normalization clamp adds a flat
-    piece, so those weights, and tables, take the dense conjugate.
+    piece, so those weights, and tables, take conjugate, the dense maximum
+    formed over a band of points per block of indices.
     """
     g = _clipped(grid, u)
     if g is None or len(g) < 2:

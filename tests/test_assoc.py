@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from growthcomp import (AssociatedWeight, WeightSequence, associated_sequence,
                         check_om1_omega, check_om6_omega, default_grid,
-                        from_log_quotients, from_sequence, from_values, gevrey,
+                        from_log_quotients, from_sequence, from_table,
+                        from_values, gevrey,
                         is_log_convex, legendre_recover, log_convex_minorant,
                         normalize, q_gevrey, standard_battery)
 from growthcomp import associated_weight
 from growthcomp.associated_weight import (MIN_WINDOW_SPAN, OM1_LADDER,
                                           OM6_LADDER, OMEGA_MODES, SCAN_CELLS,
-                                          conjugate, om1_ladder, om6_ladder,
-                                          recover)
+                                          SCAN_ROWS, conjugate, om1_ladder,
+                                          om6_ladder, recover)
 
 # ---------------------------------------------------------------------------
 # counting route
@@ -411,6 +412,149 @@ def test_conjugate_takes_one_row_per_block_past_the_cell_budget():
                                       _dense_sup(a, b, c).view(np.int64))
         bound = 8 * len(b) + 8 * len(a) + KERNEL_SLACK
         assert _traced_peak(lambda: conjugate(a, b, c)) < bound
+
+
+def _dense_kernel(a, b, c):
+    # the dense kernel the banded one replaced: every column of every row,
+    # in blocks of SCAN_CELLS // len(b) rows
+    rows = max(1, SCAN_CELLS // len(b))
+    out = np.empty(len(a))
+    for lo in range(0, len(a), rows):
+        terms = np.multiply.outer(a[lo:lo + rows], b)
+        terms -= c
+        out[lo:lo + rows] = terms.max(axis=1)
+    return out
+
+
+def _assert_dense_kernel(a, b, c, label=""):
+    np.testing.assert_array_equal(conjugate(a, b, c).view(np.int64),
+                                  _dense_kernel(a, b, c).view(np.int64), err_msg=label)
+
+
+def _walk(rng, J):
+    return WeightSequence(np.concatenate(([0.0], np.cumsum(rng.normal(0.6, 1.5, J)))),
+                          label=f"walk{J}")
+
+
+@pytest.mark.parametrize("J", [64, 512, 4096])
+def test_banded_conjugate_is_the_dense_kernel_bit_for_bit(J):
+    # the scan route's shape: points for rows, indices for columns
+    rng = np.random.default_rng(J)
+    x = np.union1d(default_grid().log_t, [0.0])
+    b = np.arange(J + 1, dtype=float)
+    for M in list(standard_battery(J)) + [_walk(rng, J), _walk(rng, J)]:
+        for a in (x, x[::-1], rng.permutation(x), x[:0]):
+            _assert_dense_kernel(a, b, M.log_values, M.label)
+
+
+def test_banded_conjugate_keeps_the_dense_recovery_of_a_weight():
+    # the recovery's shape: indices for rows, points for columns.  omega is 0
+    # on a stretch of t <= 1 on all three, so row 0 ties at zero.  On the
+    # table it ties -0.0 (x < 0) with +0.0 (x = 0) past a first column that
+    # the band drops, and the band alone reduces to the other sign
+    t = np.union1d(np.geomspace(1e-2, 1e6, 198), [1.0])
+    x = np.log(t)
+    table = from_table(t, np.where(x < -1.0, (x + 1.0) ** 2, 0.5 * np.maximum(x, 0.0) ** 2),
+                       label="well")
+    M = from_log_quotients(np.concatenate(([0.0], np.linspace(-3.0, 8.0, 200))))
+    J = 512
+    a = np.arange(J + 1, dtype=float)
+    for v in (from_sequence(gevrey(1.0, J)).power(2.0), normalize(from_sequence(M)), table):
+        x = default_grid().clip(None, v.log_t_reliable).augment(v.knots_log).log_t
+        w = v.omega_log(x)
+        _assert_dense_kernel(a, x, w, v.label)
+        assert (0.0 * x - w == 0.0).sum() > 1
+    row0 = 0.0 * x - w
+    assert np.signbit(row0[row0 == 0.0]).any() and not np.signbit(row0[row0 == 0.0]).all()
+    assert row0[0] < 0.0
+
+
+def test_banded_conjugate_needs_its_rounding_margin():
+    # two lines one ulp apart in slope and intercept: column 1's float term
+    # is the higher at both ends of the block, column 0's in the middle row,
+    # so a band cut at bound >= 0 instead of >= -rho drops that row's maximum
+    a, b, c = (np.array([float.fromhex(h) for h in hexes]) for hexes in (
+        ["-0x1.95770f9951ec5p+5"] + ["-0x1.3a83b3c7ed6dbp+5"] * 3 + ["-0x1.40e84eaf7e90cp+4"],
+        ["0x1.6134bba21ffd6p+1", "0x1.6134bba21ffd7p+1"],
+        ["-0x1.c072f65ad3261p+6", "-0x1.c072f65ad3262p+6"]))
+    terms = np.multiply.outer(a, b) - c
+    assert (terms[:, 1] > terms[:, 0]).tolist() == [True, False, False, False, True]
+    _assert_dense_kernel(a, b, c)
+
+
+def test_banded_conjugate_forms_a_small_share_of_the_terms(monkeypatch):
+    # a band as wide as every column would still be bit for bit the dense
+    # kernel; the bands hold about 1/32 of the terms here
+    cells = []
+    band = associated_weight._band
+
+    def counted(a_lo, a_hi, *args):
+        k0, k1 = band(a_lo, a_hi, *args)
+        cells.append(k1 - k0)
+        return k0, k1
+
+    monkeypatch.setattr(associated_weight, "_band", counted)
+    x = default_grid().log_t
+    P = gevrey(1.0, 4096).log_values
+    b = np.arange(4097.0)
+    np.testing.assert_array_equal(conjugate(x, b, P), _dense_kernel(x, b, P))
+    rows = np.minimum(len(x) - SCAN_ROWS * np.arange(len(cells)), SCAN_ROWS)
+    assert rows.sum() == len(x)
+    assert (rows * np.array(cells)).sum() <= len(x) * len(b) / 8
+
+
+def test_banded_conjugate_at_the_edge_of_the_float_range():
+    # j x overflows at |x| = 1e306, so rho is inf and every column stays (a
+    # bound there would difference inf ends into NaN, which compares false
+    # and would cut the band by accident); in the last case rho is finite and
+    # the bound overflows to -inf
+    P = gevrey(1.0, 512).log_values
+    b = np.arange(513.0)
+    x = default_grid().log_t
+    cases = [(np.array([1e306, -1e306, 0.0, 3.0]), b, P),
+             (np.concatenate(([-1e306], x, [1e306, 1e300, -1e303]))[::-1], b, P),
+             (np.array([1e306]), b, P),
+             (np.linspace(0.9, 1.0, 5), np.array([-1.5e308, 1.5e308]), np.zeros(2))]
+    for a, bb, c in cases:
+        with warnings.catch_warnings(record=True) as dense_warned:
+            warnings.simplefilter("always")
+            want = _dense_kernel(a, bb, c)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            got = conjugate(a, bb, c)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert ({(w.category, str(w.message)) for w in warned}
+                <= {(w.category, str(w.message)) for w in dense_warned})
+
+
+@st.composite
+def _conjugate_inputs(draw):
+    """The scan's shape (rows of points, columns of indices, a non-convex
+    walk) or the recovery's (rows of indices, columns of sorted points, a
+    noisy function, 0 on [wall, 0] and rising on both sides), in sizes past
+    one block of rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # sizes from the seeded generator: hypothesis favours small integers
+    n, m = int(rng.integers(1, 700)), int(rng.integers(1, 700))
+    pts = draw(st.floats(-30.0, 30.0)) + draw(st.floats(1e-6, 20.0)) * rng.standard_normal(m)
+    pts[rng.random(m) < draw(st.floats(0.0, 0.2))] = 0.0
+    if draw(st.booleans()):
+        walk = np.cumsum(rng.normal(draw(st.floats(-1.0, 3.0)), draw(st.floats(0.0, 5.0)), n))
+        a = np.sort(pts) if draw(st.booleans()) else pts
+        return a, np.arange(n, dtype=float), walk - walk[0]
+    x = np.sort(pts[:n] if m >= n else np.concatenate((pts, rng.normal(0.0, 5.0, n - m))))
+    wall = draw(st.floats(-10.0, 0.0))
+    w = (np.maximum(x, 0.0) ** draw(st.floats(1.0, 3.0))
+         + draw(st.floats(0.0, 50.0)) * np.maximum(wall - x, 0.0)
+         + rng.normal(0.0, draw(st.floats(0.0, 2.0)), n))
+    w[(x <= 0.0) & (x >= wall)] = 0.0
+    return np.arange(m, dtype=float), x, w
+
+
+@given(_conjugate_inputs())
+@settings(max_examples=80, deadline=None)
+def test_banded_conjugate_is_the_dense_kernel_on_random_input(case):
+    _assert_dense_kernel(*case)
 
 
 def test_large_recovery_stays_within_a_memory_bound():
