@@ -13,8 +13,9 @@ conflated.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -389,6 +390,29 @@ class PowerSeries:
     def top_index(self) -> int:
         return int(np.max(np.nonzero(np.isfinite(self.log_abs_coeffs))[0]))
 
+    @cached_property
+    def _window(self) -> tuple[np.ndarray, np.ndarray]:
+        """log_series_eval on the default grid up to where the top index
+        provably dominates, and the mask of the points where it does not.
+
+        Read for truncated series only.  A block of the grid whose argmax
+        span is the top row alone has every other row under the maximum at
+        each of its points (the span cut of log_series_eval), so its first
+        dominant index is the top one throughout; the trailing run of such
+        blocks is not held, and no point past the held prefix lies inside
+        the window.  The cuts are taken with the rho of the whole grid,
+        which covers each of its blocks (a larger rho only widens a band),
+        and the kernel is pointwise, so the held values are those of any
+        evaluation on the same points.
+        """
+        x = default_grid().log_t
+        _, cf, _, cuts = _block_cuts(self, x)
+        keep = int(np.max(np.nonzero(cuts[1] < len(cf) - 1)[0], initial=-1)) + 1
+        vals, args = log_series_eval(self, x[:keep * SCAN_CHUNK])
+        inside = args < self.top_index
+        vals.flags.writeable = inside.flags.writeable = False
+        return vals, inside
+
 
 # points of one block of the series kernel
 SCAN_CHUNK = 512
@@ -425,6 +449,27 @@ def _band_cuts(cf: np.ndarray, js: np.ndarray, x_lo: np.ndarray,
     s0 = inside.argmax(axis=1)
     s1 = n - inside[:, ::-1].argmax(axis=1)
     return np.stack([a, s0, s1, b])
+
+
+def _block_cuts(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The finite coefficients of f (indices, log values, powers as floats)
+    and the cuts a, s0, s1, b of each SCAN_CHUNK block of x (_band_cuts),
+    with the rounding margin rho of log_series_eval."""
+    c = f.log_abs_coeffs
+    idx = np.nonzero(np.isfinite(c))[0]
+    cf = c[idx]
+    js = idx.astype(float)
+    rho = 8.0 * np.finfo(float).eps * (
+        np.max(np.abs(cf)) + js[-1] * np.max(np.abs(x), initial=0.0))
+    starts = np.arange(0, len(x), SCAN_CHUNK)
+    x_lo = np.minimum.reduceat(x, starts)
+    x_hi = np.maximum.reduceat(x, starts)
+    cuts = np.empty((4, len(starts)), dtype=int)
+    group = max(1, SCAN_CELLS // len(cf))
+    for g in range(0, len(starts), group):
+        cuts[:, g:g + group] = _band_cuts(cf, js, x_lo[g:g + group],
+                                          x_hi[g:g + group], rho)
+    return idx, cf, js, cuts
 
 
 def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,36 +521,36 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     least one) are formed at once, as the rows of (blocks x coefficients)
     arrays; the block ends come from minimum/maximum.reduceat over the block
     starts, and every entry is the expression above, so each block gets the
-    cuts it would get alone (_band_cuts).  The terms go into one work array
-    per call, sized by the widest band times its block width: each block
-    fills a C-contiguous (rows, width) view of its prefix with fl(j x) and
-    adds c in place, which is fl(c + fl(j x)) as addition commutes, and such
-    a view sums row by row as a fresh array does.
+    cuts it would get alone (_band_cuts).  The terms go through in pieces
+    sized by cells: a run of consecutive blocks with equal cuts (a, s0, s1,
+    b) is one piece, split into pieces of max(2, SCAN_CELLS // (b - a))
+    points where it holds more than SCAN_CELLS cells.  Every point keeps the
+    rows of its block, so values and indices are those of one block at a
+    time.  One work array per call, of at most max(SCAN_CELLS, 2 (b - a))
+    cells, holds the terms: each piece fills a C-contiguous (rows, width)
+    view of its prefix with fl(j x) and adds c in place, which is
+    fl(c + fl(j x)) as addition commutes, and such a view sums row by row as
+    a fresh array does.
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("series evaluation needs finite log t")
-    c = f.log_abs_coeffs
-    idx = np.nonzero(np.isfinite(c))[0]
-    cf = c[idx]
-    js = idx.astype(float)
+    idx, cf, js, cuts = _block_cuts(f, x)
+    starts = np.arange(0, len(x), SCAN_CHUNK)
+    # a run of blocks with equal cuts starts where the cuts change
+    first = np.ones(len(starts), dtype=bool)
+    first[1:] = np.any(cuts[:, 1:] != cuts[:, :-1], axis=0)
+    edges = np.append(starts[first], len(x))
+    # numpy sums a lone column pairwise; a pair of columns sums by row
+    pieces = []
+    for lo, hi, a, s0, s1, b in zip(edges[:-1].tolist(), edges[1:].tolist(),
+                                    *cuts[:, first].tolist()):
+        step = max(2, SCAN_CELLS // (b - a))
+        pieces.extend((p, min(step, hi - p), a, s0, s1, b) for p in range(lo, hi, step))
     vals = np.empty(len(x))
     args = np.empty(len(x), dtype=int)
-    rho = 8.0 * np.finfo(float).eps * (
-        np.max(np.abs(cf)) + js[-1] * np.max(np.abs(x), initial=0.0))
-    starts = np.arange(0, len(x), SCAN_CHUNK)
-    x_lo = np.minimum.reduceat(x, starts)
-    x_hi = np.maximum.reduceat(x, starts)
-    cuts = np.empty((4, len(starts)), dtype=int)
-    group = max(1, SCAN_CELLS // len(cf))
-    for g in range(0, len(starts), group):
-        cuts[:, g:g + group] = _band_cuts(cf, js, x_lo[g:g + group],
-                                          x_hi[g:g + group], rho)
-    widths = np.minimum(len(x) - starts, SCAN_CHUNK)
-    # numpy sums a lone column pairwise; a pair of columns sums by row
-    cols = np.maximum(widths, 2)
-    work = np.empty(np.max((cuts[3] - cuts[0]) * cols, initial=0))
-    for lo, n, w, a, s0, s1, b in zip(starts.tolist(), widths.tolist(),
-                                      cols.tolist(), *cuts.tolist()):
+    work = np.empty(max(((b - a) * max(n, 2) for _, n, a, _, _, b in pieces), default=0))
+    for lo, n, a, s0, s1, b in pieces:
+        w = max(n, 2)
         blk = x[lo:lo + n] if n == w else np.repeat(x[lo:lo + n], w)
         terms = work[:(b - a) * w].reshape(b - a, w)
         np.multiply.outer(js[a:b], blk, out=terms)
@@ -549,16 +594,17 @@ def norm_estimate(f: PowerSeries, v: Weight) -> tuple[float, float]:
 
 
 def _series_vs_weight(f: PowerSeries, v: Weight, x: np.ndarray,
-                      logf: np.ndarray, args: np.ndarray,
+                      series: Callable[[], tuple[np.ndarray, np.ndarray]],
                       policy: TrendPolicy, little_o: bool) -> Verdict:
     """Judge the series against one weight on v's faithful window.
 
-    x is a grid prefix reaching at least v's faithful end, and (logf, args)
-    is log_series_eval(f, x); the window is the prefix of the three arrays
-    up to that end.
+    x is the default grid, and series() gives log f and the mask of the
+    points where the top index does not dominate on a prefix of it: a
+    truncation's held window, past which no point is inside, or a
+    polynomial's evaluation up to at least v's faithful end.  The window is
+    the grid up to that end; it is read no further than the prefix.
     """
     n = int(np.searchsorted(x, v.log_t_reliable, side="right"))
-    x, logf, args = x[:n], logf[:n], args[:n]
     if f.complete and v.source is not None:
         # a polynomial against any sequence-backed weight: the sequence's
         # roots diverge, so omega outruns every fixed power of t and the
@@ -567,7 +613,7 @@ def _series_vs_weight(f: PowerSeries, v: Weight, x: np.ndarray,
         window_sup = 0.0
         ev: tuple = ()
         if n >= 2:
-            d0 = logf - v.omega_log(x)
+            d0 = series()[0][:n] - v.omega_log(x[:n])
             k0 = int(np.argmax(d0))
             window_sup = float(d0[k0])
             ev = ((float(np.exp(x[k0])), window_sup),)
@@ -578,10 +624,10 @@ def _series_vs_weight(f: PowerSeries, v: Weight, x: np.ndarray,
                           "backed by a sequence with diverging roots")
     if n < MIN_WINDOW_POINTS:
         return inconclusive("faithful range leaves no window")
-    interior = np.ones(n, dtype=bool) if f.complete else args < f.top_index
+    logf, interior = (a[:n] for a in series())
     if int(interior.sum()) < MIN_WINDOW_POINTS:
         return inconclusive("series truncation dominates the window")
-    xs = x[interior]
+    xs = x[:len(interior)][interior]
     d = logf[interior] - v.omega_log(xs)
     rep = classify(xs, d, policy)
     k = int(np.argmax(d))
@@ -604,10 +650,12 @@ def membership(f: PowerSeries, S: SpaceSpec,
                policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """Does the series belong to the space, judged on the faithful window.
 
-    The series is evaluated once, on the grid up to the widest faithful end
-    among the members the check may visit; each member reads its prefix.
+    A truncated series is read from its held window (PowerSeries._window),
+    evaluated once per series.  A polynomial is evaluated per call, on the
+    grid up to the widest faithful end among the members the check may
+    visit, by the first member that reads it; each member reads its prefix.
     """
-    g = default_grid()
+    x = default_grid().log_t
     little = S.little_o or S.flavor == "SingleLittleO"
     if S.is_single:
         members = [(None, S.weight())]
@@ -616,12 +664,17 @@ def membership(f: PowerSeries, S: SpaceSpec,
         make = v.dilate if S.axis == "dila" else v.power
         ladder = OM6_LADDER if S.mode == "inductive" else FORALL_LADDER
         members = [(c, make(c)) for c in ladder]
-    x_end = max(u.log_t_reliable for _, u in members)
-    x = g.log_t[:int(np.searchsorted(g.log_t, x_end, side="right"))]
-    logf, args = log_series_eval(f, x)
+
+    @cache
+    def polynomial() -> tuple[np.ndarray, np.ndarray]:
+        x_end = max(u.log_t_reliable for _, u in members)
+        logf, _ = log_series_eval(f, x[:int(np.searchsorted(x, x_end, side="right"))])
+        return logf, np.ones(len(logf), dtype=bool)
+
+    series = polynomial if f.complete else (lambda: f._window)
 
     def judge(u: Weight) -> Verdict:
-        return _series_vs_weight(f, u, x, logf, args, policy, little)
+        return _series_vs_weight(f, u, x, series, policy, little)
 
     if S.is_single:
         return judge(members[0][1])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,9 +48,9 @@ class ThetaFunction:
                 raise ValueError("power parameter must be an integer >= 1")
             object.__setattr__(self, "c", float(int(self.c)))
 
-    @cached_property
+    @property
     def _aw(self) -> AssociatedWeight:
-        return AssociatedWeight(self.source)
+        return self.source.associated_weight
 
     @property
     def log_t_certified(self) -> float:

@@ -339,11 +339,10 @@ def _with_knots(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
 
 
 def test_suprema_across_kernel_blocks_match_a_dense_reference():
-    # the J points of the scan over J + 1 indices span three or more blocks
-    # of the kernel, with a partial last block
+    # the J points of the scan over J + 1 indices are its rows: they span
+    # three or more blocks of SCAN_ROWS rows, with a partial last block
     J = 1100
-    rows = SCAN_CELLS // (J + 1)
-    assert J > 2 * rows and J % rows
+    assert J > 2 * SCAN_ROWS and J % SCAN_ROWS
     rng = np.random.default_rng(11)
     walk = np.concatenate(([0.0], np.cumsum(rng.normal(0.5, 2.0, J))))
     M = WeightSequence(walk, label="walk")

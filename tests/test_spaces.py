@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,18 @@ from hypothesis import strategies as st
 import growthcomp.associated_weight
 import growthcomp.spaces
 from growthcomp import (FLAVORS, InclusionVerdict, PowerSeries, RoutingError,
-                        SpaceSpec, ThetaFunction, decide_inclusion,
-                        default_grid, from_log_quotients, from_sequence,
-                        from_table, from_values, gevrey, holds, inconclusive,
+                        SpaceSpec, ThetaFunction, Trend, classify,
+                        decide_inclusion, default_grid, fails,
+                        from_log_quotients, from_sequence, from_table,
+                        from_values, gevrey, holds, inconclusive,
                         is_normalized, log_series_eval, membership, monomial,
                         norm_estimate, normalize, seq_preceq, system_equiv,
                         system_equiv_weight, theta_series)
 from growthcomp.acceptance import THETA_PROBES
 from growthcomp.associated_weight import OM6_LADDER, SCAN_CELLS
-from growthcomp.spaces import SCAN_CHUNK, TAIL_CUT
+from growthcomp.spaces import SCAN_CHUNK, TAIL_CUT, _band_cuts
+from growthcomp.trend import DEFAULT_POLICY, MIN_WINDOW_POINTS
+from growthcomp.weight_functions import FORALL_LADDER
 
 # ---------------------------------------------------------------------------
 # space specifications
@@ -338,13 +342,20 @@ def test_membership_evaluates_the_series_once(g1, monkeypatch):
         return evaluate(f, x)
 
     monkeypatch.setattr(growthcomp.spaces, "log_series_eval", counted)
+    # a truncated series is evaluated once, into the window both systems read
     probe = theta_series(ThetaFunction(g1, "dila", 2.0))
-    cases = ((probe, "InductiveDila", "Holds"), (probe, "ProjectiveDila", "Fails"),
-             (monomial(3), "ProjectiveDila", "Holds"))
-    for f, flavor, want in cases:
+    assert membership(probe, SpaceSpec("InductiveDila", g1)).holds
+    assert membership(probe, SpaceSpec("ProjectiveDila", g1)).fails
+    assert len(calls) == 1, calls
+    calls.clear()
+    assert membership(probe, SpaceSpec("InductiveDila", g1)).holds
+    assert calls == []
+    # a polynomial is evaluated per call, and only where a member reads it:
+    # the projective system counts every sequence-backed member as held
+    for flavor, want in (("InductiveDila", 1), ("ProjectiveDila", 0)):
         calls.clear()
-        assert membership(f, SpaceSpec(flavor, g1)).state.value == want
-        assert len(calls) == 1, (flavor, calls)
+        assert membership(monomial(3), SpaceSpec(flavor, g1)).holds
+        assert len(calls) == want, (flavor, calls)
 
 
 def test_projective_polynomial_membership_evaluates_no_omega(g1, monkeypatch):
@@ -570,6 +581,206 @@ def test_numpy_keeps_what_the_series_kernel_rests_on():
     # and stays under 2**-53 from -TAIL_CUT down
     assert np.exp(-TAIL_CUT) < 2.0 ** -53
     assert np.all(np.exp(np.linspace(-746.0, -TAIL_CUT, 100_001)) < 2.0 ** -53)
+
+
+# ---------------------------------------------------------------------------
+# pieces sized by cells, held windows
+# ---------------------------------------------------------------------------
+
+def _blocked_log_series(f, x):
+    """The series kernel one SCAN_CHUNK block at a time: each block takes
+    its own band cuts and sums its own terms array."""
+    c = f.log_abs_coeffs
+    idx = np.nonzero(np.isfinite(c))[0]
+    cf, js = c[idx], idx.astype(float)
+    vals, args = np.empty(len(x)), np.empty(len(x), dtype=int)
+    rho = 8.0 * np.finfo(float).eps * (
+        np.max(np.abs(cf)) + js[-1] * np.max(np.abs(x), initial=0.0))
+    for lo in range(0, len(x), SCAN_CHUNK):
+        xb = x[lo:lo + SCAN_CHUNK]
+        n = len(xb)
+        (a,), (s0,), (s1,), (b,) = _band_cuts(cf, js, xb.min(keepdims=True),
+                                              xb.max(keepdims=True), rho)
+        # numpy sums a lone column pairwise; a pair of columns sums by row
+        w = max(n, 2)
+        terms = cf[a:b, None] + js[a:b, None] * (xb if n == w else np.repeat(xb, w))
+        s0, s1 = s0 - a, s1 - a
+        k = s0 + terms[s0:s1].argmax(axis=0)
+        m = terms[k, np.arange(w)]
+        terms -= m
+        np.maximum(terms[s1:], -TAIL_CUT, out=terms[s1:])
+        vals[lo:lo + n] = (m + np.log(np.exp(terms).sum(axis=0)))[:n]
+        args[lo:lo + n] = idx[a + k[:n]]
+    return vals, args
+
+
+def _sparse_polynomial(rng, n):
+    c = rng.normal(0.0, 30.0, n) - 0.05 * np.arange(n) ** 1.5
+    c[rng.random(n) < 0.6] = -np.inf
+    c[-1] = rng.normal(0.0, 5.0)
+    return PowerSeries(c, "sparse", complete=True)
+
+
+def test_series_pieces_equal_the_kernel_block_by_block(battery, small_battery):
+    x = default_grid().log_t
+    rng = np.random.default_rng(28)
+    series = ([monomial(k, log_scale=s) for k, s in ((0, 0.0), (3, 0.0), (40, -2.5))]
+              + [_sparse_polynomial(rng, n) for n in (2, 30, 700)]
+              + [theta_series(ThetaFunction(M, kind, c))
+                 for Ms in (small_battery, battery[::4]) for M in Ms
+                 for kind, c in THETA_PROBES]
+              + [theta_series(ThetaFunction(gevrey(1.0, 4096), "dila", 1.0))])
+    for f in series:
+        for xs in (x[:0], x[:1], x[:2], x[:513], x[:1025], x, x[1000:2537]):
+            vals, args = log_series_eval(f, xs)
+            ref_vals, ref_args = _blocked_log_series(f, xs)
+            np.testing.assert_array_equal(vals.view(np.int64), ref_vals.view(np.int64),
+                                          err_msg=f"{f.label} at {len(xs)} points")
+            np.testing.assert_array_equal(args, ref_args, err_msg=f.label)
+            assert vals.dtype == float and args.dtype == int
+
+
+def test_series_kernel_stays_within_its_cell_budget():
+    # one block of this probe takes all 4,097 rows as its band: 16.8 MB of
+    # terms for 512 points at once, SCAN_CELLS cells (512 KB) a piece
+    f = theta_series(ThetaFunction(gevrey(1.0, 4096), "dila", 1.0))
+    x = default_grid().log_t
+    tracemalloc.start()
+    try:
+        log_series_eval(f, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def _random_truncations(rng, count):
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(2, 700))
+        j = np.arange(n, dtype=float)
+        c = (rng.normal(0.0, rng.uniform(0.0, 40.0), n)
+             - rng.uniform(0.0, 3.0) * j ** rng.uniform(1.0, 1.8))
+        c[rng.random(n) < rng.uniform(0.0, 0.8)] = -np.inf
+        c[-1] = rng.uniform(-3.0, 1.0) * j[-1] ** 1.5
+        out.append(PowerSeries(c, "random"))
+    # the top index dominates from the grid start on
+    return out + [PowerSeries([-100.0, -np.inf, 0.0], "top"), PowerSeries([-np.inf, 1.0], "lone")]
+
+
+@pytest.mark.parametrize("J", [64, 512])
+def test_held_window_is_the_evaluation_up_to_the_top_cut(J, battery, small_battery):
+    x = default_grid().log_t
+    probes = [theta_series(ThetaFunction(M, kind, c))
+              for M in (battery if J == 512 else small_battery) for kind, c in THETA_PROBES]
+    cut = 0
+    for f in probes + _random_truncations(np.random.default_rng(J), 40):
+        vals, inside = f._window
+        n = len(vals)
+        assert len(inside) == n and inside.dtype == bool
+        want_vals, want_args = log_series_eval(f, x[:n])
+        np.testing.assert_array_equal(vals.view(np.int64), want_vals.view(np.int64),
+                                      err_msg=f.label)
+        np.testing.assert_array_equal(inside, want_args < f.top_index, err_msg=f.label)
+        _, args = log_series_eval(f, x)
+        assert np.all(args[n:] == f.top_index), f.label
+        if f in probes and n < len(x):
+            # the probes read their last held block: some point of it lies
+            # inside the window
+            assert inside[n - SCAN_CHUNK:].any(), f.label
+            cut += 1
+    # the gevrey-type probes stop short of the grid end, the q-Gevrey ones not
+    assert cut >= 25
+
+
+def _judge_per_call(f, v, x, logf, args, little_o):
+    """_series_vs_weight on arrays evaluated per call up to the widest
+    member's end."""
+    n = int(np.searchsorted(x, v.log_t_reliable, side="right"))
+    x, logf, args = x[:n], logf[:n], args[:n]
+    if f.complete and v.source is not None:
+        window_sup, ev = 0.0, ()
+        if n >= 2:
+            d0 = logf - v.omega_log(x)
+            k0 = int(np.argmax(d0))
+            window_sup = float(d0[k0])
+            ev = ((float(np.exp(x[k0])), window_sup),)
+        return holds(witnesses={"top_index": float(f.top_index), "window_sup": window_sup},
+                     evidence=ev, note="polynomial modulus decays against every weight "
+                                       "backed by a sequence with diverging roots")
+    if n < MIN_WINDOW_POINTS:
+        return inconclusive("faithful range leaves no window")
+    interior = np.ones(n, dtype=bool) if f.complete else args < f.top_index
+    if int(interior.sum()) < MIN_WINDOW_POINTS:
+        return inconclusive("series truncation dominates the window")
+    xs = x[interior]
+    d = logf[interior] - v.omega_log(xs)
+    rep = classify(xs, d, DEFAULT_POLICY)
+    k = int(np.argmax(d))
+    at_k = ((float(np.exp(xs[k])), float(d[k])),)
+    if little_o:
+        if rep.kind is Trend.FALLING:
+            return holds(witnesses={"decay_slope": rep.slope},
+                         evidence=((float(np.exp(xs[-1])), float(d[-1])),),
+                         note="weighted modulus decays on the window")
+        return fails(evidence=at_k,
+                     note=f"weighted modulus does not decay (slope {rep.slope:.3g})")
+    if rep.kind is Trend.RISING:
+        return fails(evidence=at_k, note=f"weighted modulus grows (slope {rep.slope:.3g})")
+    return holds(witnesses={"log_norm_bound": float(d[k])}, evidence=at_k,
+                 note="weighted modulus bounded on the window")
+
+
+def _membership_per_call(f, S):
+    """membership that evaluates the series on every call, on the grid up
+    to the widest faithful end among the members it may visit."""
+    little = S.little_o or S.flavor == "SingleLittleO"
+    if S.is_single:
+        members = [(None, S.weight())]
+    else:
+        v = S.weight()
+        make = v.dilate if S.axis == "dila" else v.power
+        ladder = OM6_LADDER if S.mode == "inductive" else FORALL_LADDER
+        members = [(c, make(c)) for c in ladder]
+    g = default_grid().log_t
+    x = g[:int(np.searchsorted(g, max(u.log_t_reliable for _, u in members), side="right"))]
+    logf, args = log_series_eval(f, x)
+    judged = [(c, u, _judge_per_call(f, u, x, logf, args, little)) for c, u in members]
+    if S.is_single:
+        return judged[0][2]
+    if S.mode == "inductive":
+        for c, _, r in judged:
+            if r.holds:
+                return holds(witnesses={"c": float(c), **r.witnesses}, evidence=r.evidence,
+                             note=f"admitted at family member c={c:g}")
+        if any(r.inconclusive for _, _, r in judged):
+            return inconclusive("some family members window-limited and none admitted")
+        return fails(evidence=tuple(r.evidence[0] for _, _, r in judged if r.evidence)[:4],
+                     note=f"no family member up to c={OM6_LADDER[-1]:g} admits the series")
+    held = []
+    for c, _, r in judged:
+        if r.fails:
+            return fails(evidence=r.evidence, note=f"rejected at family member c={c:g}")
+        if r.holds:
+            held.append(c)
+    if len(held) < len(judged):
+        return inconclusive("some family members window-limited; none rejected")
+    return holds(witnesses={"hardest_c": float(min(held))},
+                 note=f"admitted at every family member down to c={min(held):g}")
+
+
+def test_membership_verdicts_equal_an_evaluation_per_call(battery):
+    # a table backs no sequence: a polynomial is judged on each member's window
+    t = np.geomspace(1e-3, 1e8, 300)
+    table = from_table(t, np.log(t) ** 2 / 4.0, "table")
+    for source in battery + (table,):
+        M = battery[0] if source is table else source
+        series = [theta_series(ThetaFunction(M, kind, c)) for kind, c in THETA_PROBES]
+        for f in series + [monomial(0), monomial(3)]:
+            for flavor in FLAVORS:
+                S = SpaceSpec(flavor, source, c=1.0 if flavor.startswith("Single") else None)
+                assert repr(membership(f, S).to_dict()) == repr(
+                    _membership_per_call(f, S).to_dict()), (f.label, S.describe())
 
 
 def test_power_series_guards():

@@ -24,6 +24,12 @@ def test_kinds_and_guards(g1):
         ThetaFunction(g1, "dila", 0.0)
 
 
+def test_probes_read_their_sequence_weight(g1):
+    # one associated weight, with its one minorant, per sequence
+    for kind, c in (("dila", 2.0), ("pow", 2.0)):
+        assert ThetaFunction(g1, kind, c)._aw is g1.associated_weight
+
+
 def test_dila_coefficients_are_halved_reciprocals():
     # a_j = c^j / (2^j M_j), logged
     M = gevrey(1.0, 8)
