@@ -105,6 +105,30 @@ class AssociatedWeight:
         out.flags.writeable = False
         return out
 
+    def _hold_on(self, xs: np.ndarray) -> None:
+        """Hold closed-form omega on xs, the held grid of a partner sequence,
+        in this sequence's one partner slot (read-only), unless the slot
+        holds xs already; the next partner's grid replaces it.  Only a
+        comparison window fills it (weight_functions._window), so both
+        bridges of a pair evaluate their window once."""
+        held = vars(self).get("_partner")
+        if held is None or held[0] is not xs:
+            # x + 0.0, as Weight.omega_log evaluates an undilated weight
+            out = self.omega_log(xs + 0.0)
+            out.flags.writeable = False
+            # the dataclass is frozen: the slot goes where cached properties go
+            vars(self)["_partner"] = (xs, out)
+
+    def _held(self, xs: np.ndarray) -> np.ndarray | None:
+        """Closed-form omega held on the points xs (the same array), or None:
+        grid_omega on this sequence's own grid once built, the partner slot
+        on the grid it was filled on."""
+        grid = vars(self).get("grid")
+        if grid is not None and xs is grid.log_t:
+            return self.grid_omega
+        held = vars(self).get("_partner")
+        return held[1] if held is not None and held[0] is xs else None
+
     def omega_log(self, x, mode: str = "closed_form") -> np.ndarray:
         """Associated weight at t = exp(x), for scalar or array x."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))

@@ -38,10 +38,10 @@ from .spaces import (FLAVORS, RoutingError, SpaceSpec, decide_inclusion,
                      system_equiv)
 from .special_functions import THETA_KINDS, ThetaFunction, theta_eval
 from .verdicts import Verdict
-from .weight_functions import (Weight, associated_sequence, check_om1_weight,
-                               check_om6_weight, from_sequence, from_table,
-                               is_convex_weight, is_normalized,
-                               rapidly_decreasing, sandwich_check)
+from .weight_functions import (Weight, _sandwich, associated_sequence,
+                               check_om1_weight, check_om6_weight,
+                               from_sequence, from_table, is_convex_weight,
+                               is_normalized, rapidly_decreasing)
 
 SEQUENCE_SOURCES = "gevrey:S | qgevrey:Q | file:PATH"
 
@@ -265,13 +265,13 @@ def cmd_weight_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     u = parse_weight(args.source, cfg.J)
     pol = cfg.policy()
     g = cfg.grid(u)
+    Mu = associated_sequence(u, J=cfg.J, grid=g)
     checks = [("normalized", is_normalized(u)),
               ("rapidly_decreasing", rapidly_decreasing(u, g, pol)),
               ("convex_in_log", is_convex_weight(u, g)),
               ("om1_weight", check_om1_weight(u)),
               ("om6_weight", check_om6_weight(u)),
-              ("sandwich", sandwich_check(u, grid=g, J=cfg.J, policy=pol))]
-    Mu = associated_sequence(u, J=cfg.J, grid=g)
+              ("sandwich", _sandwich(u, Mu, g, pol))]
     _report(cfg, "weight analyze",
             {"source": args.source, "label": u.label,
              "faithful_log_t": float(u.log_t_reliable)},

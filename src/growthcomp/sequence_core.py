@@ -20,7 +20,6 @@ minimum over each n on its own.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -215,10 +214,8 @@ def index_trend(d: np.ndarray, j_first: int, policy: TrendPolicy):
     its index range, regressed against log j.  Returns (report, j_window)."""
     j_last = j_first + len(d) - 1
     lo, hi = index_window(j_first, j_last)
-    j = np.arange(j_first, j_last + 1)
-    mask = j >= lo
-    full = dataclasses.replace(policy, window_fraction=1.0)
-    rep = classify(np.log(j[mask].astype(float)), d[mask], full)
+    rep = classify(np.log(np.arange(lo, j_last + 1, dtype=float)), d[lo - j_first:],
+                   policy._full_window)
     return rep, (lo, hi)
 
 

@@ -26,7 +26,9 @@ in the same order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +56,12 @@ class TrendPolicy:
             raise ValueError("margin must be positive")
         if not (0 < self.window_fraction <= 1):
             raise ValueError("window_fraction must lie in (0, 1]")
+
+    @cached_property
+    def _full_window(self) -> "TrendPolicy":
+        """This policy fitted on the whole window (window_fraction 1), built
+        once per policy: the index trends take their window themselves."""
+        return replace(self, window_fraction=1.0)
 
     @property
     def ratio_margin(self) -> float:
@@ -102,8 +110,10 @@ def classify(x: np.ndarray, y: np.ndarray, policy: TrendPolicy,
     if x.shape != y.shape:
         raise ValueError("abscissa and diagnostic must have equal shape")
     m = policy.margin if margin is None else margin
-    keep = np.isfinite(x) & np.isfinite(y)
-    if not keep.all():
+    # a finite sum means every point is finite; a sum that is not (a NaN, an
+    # infinity, or finite points whose sum overflows) takes the filter
+    if not (math.isfinite(np.add.reduce(x)) and math.isfinite(np.add.reduce(y))):
+        keep = np.isfinite(x) & np.isfinite(y)
         x, y = x[keep], y[keep]
     if (x[1:] < x[:-1]).any():
         raise ValueError("abscissa must be non-decreasing")

@@ -33,23 +33,32 @@ ladder no fit.
 Every power rung and every dilation rung with c <= 1 shares the window of
 v against w: a power leaves w's faithful end and such a dilation only
 raises it.  Those rungs need no new evaluation of v or w: a dilation rung
-adds one evaluation of w.dilate(c), and a power rung is c * w(x), exact
-because each c is a power of two.  Only a dilation rung with c > 1 pulls
-w's end in by log c, and it samples its own window.
+adds one evaluation of w's base at the shift w.dilate(c) would hold (no
+dilated Weight is built), and a power rung is c * w(x), exact because each
+c is a power of two.  Only a dilation rung with c > 1 pulls w's end in by
+log c, and it samples its own window.  A ladder forms the witness point of
+a rung only when its verdict reports that rung.
 
 A comparison window samples the span grid (grids._span_grid) of the
 shortest faithful span among its weights: the default grid clipped at that
 end, or the whole span at the default grid's resolution past its top.  All
 weights of one sequence share its one AssociatedWeight
-(WeightSequence.associated_weight), which holds two things, each built on
-first use: the span grid of its own faithful span, and closed-form omega on
-that grid.  A window whose shortest span is an undilated sequence weight's
-takes that grid, and the weight's omega there is read, not evaluated again;
-its scale and offset apply as before.  Dilated weights, the rungs included,
-are evaluated every time, so each sequence holds one grid and one omega
-array.  The awake part of a rung is a suffix of the window whenever both
-omegas are non-decreasing, as for every sequence weight; its arrays are
-then views of the window's, and any other mask gathers them.
+(WeightSequence.associated_weight), which holds three things, each filled
+on first use: the span grid of its own faithful span, closed-form omega on
+that grid, and one partner slot: closed-form omega on the held grid of the
+last sequence it was compared against with the shorter span.  A window
+whose shortest span is an undilated sequence weight's takes that grid; the
+weight's omega there is read, not evaluated again, and so is the omega of
+an undilated weight of the other sequence, from its partner slot, so both
+bridges of a pair evaluate their window once.  Scale and offset apply as
+before.  Dilated weights, the rungs included, are evaluated every time, so
+each sequence holds one grid and two omega arrays.
+
+On sequence weights omega is non-decreasing, so the awake part of every
+rung is a suffix of the window, found by one search, and its arrays are
+views of the window's; a rung with c <= 1 lies under the baseline and is
+formed only from where v or the baseline leaves the plateau.  Tables keep
+the mask over the whole window, which gathers the arrays when it has holes.
 
 Only the checks on one weight (rapidly_decreasing, is_convex_weight,
 sandwich_check) and the recovery associated_sequence take a grid.
@@ -118,17 +127,24 @@ class Weight:
 
     def omega_log(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        # an undilated sequence weight reads omega on the base's comparison
-        # grid once that grid is built (vars() holds a cached property only
-        # then); the grid holds no -0.0, so xs + 0.0 is xs bit for bit
-        grid = vars(self.base).get("grid") if self.shift == 0.0 else None
-        if grid is not None and xs is grid.log_t:
-            out = self.scale * self.base.grid_omega
-        else:
-            out = self.scale * self.base.omega_log(xs + self.shift)
+        # an undilated sequence weight reads omega where its base holds it:
+        # on its own comparison grid once built, or on the grid of the last
+        # window partner; a grid holds no -0.0, so xs + 0.0 is xs bit for bit
+        raw = None
+        if self.shift == 0.0 and isinstance(self.base, AssociatedWeight):
+            raw = self.base._held(xs)
+        if raw is None:
+            raw = self.base.omega_log(xs + self.shift)
+        out = self._scaled(raw)
+        return out if np.ndim(x) else float(out[0])
+
+    def _scaled(self, raw: np.ndarray) -> np.ndarray:
+        """omega from the base's values at the shifted points: the scale,
+        then the clamp at the offset, in a new array."""
+        out = self.scale * raw
         if self.offset is not None:
             out = np.maximum(0.0, out - self.offset)
-        return out if np.ndim(x) else float(out[0])
+        return out
 
     @property
     def source(self) -> WeightSequence | None:
@@ -332,7 +348,12 @@ def sandwich_check(u: Weight, grid: Grid | None = None, J: int = DEFAULT_J,
     The upper half is definitional and checked pointwise; the lower half holds
     iff omega_u - 2 omega_{M^u} stays bounded above, tested as a trend.
     """
-    Mu = associated_sequence(u, J=J, grid=grid)
+    return _sandwich(u, associated_sequence(u, J=J, grid=grid), grid, policy)
+
+
+def _sandwich(u: Weight, Mu: WeightSequence, grid: Grid | None,
+              policy: TrendPolicy) -> Verdict:
+    """sandwich_check of u against Mu, its associated sequence on grid."""
     vm = from_sequence(Mu)
     g = _clipped(grid, u, vm)
     if g is None or len(g) < MIN_WINDOW_POINTS:
@@ -431,9 +452,6 @@ def _escape_kind(x: np.ndarray, d: np.ndarray, policy: TrendPolicy) -> Trend:
                     margin=policy.ratio_margin).kind
 
 
-_SKIPPED = (State.INCONCLUSIVE, (float("nan"), float("nan")), float("nan"))
-
-
 def _awake(wv: np.ndarray, ww: np.ndarray) -> np.ndarray | None:
     """Mask of the window past the plateau, or None for a rung to skip.
 
@@ -448,12 +466,28 @@ def _awake(wv: np.ndarray, ww: np.ndarray) -> np.ndarray | None:
     return (wv > PLATEAU_FLOOR) | (ww > PLATEAU_FLOOR)
 
 
+def _risen(w: np.ndarray) -> int:
+    """First index of a non-decreasing omega above the plateau: the one
+    search that stands for the mask w > PLATEAU_FLOOR, a suffix."""
+    return int(w.searchsorted(PLATEAU_FLOOR, "right"))
+
+
 def _window(v: Weight, w: Weight, *others: Weight) -> tuple | None:
     """(x, v(x), w(x)) on the comparison grid of v, w and others; None when
-    the window is too short."""
-    g = _comparison_grid(v, w, *others)
+    the window is too short.  On the grid that the shortest span's
+    undilated sequence weight holds, an undilated weight of another
+    sequence reads omega from the slot its base keeps for its last partner
+    (AssociatedWeight._hold_on), so both bridges of a pair evaluate the
+    window once."""
+    low = min((v, w, *others), key=lambda u: u.log_t_reliable)
+    g = _comparison_grid(low)
     if g is None or len(g) < MIN_WINDOW_POINTS:
         return None
+    if g is vars(low.base).get("grid"):
+        for u in (v, w):
+            if (u.shift == 0.0 and u.base is not low.base
+                    and isinstance(u.base, AssociatedWeight)):
+                u.base._hold_on(g.log_t)
     return g.log_t, v.omega_log(g.log_t), w.omega_log(g.log_t)
 
 
@@ -471,12 +505,24 @@ class RungSamples:
       a dilation only raises it (the shift falls, monotonically in float),
       so the grid of the rung is _comparison_grid(v, w) bit for bit;
     * no new evaluation of v or the baseline: a dilation rung adds one
-      w.dilate(c).omega_log(x), and a power rung is c * w(x), equal to
-      w.power(c).omega_log(x) because every rung c is a power of two.
+      evaluation of w's base at x plus the shift that w.dilate(c) holds,
+      scaled and clamped as Weight.omega_log does, and a power rung is
+      c * w(x), equal to w.power(c).omega_log(x) because every rung c is a
+      power of two.
 
     A dilation rung with c > 1 pulls w's end in by log c, so it samples its
     own window.  Rungs and their trends are filled on first use, so a
     ladder that settles at its first rung evaluates and fits no other.
+
+    When v and w are sequence weights, omega is non-decreasing on both
+    sides (a maximum of terms non-decreasing in x; shift, positive scale
+    and clamp keep it so), and so is every rung.  Then each mask of _awake
+    is a suffix, found by one search (_risen), and the rung arrays are
+    views of the window's.  A rung with c <= 1 lies under the baseline (a
+    dilation moves w's argument left, a power scales it down), so it wakes
+    no earlier than v or the baseline: it is formed only from the index
+    where the first of them leaves the plateau (start).  Tables, which may
+    decrease, keep the mask over the whole window.
     """
 
     def __init__(self, v: Weight, w: Weight, family: str,
@@ -488,6 +534,12 @@ class RungSamples:
         self.window = _window(v, w)
         self.rungs: dict[float, tuple | None] = {}  # c -> (x, wv, ww, wb)
         self.trends: dict[tuple[float, str], object] = {}  # (c, name) -> fit
+        # where v or the baseline leaves the plateau; None unless both are
+        # sequence weights, and then the rungs take the mask
+        self._start = None
+        if self.window is not None and v.source is not None and w.source is not None:
+            _, wv, wb = self.window
+            self._start = min(_risen(wv), _risen(wb))
 
     def rung(self, c: float) -> tuple | None:
         """Samples (x, wv, ww, wb) of rung c past the plateau; None to skip."""
@@ -524,25 +576,33 @@ class RungSamples:
         if window is None:
             return None
         x, wv, wb = window
+        s = self._start if self._start is not None and c <= 1.0 else 0
         if c == 1.0:
-            ww = wb
+            ww = wb[s:]
         elif self.family == "power":
-            ww = c * wb
+            ww = c * wb[s:]
         else:
-            ww = self.w.dilate(c).omega_log(x)
-        awake = _awake(wv, ww)
-        if awake is None:
+            w = self.w
+            # the shift of w.dilate(c), with no Weight built for it
+            ww = w._scaled(w.base.omega_log(x[s:] + (w.shift + float(np.log(c)))))
+        if self._start is None:
+            awake = _awake(wv, ww)
+            if awake is None:
+                return None
+            k = int(awake.argmax())
+            if awake[k:].all():
+                return x[k:], wv[k:], ww[k:], wb[k:]
+            return x[awake], wv[awake], ww[awake], wb[awake]
+        kw = s + _risen(ww)
+        if len(x) - kw < MIN_WINDOW_POINTS:
             return None
-        k = int(awake.argmax())
-        if awake[k:].all():
-            return x[k:], wv[k:], ww[k:], wb[k:]
-        return x[awake], wv[awake], ww[awake], wb[awake]
+        k = min(_risen(wv), kw)
+        return x[k:], wv[k:], ww[k - s:], wb[k:]
 
 
-def _classify_rung(claim: str, samples: RungSamples,
-                   c: float) -> tuple[State, tuple[float, float], float]:
-    """Classify rung c of a sample set.  Returns (state, witness_point,
-    sup_d), with Inconclusive for a window-limited rung.
+def _classify_rung(claim: str, samples: RungSamples, c: float) -> State:
+    """Classify rung c of a sample set, Inconclusive for a skipped or a
+    window-limited rung; _witness gives its point.
 
     preceq claim: omega_v - omega_w bounded above (w = O(v)).
     triangle claim: omega_w - omega_v -> +infinity (w = o(v)).
@@ -550,67 +610,67 @@ def _classify_rung(claim: str, samples: RungSamples,
     against wb separates window-limited rungs (dilation or power drag still
     masking a divergent baseline) from genuine failures.  Both claims read
     the rung's trends of d = omega_w - omega_v; the preceq diagnostic is -d,
-    whose rising trend is d's falling one.  Its witness comes from
-    omega_v - omega_w itself, which is +0.0 where -d would be -0.0.
+    whose rising trend is d's falling one.
     """
-    rung = samples.rung(c)
-    if rung is None:
-        return _SKIPPED
-    x, wv, ww, _ = rung
+    if samples.rung(c) is None:
+        return State.INCONCLUSIVE
     gap = samples.trend(c, "gap")
     if claim == "preceq":
         if gap.kind is not Trend.FALLING or gap.peak_inside:
-            state = State.HOLDS
-        elif samples.trend(c, "race") is Trend.RISING:
-            state = State.INCONCLUSIVE
-        elif samples.trend(c, "escape") is Trend.RISING:
-            state = State.INCONCLUSIVE
-        else:
-            state = State.FAILS
+            return State.HOLDS
+    elif gap.kind is Trend.RISING and not gap.peak_inside:
+        return State.HOLDS
+    elif gap.kind is Trend.RISING:
+        rising = samples.trend(c, "base") is Trend.RISING
+        return State.INCONCLUSIVE if rising else State.FAILS
+    if samples.trend(c, "race") is Trend.RISING:
+        return State.INCONCLUSIVE
+    if samples.trend(c, "escape") is Trend.RISING:
+        return State.INCONCLUSIVE
+    return State.FAILS
+
+
+def _witness(claim: str, samples: RungSamples, c: float) -> tuple[float, float]:
+    """Witness point (log t, d) of rung c (not skipped), formed only for
+    the rungs a verdict reports: for preceq the peak of d = omega_v -
+    omega_w, also its supremum (taken from omega_v - omega_w itself, which
+    is +0.0 where the negated gap would be -0.0); for triangle the gap
+    omega_w - omega_v at the window end."""
+    # witness abscissa is log t: the extended spans overflow exp
+    x, wv, ww, _ = samples.rung(c)
+    if claim == "preceq":
         d = wv - ww
         k = int(np.argmax(d))
-    else:
-        if gap.kind is Trend.RISING and not gap.peak_inside:
-            state = State.HOLDS
-        elif gap.kind is Trend.RISING:
-            rising = samples.trend(c, "base") is Trend.RISING
-            state = State.INCONCLUSIVE if rising else State.FAILS
-        elif samples.trend(c, "race") is Trend.RISING:
-            state = State.INCONCLUSIVE
-        elif samples.trend(c, "escape") is Trend.RISING:
-            state = State.INCONCLUSIVE
-        else:
-            state = State.FAILS
-        d = ww - wv
-        k = len(d) - 1
-    # witness abscissa is log t: the extended spans overflow exp
-    return state, (float(x[k]), float(d[k])), float(d.max())
+        return float(x[k]), float(d[k])
+    return float(x[-1]), float(ww[-1] - wv[-1])
 
 
 def weight_preceq(v: Weight, w: Weight,
                   policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = O(v): omega_v - omega_w bounded above on the shared faithful window."""
-    state, point, sup_d = _classify_rung(
-        "preceq", RungSamples(v, w, "power", policy), 1.0)
+    samples = RungSamples(v, w, "power", policy)
+    state = _classify_rung("preceq", samples, 1.0)
+    if state is State.INCONCLUSIVE:
+        return inconclusive("window-limited: the gap has not settled inside the faithful range")
+    point = _witness("preceq", samples, 1.0)
     if state is State.HOLDS:
-        return holds(witnesses={"C": float(np.exp(max(0.0, sup_d)))},
+        return holds(witnesses={"C": float(np.exp(max(0.0, point[1])))},
                      evidence=(point,), note="gap bounded above on the window")
-    if state is State.FAILS:
-        return fails(evidence=(point,), note="gap grows without bound on the window")
-    return inconclusive("window-limited: the gap has not settled inside the faithful range")
+    return fails(evidence=(point,), note="gap grows without bound on the window")
 
 
 def weight_triangle(v: Weight, w: Weight,
                     policy: TrendPolicy = DEFAULT_POLICY) -> Verdict:
     """w = o(v): omega_w - omega_v -> +infinity on the shared faithful window."""
-    state, point, _ = _classify_rung(
-        "triangle", RungSamples(v, w, "power", policy), 1.0)
+    samples = RungSamples(v, w, "power", policy)
+    state = _classify_rung("triangle", samples, 1.0)
+    if state is State.INCONCLUSIVE:
+        return inconclusive("window-limited: the gap has not settled inside the faithful range")
+    point = _witness("triangle", samples, 1.0)
     if state is State.HOLDS:
         return holds(witnesses={"gap_at_window_end": point[1]}, evidence=(point,),
                      note="gap diverges on the window")
-    if state is State.FAILS:
-        return fails(evidence=(point,), note="gap does not diverge on the window")
-    return inconclusive("window-limited: the gap has not settled inside the faithful range")
+    return fails(evidence=(point,), note="gap does not diverge on the window")
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +682,15 @@ def _exists_ladder(claim: str, samples: RungSamples) -> Verdict:
     undecided = False
     rung_evidence: list[tuple[float, float]] = []
     for c in OM6_LADDER:
-        state, point, sup_d = _classify_rung(claim, samples, c)
+        state = _classify_rung(claim, samples, c)
         if state is State.HOLDS:
-            return holds(witnesses={"c": float(c), "C": float(np.exp(max(0.0, sup_d)))},
+            point = _witness(claim, samples, c)
+            return holds(witnesses={"c": float(c), "C": float(np.exp(max(0.0, point[1])))},
                          evidence=(point,), note=f"first clean rung at c={c:g}")
         if state is State.INCONCLUSIVE:
             undecided = True
         else:
-            rung_evidence.append((float(c), point[1]))
+            rung_evidence.append((float(c), _witness(claim, samples, c)[1]))
     if undecided:
         return inconclusive("some rungs window-limited and none held")
     return fails(evidence=tuple(rung_evidence),
@@ -637,12 +698,14 @@ def _exists_ladder(claim: str, samples: RungSamples) -> Verdict:
 
 
 def forall_ladder(claim: str, samples: RungSamples) -> Verdict:
-    """The claim at every rung c of FORALL_LADDER, read off shared samples."""
+    """The claim at every rung c of FORALL_LADDER, read off shared samples;
+    only a failing rung forms its witness."""
     held: list[float] = []
     skipped: list[float] = []
     for c in FORALL_LADDER:
-        state, point, _ = _classify_rung(claim, samples, c)
+        state = _classify_rung(claim, samples, c)
         if state is State.FAILS:
+            point = _witness(claim, samples, c)
             return fails(evidence=((float(c), point[0]), point),
                          note=f"rung c={c:g} fails at log t={point[0]:.4g}")
         if state is State.HOLDS:

@@ -12,8 +12,11 @@ import pytest
 
 import growthcomp.associated_weight
 import growthcomp.cli
+import growthcomp.weight_functions
 from growthcomp import from_table, holds, is_normalized
 from growthcomp.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -84,6 +87,24 @@ def test_weight_analyze_from_table(capsys, tmp_path):
     assert {row["check"] for row in doc["results"]} >= {"om6_weight",
                                                         "sandwich"}
     assert doc["associated_sequence"]["J"] == 16
+
+
+def test_weight_analyze_recovers_the_associated_sequence_once(capsys, monkeypatch):
+    # the sandwich check reads the recovery that the report prints
+    calls = []
+    real = growthcomp.weight_functions.associated_sequence
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (growthcomp.cli, growthcomp.weight_functions):
+        monkeypatch.setattr(module, "associated_sequence", counted)
+    for source in ("gevrey:2", f"file:{GOLDEN / 'table.csv'}"):
+        calls.clear()
+        code, out, _ = run(capsys, "weight", "analyze", source, "--J", "64")
+        assert code == 0 and len(calls) == 1, source
+        assert "sandwich" in {row["check"] for row in json.loads(out)["results"]}
 
 
 def test_weight_analyze_abstains_on_normalization_before_t_one(capsys, tmp_path):

@@ -5,14 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from growthcomp import (TrendPolicy, Verdict, Weight, bridge_pow_seq,
+from growthcomp import (TrendPolicy, Verdict, bridge_pow_seq,
                         bridge_triangle_seq, check_mg, fails,
                         from_log_quotients, from_values, fuse_conjunction,
                         fuse_unanimous, gevrey, holds, inconclusive,
                         mg_transfer_check, mixture, omega_little_o, pow_routes,
                         product, scale_pow, seq_approx, seq_preceq,
                         tildestrong_check, triangle_routes)
-from growthcomp import Grid, associated_weight, grids, standard_battery, weight_functions
+from growthcomp import (AssociatedWeight, Grid, associated_weight, grids,
+                        q_gevrey, standard_battery, weight_functions)
+from growthcomp.cli import main
 from growthcomp.weight_functions import RungSamples, forall_ladder, from_sequence
 
 # ---------------------------------------------------------------------------
@@ -58,22 +60,59 @@ def test_bridge_agrees_with_its_routes(g1, q15):
 
 def test_one_pair_samples_each_forall_ladder_once(ghalf, g1, monkeypatch):
     # both dilation routes share one grid and one evaluation of v and w plus
-    # one per dilation rung below 1; the power routes and the omega ratio add
-    # one more v and w and nothing per rung: at most 2 + 10 + 2 calls
+    # one per dilation rung below 1; the power routes and the omega ratio
+    # read the same window and add nothing: at most 2 + 10 closed-form
+    # calls, fewer when the session's sequences hold their window already
     calls = []
-    evaluate = Weight.omega_log
+    evaluate = AssociatedWeight.omega_log
 
-    def counted(self, x):
-        calls.append(self.label)
-        return evaluate(self, x)
+    def counted(self, x, *args, **kwargs):
+        calls.append(self.source.label)
+        return evaluate(self, x, *args, **kwargs)
 
-    monkeypatch.setattr(Weight, "omega_log", counted)
+    monkeypatch.setattr(AssociatedWeight, "omega_log", counted)
     tri = triangle_routes(ghalf, g1)
     pw = pow_routes(ghalf, g1)
     # every dilation rung is visited: the ladder holds with no failing rung
     assert tri["dilation_gap"].holds and tri["dilation_bounds"].holds
     assert pw["power_gap"].holds
-    assert len(calls) <= 14, calls
+    assert len(calls) <= 12, calls
+
+
+def test_both_bridges_of_a_pair_evaluate_their_window_once(monkeypatch, capsys):
+    # the longer sequence is evaluated on the shorter one's grid once for
+    # both bridges of a pair, and once for the four bridges of seq compare;
+    # each sequence holds one such evaluation, replaced by its next partner
+    J = 128
+    on_short_grid = []
+    real = associated_weight._closed_form
+    short_grid = gevrey(1.0, J).associated_weight.grid.log_t
+    long_top = q_gevrey(1.5, J).associated_weight.hull.log_values[-1]
+
+    def counted(P, knots, xs):
+        if P[-1] == long_top and np.array_equal(xs, short_grid):
+            on_short_grid.append(len(xs))
+        return real(P, knots, xs)
+
+    monkeypatch.setattr(associated_weight, "_closed_form", counted)
+    short, long = gevrey(1.0, J), q_gevrey(1.5, J)
+    assert short.associated_weight.log_mu_max < long.associated_weight.log_mu_max
+    triangle_routes(short, long)
+    pow_routes(short, long)
+    assert len(on_short_grid) == 1
+    held = vars(long.associated_weight)["_partner"]
+    assert held[0] is short.associated_weight.grid.log_t
+    assert not held[1].flags.writeable
+    assert "_partner" not in vars(short.associated_weight)
+    # a third sequence, shorter still, takes the slot over
+    shorter = gevrey(0.5, J)
+    triangle_routes(long, shorter)
+    held = vars(long.associated_weight)["_partner"]
+    assert held[0] is shorter.associated_weight.grid.log_t
+    on_short_grid.clear()
+    assert main(["seq", "compare", "gevrey:1", "qgevrey:1.5", "--J", str(J)]) == 0
+    capsys.readouterr()
+    assert len(on_short_grid) == 1
 
 
 def test_a_sweep_builds_one_grid_per_member_and_evaluates_it_once(monkeypatch):

@@ -91,6 +91,16 @@ def test_classify_matches_the_mask_reference(fraction, margin):
     for x, y in _cases(rng):
         got = classify(x, y, policy, margin=margin)
         assert repr(got) == repr(_ref_classify(x, y, policy, margin=margin)), (len(x), x[:4])
+    # finite points whose sum overflows fall back to the filter, which keeps
+    # them all; a NaN is dropped there (the fits overflow alike on both sides)
+    x = np.linspace(0.0, 5.0, 64)
+    nan = rng.normal(0.0, 1.0, 64)
+    nan[40] = np.nan
+    for y in (np.repeat([1e308, -1e308, 1e308, -1e308], 16), nan):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = classify(x, y, policy, margin=margin)
+            want = _ref_classify(x, y, policy, margin=margin)
+        assert repr(got) == repr(want)
 
 
 def test_classify_rejects_a_decreasing_abscissa():

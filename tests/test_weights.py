@@ -20,10 +20,13 @@ from growthcomp import (AssociatedWeight, Grid, Weight, associated_sequence,
                         weight_preceq_dila, weight_preceq_pow, weight_triangle,
                         weight_triangle_dila)
 from growthcomp.associated_weight import LADDER_GRID_N, OM6_LADDER
-from growthcomp.trend import MIN_WINDOW_POINTS
-from growthcomp import associated_weight
-from growthcomp.weight_functions import (FORALL_LADDER, RungSamples, _awake,
-                                         _comparison_grid)
+from growthcomp.trend import DEFAULT_POLICY, MIN_WINDOW_POINTS, classify
+from growthcomp import associated_weight, standard_battery, weight_functions
+from growthcomp.verdicts import State, fails
+from growthcomp.weight_functions import (FORALL_LADDER, PLATEAU_FLOOR,
+                                         RungSamples, _awake, _comparison_grid,
+                                         _escape_kind, _race_kind,
+                                         forall_ladder)
 
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden" / "table.csv"
 
@@ -606,6 +609,166 @@ def test_a_dormant_rung_is_skipped():
     for check in (weight_preceq, weight_triangle):
         vd = check(v, late)
         assert vd.inconclusive and vd.note == WINDOW_LIMITED
+
+
+# ---------------------------------------------------------------------------
+# rung arrays against the sampler that masked every rung over its window
+# ---------------------------------------------------------------------------
+
+def _ref_awake(wv, ww):
+    """The awake mask: every point where either side has left the plateau;
+    None when the dominating side rises on too few points."""
+    if int(np.count_nonzero(ww > PLATEAU_FLOOR)) < MIN_WINDOW_POINTS:
+        return None
+    return (wv > PLATEAU_FLOOR) | (ww > PLATEAU_FLOOR)
+
+
+class _RefRungs:
+    """Rung samples as formed before rungs started where the pair leaves the
+    plateau: each window evaluated afresh (on a copy of the grid's points,
+    so nothing held is read), each dilation rung through a dilated Weight
+    over the whole window, and the awake part found by the mask."""
+
+    def __init__(self, v, w, family):
+        self.v, self.w, self.family = v, w, family
+        self.window = self._window(v, w)
+        self.rungs = {}
+
+    @staticmethod
+    def _window(v, w, *others):
+        g = _comparison_grid(v, w, *others)
+        if g is None or len(g) < MIN_WINDOW_POINTS:
+            return None
+        x = g.log_t.copy()
+        return x, v.omega_log(x), w.omega_log(x)
+
+    def rung(self, c):
+        if c not in self.rungs:
+            self.rungs[c] = self._sample(c)
+        return self.rungs[c]
+
+    def _sample(self, c):
+        if self.family == "dilate" and c > 1.0:
+            window = self._window(self.v, self.w, self.w.dilate(c))
+        else:
+            window = self.window
+        if window is None:
+            return None
+        x, wv, wb = window
+        if c == 1.0:
+            ww = wb
+        elif self.family == "power":
+            ww = c * wb
+        else:
+            ww = self.w.dilate(c).omega_log(x)
+        awake = _ref_awake(wv, ww)
+        if awake is None:
+            return None
+        k = int(awake.argmax())
+        if awake[k:].all():
+            return x[k:], wv[k:], ww[k:], wb[k:]
+        return x[awake], wv[awake], ww[awake], wb[awake]
+
+    def trend(self, c, name):
+        x, wv, ww, wb = self.rungs[c]
+        if name == "gap":
+            return classify(x, ww - wv, DEFAULT_POLICY)
+        if name == "race":
+            return _race_kind(x, ww - wv, wb - wv, DEFAULT_POLICY)
+        if name == "escape":
+            return _escape_kind(x, ww - wv, DEFAULT_POLICY)
+        return classify(x, wb - wv, DEFAULT_POLICY).kind
+
+    def point(self, claim, c):
+        """The witness point of rung c, from the whole gap."""
+        x, wv, ww, _ = self.rungs[c]
+        if claim == "preceq":
+            d = wv - ww
+            k = int(np.argmax(d))
+        else:
+            d = ww - wv
+            k = len(d) - 1
+        return float(x[k]), float(d[k])
+
+
+def _same_rungs(v, w, family):
+    """Assert every rung of RungSamples(v, w, family) and its four trends
+    equal the reference, bit for bit; returns the sample set."""
+    samples, ref = RungSamples(v, w, family), _RefRungs(v, w, family)
+    for c in FORALL_LADDER + OM6_LADDER:
+        got, want = samples.rung(c), ref.rung(c)
+        assert (got is None) == (want is None), (v.label, w.label, family, c)
+        if got is None:
+            continue
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        for name in ("gap", "race", "escape", "base"):
+            assert repr(samples.trend(c, name)) == repr(ref.trend(c, name)), (c, name)
+    return samples
+
+
+@pytest.mark.parametrize("J", [64, 512, 1024])
+def test_rungs_from_where_the_pair_leaves_the_plateau_are_the_masked_rungs(J):
+    # every 21st ordered battery pair, oriented as the bridges orient it;
+    # on every 4th of those, a powered and a normalized (clamped) weight
+    battery = standard_battery(J)
+    pairs = [(M, N) for M in battery for N in battery if M is not N][::21]
+    lin = normalize(from_sequence(from_log_quotients(np.linspace(-1.0, 4.0, J))))
+    assert lin.offset
+    for i, (M, N) in enumerate(pairs):
+        v, w = from_sequence(N), from_sequence(M)
+        for family in ("dilate", "power"):
+            _same_rungs(v, w, family)
+            if i % 4 == 0:
+                _same_rungs(lin, w.power(0.75), family)
+                _same_rungs(v.power(1.5), lin, family)
+
+
+@pytest.mark.parametrize("family", ["dilate", "power"])
+def test_a_decreasing_table_keeps_the_masked_rungs(family):
+    # omega of the tables dips back to 0: the awake part has a hole, so the
+    # rungs are gathered by the mask, as the reference gathers them
+    v, w = _decreasing_table(1.0), _decreasing_table(2.0)
+    samples = _same_rungs(v, w, family)
+    holes = [c for c, got in samples.rungs.items() if got is not None
+             and not np.shares_memory(got[0], samples.window[0])]
+    assert holes
+
+
+@pytest.mark.parametrize("claim", ["preceq", "triangle"])
+@pytest.mark.parametrize("family", ["dilate", "power"])
+def test_a_failing_rung_reports_the_reference_witness(claim, family, monkeypatch):
+    # gevrey(1) against gevrey(0.5) holds on every rung of either ladder; a
+    # failure planted at one rung below 1 reports the point the reference
+    # forms from that rung's whole gap, and no other rung forms a witness
+    v, w = from_sequence(gevrey(1.0, 256)), from_sequence(gevrey(0.5, 256))
+    planted = 0.25
+    real_classify, real_witness = weight_functions._classify_rung, weight_functions._witness
+    formed = []
+
+    def classified(claim, samples, c):
+        state = real_classify(claim, samples, c)
+        return State.FAILS if c == planted else state
+
+    def witness(claim, samples, c):
+        formed.append(c)
+        return real_witness(claim, samples, c)
+
+    monkeypatch.setattr(weight_functions, "_classify_rung", classified)
+    monkeypatch.setattr(weight_functions, "_witness", witness)
+    samples = RungSamples(v, w, family)
+    ref = _RefRungs(v, w, family)
+    assert ref.rung(planted) is not None
+    point = ref.point(claim, planted)
+    got = forall_ladder(claim, samples)
+    assert got == fails(evidence=((planted, point[0]), point),
+                        note=f"rung c={planted:g} fails at log t={point[0]:.4g}")
+    assert formed == [planted]
+    # an unplanted ladder that holds forms no witness at all
+    monkeypatch.setattr(weight_functions, "_classify_rung", real_classify)
+    formed.clear()
+    assert forall_ladder(claim, RungSamples(v, w, family)).holds
+    assert formed == []
 
 
 # ---------------------------------------------------------------------------
