@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcomp import (WeightSequence, check_56_alternative, check_mg,
-                        check_mg_diag, check_om1_index, check_strong_2j,
+                        check_mg_diag, check_om1_index, check_strong_2j, fails,
                         from_file, from_log_quotients, from_quotients,
-                        from_values, gevrey, is_LC, is_log_convex,
+                        from_values, gevrey, holds, is_LC, is_log_convex,
                         log_convex_minorant, log_factorials, mixture, product,
                         q_gevrey, scale_pow, seq_approx, seq_preceq,
-                        seq_triangle, tilde)
-from growthcomp import sequence_core
-from growthcomp.sequence_core import _lower_hull_vertices, _pairing_minima
+                        seq_triangle, standard_battery, tilde)
+from growthcomp.sequence_core import _lower_hull_vertices, _mg_running, index_trend
+from growthcomp.trend import DEFAULT_POLICY, Trend
 
 # ---------------------------------------------------------------------------
 # construction and frozen factory values
@@ -336,9 +336,39 @@ def _pairing_minima_per_n(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mg_reference(M: WeightSequence):
+    # check_mg on the dense pairing minima: (running maximum, verdict)
+    y = M.log_values
+    n_vals = np.arange(2, M.J + 1)
+    e = (y[2:] - _pairing_minima_per_n(y)) / n_vals
+    running = np.maximum.accumulate(e)
+    rep, (lo, hi) = index_trend(running, 2, DEFAULT_POLICY)
+    evidence = ((float(n_vals[np.argmax(e)]), float(e.max())),)
+    if rep.kind is Trend.RISING:
+        return running, fails(evidence=evidence, note=f"pairing defect grows on n in "
+                                                      f"[{lo},{hi}] (slope {rep.slope:.3g})")
+    return running, holds(witnesses={"C": float(np.exp(e.max()))}, evidence=evidence,
+                          note=f"running max stable on n in [{lo},{hi}]")
+
+
+def _assert_mg_is_the_dense_scan(M: WeightSequence) -> None:
+    # C = exp(e*) overflows to inf on steep walks (ROADMAP item 3)
+    with np.errstate(over="ignore"):
+        want_running, want = _mg_reference(M)
+        got = check_mg(M)
+    np.testing.assert_array_equal(_mg_running(M)[1].view(np.int64),
+                                  want_running.view(np.int64), err_msg=M.label)
+    assert repr(got.to_dict()) == repr(want.to_dict()), M.label
+
+
+def _walk(rng, J: int, scale: float = 1.0, label: str = "") -> WeightSequence:
+    steps = rng.normal(0.6 * scale, 1.5 * scale, J)
+    return WeightSequence(np.concatenate(([0.0], np.cumsum(steps))), label=label or f"walk{J}")
+
+
 def _pairing_inputs() -> list[WeightSequence]:
-    # the minimum J, the block edges around PAIR_ROWS = 64 and the +inf
-    # padding, a steep q-Gevrey sequence and a walk with steps of scale 1e3
+    # the minimum J, the edges of the doubling row blocks at 64 and 128, a
+    # steep q-Gevrey sequence and a walk with steps of scale 1e3
     rng = np.random.default_rng(18)
     walks = [WeightSequence(np.concatenate(([0.0], np.cumsum(rng.normal(0.3, 2.0, J)))),
                             label=f"walk{J}")
@@ -348,24 +378,60 @@ def _pairing_inputs() -> list[WeightSequence]:
     return walks + [steep, q_gevrey(3.0, 2048)]
 
 
-def test_blocked_pairing_minima_equal_the_per_n_loop():
-    for M in _pairing_inputs():
-        np.testing.assert_array_equal(_pairing_minima(M.log_values).view(np.int64),
-                                      _pairing_minima_per_n(M.log_values).view(np.int64),
-                                      err_msg=M.label)
+def _mg_inputs() -> list[WeightSequence]:
+    rng = np.random.default_rng(30)
+    j = np.arange(2049.0)
+    walk = _walk(rng, 300)
+    return (_pairing_inputs() + list(standard_battery(64)) + list(standard_battery(512))
+            + [gevrey(1.0, 4096), q_gevrey(1.5, 4096),
+               _walk(rng, 4096, label="walk4096a"), _walk(rng, 4096, label="walk4096b"),
+               WeightSequence(np.zeros(513), label="zero"),
+               WeightSequence(np.sqrt(j), label="sqrt"),
+               _walk(rng, 2048, scale=1e-12, label="walk 1e-12"),
+               # rounded lines: every pair sum of a row ties with the others
+               # within an ulp, so the minimum may sit anywhere in the row
+               WeightSequence(j / 3.0, label="j/3"), WeightSequence(0.7 * j, label="0.7j"),
+               # no cuts: a -0.0 past index 0, and entries past 2^1000
+               WeightSequence(np.where(j[:301] == 5, -0.0, walk.log_values), label="-0.0"),
+               WeightSequence(1e300 * walk.log_values, label="walk 1e300")])
 
 
-def test_mg_verdicts_do_not_depend_on_the_pairing_kernel(monkeypatch):
-    def verdicts():
-        # C = exp(e*) overflows to inf on the steep walk
-        with np.errstate(over="ignore"):
-            return [check_mg(M) for M in _pairing_inputs()]
+def test_mg_running_maximum_and_verdict_are_the_dense_scan():
+    for M in _mg_inputs():
+        _assert_mg_is_the_dense_scan(M)
 
-    blocked = verdicts()
-    monkeypatch.setattr(sequence_core, "_pairing_minima", _pairing_minima_per_n)
-    for got, want in zip(blocked, verdicts(), strict=True):
-        assert (got.state, got.witnesses, got.evidence, got.note) == \
-               (want.state, want.witnesses, want.evidence, want.note)
+
+@st.composite
+def _perturbed_sequences(draw):
+    J = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return _walk(rng, J, scale=10.0 ** draw(st.floats(-12.0, 3.0)))
+    # a convex sequence from its stored quotients (with runs of equal ones,
+    # whose pair sums tie within an ulp), then one index moved
+    levels = rng.normal(0.0, 2.0, draw(st.sampled_from([1, 2, 3, J])))
+    M = from_log_quotients(np.sort(rng.choice(levels, J)))
+    k = draw(st.integers(1, J))
+    shift = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-3, -1e-3, 1.0, -1.0, 50.0, -50.0]))
+    if shift == 0.0:
+        return M
+    y = M.log_values.copy()
+    y[k] += shift
+    return WeightSequence(y)
+
+
+@given(_perturbed_sequences())
+@settings(max_examples=100, deadline=None)
+def test_mg_is_the_dense_scan_on_walks_and_perturbed_convex_sequences(M):
+    _assert_mg_is_the_dense_scan(M)
+
+
+def test_mg_forms_at_most_one_percent_of_the_dense_cells():
+    rng = np.random.default_rng(4096)
+    for M in (gevrey(1.0, 4096), q_gevrey(1.5, 4096), _walk(rng, 4096)):
+        n = np.arange(2, M.J + 1)
+        cells, _ = _mg_running(M)
+        assert cells <= 0.01 * int((n // 2 + 1).sum()), M.label
 
 
 def test_mg_and_diagonal_route_agree(battery):
