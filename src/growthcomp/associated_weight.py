@@ -17,17 +17,16 @@ The scan route and both recoveries (legendre_recover here,
 associated_sequence for a weight) are one discrete Legendre conjugate run in
 two directions.  The scan, and the recovery of a weight that is not a
 (dilated) sequence weight, take ``conjugate``: the dense maximum over every
-index, formed only over the band of indices that a bound from the ends of
-each block of SCAN_ROWS rows does not prove lose at every row of the block
-(about 3% of the dense terms for gevrey(1, 4096) on the default grid), in
-one work array of at most SCAN_CELLS cells.  The band reads only the call's
-own arrays (no hull, quotient, counting or closed form), so the two routes
-stay independent.  The scan forms its terms as x*j where the closed form
-forms j*x; IEEE multiplication is commutative and max is exact, so the two
-routes still agree bit for bit.  A sequence weight is recovered by
-``recover``: the same terms over one window per index, where only the knots
-of omega can win, bit for bit the dense kernel (the discrete, exact form of
-Lucet's linear-time Legendre transform).
+index, formed over the bands of the kernel it shares with the series sum
+(_kernel), about 3% of the dense terms for gevrey(1, 4096) on the default
+grid.  The bands read only the call's own arrays (no hull, quotient,
+counting or closed form), so the two routes stay independent.  The scan
+forms its terms as x*j where the closed form forms j*x; IEEE multiplication
+is commutative and max is exact, so the two routes still agree bit for bit.
+A sequence weight is recovered by ``recover``: the same terms over one
+window per index, where only the knots of omega can win, bit for bit the
+dense kernel (the discrete, exact form of Lucet's linear-time Legendre
+transform).
 
 For non-log-convex input the closed-form route works on the log-convex
 minorant (the associated weight cannot see the difference); the scan route
@@ -42,6 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernel import SCAN_CELLS, SCAN_ROWS, _ranges, band, margin
 from .grids import Grid, _span_grid, default_grid
 from .sequence_core import WeightSequence, log_convex_minorant
 from .verdicts import Verdict, fails, holds, inconclusive
@@ -57,14 +57,6 @@ MIN_WINDOW_SPAN = 0.05
 LOG2 = float(np.log(2))
 # share of the grid-supported index range a recovery reports as reliable
 RELIABLE_FRACTION = 0.5
-
-# cells of one block of a kernel (512 KB), so that it stays in cache: twice
-# conjugate's work array (numpy may buffer its narrow bands in the rest) and
-# one group of the series kernel's band bounds
-SCAN_CELLS = 1 << 16
-# rows of one block of conjugate, which share one band of columns
-SCAN_ROWS = 128
-
 
 # ---------------------------------------------------------------------------
 # associated weight object
@@ -169,43 +161,34 @@ def conjugate(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Discrete Legendre conjugate: out[i] = max_k (a[i] * b[k] - c[k]).
 
     Bit for bit the dense maximum over every column, formed over one band
-    of columns per block of SCAN_ROWS rows.  With a_lo, a_hi the ends of a
-    block and t_end = a_end * b - c, each column k is bounded against the
-    columns m in {m_lo, m_hi} that win the two ends:
+    of columns per block of SCAN_ROWS rows (_kernel.band under the rho of
+    _kernel.margin, whose proof says that no column outside it holds a row
+    maximum, not even a tied one).  max is exact, so each row maximum is
+    the dense one, bar the sign of a zero where terms tie at 0: a row whose
+    banded maximum is +-0.0 and ties with another zero of its band is taken
+    again over its full row, as the dense kernel reduces it.  Every column
+    is kept when rho or a block's bound is not finite (a term that
+    overflows, say), when four bound rows do not fit the work array, and on
+    at most four rows, where the bound rows cost what the terms do.
 
-        bound_k = min_m max(t_lo[k] - t_lo[m], t_hi[k] - t_hi[m]).
-
-    The gap a * (b[k] - b[m]) - (c[k] - c[m]) is linear in a, so its larger
-    end value bounds it on the block, and rho = 8 eps (max|c| + max|b|
-    max|a|) covers the rounding of the terms and of the bound (the argument
-    of spaces._band_cuts): a column with bound_k < -rho lies under column m
-    at every row of the block, so it holds no row maximum, not even a tied
-    one.  The block scans the columns from the first to the last with
-    bound_k >= -rho.  max is exact, so each row maximum is the dense one,
-    bar the sign of a zero where terms tie at 0: a row whose banded maximum
-    is +-0.0 and ties with another zero of its band is taken again over its
-    full row, as the dense kernel reduces it.  Every column is kept when rho
-    or a block's bound is not finite (a term that overflows, say), when the
-    four bound rows do not fit the work array, and on at most four rows,
-    where the bound rows cost what the terms do.
-
-    One work array of max(SCAN_CELLS // 2, len(b)) cells holds a block's
-    bound rows (t_lo, t_hi and two gap rows) and then its terms, in runs of
+    One work array of max(SCAN_CELLS // 2, len(b)) cells holds the bound
+    rows of as many blocks as fit, and then the terms of a block, in runs of
     as many rows as fit beside the band's width; numpy may buffer the terms
     of a narrow band in up to about 128 KB more.
     """
     n = len(b)
     out = np.empty(len(a))
-    # Python floats: a product that overflows is inf, with no warning
-    rho = 8.0 * np.finfo(float).eps * (_abs_max(c) + _abs_max(b) * _abs_max(a))
+    rho = margin(a, b, c)
     work = np.empty(max(SCAN_CELLS // 2, n))
-    banded = len(a) > 4 and 4 * n <= len(work) and np.isfinite(rho)
     starts = np.arange(0, len(a), SCAN_ROWS)
-    ends = zip(np.minimum.reduceat(a, starts).tolist(),
-               np.maximum.reduceat(a, starts).tolist())
-    for lo, (a_lo, a_hi) in zip(starts.tolist(), ends):
+    cols = np.repeat([[0], [n]], len(starts), axis=1)
+    if len(a) > 4 and 4 * n <= len(work) and np.isfinite(rho):
+        a_lo, a_hi = np.minimum.reduceat(a, starts), np.maximum.reduceat(a, starts)
+        group = len(work) // (4 * n)
+        for g in range(0, len(starts), group):
+            cols[:, g:g + group] = band(a_lo[g:g + group], a_hi[g:g + group], b, c, rho, work)
+    for lo, k0, k1 in zip(starts.tolist(), *cols.tolist()):
         blk = a[lo:lo + SCAN_ROWS]
-        k0, k1 = _band(a_lo, a_hi, b, c, rho, work) if banded else (0, n)
         rows = max(1, len(work) // (k1 - k0))
         for r in range(0, len(blk), rows):
             sub = blk[r:r + rows]
@@ -222,45 +205,6 @@ def conjugate(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
                     row -= c
                     m[i] = row.max()
     return out
-
-
-def _abs_max(v: np.ndarray) -> float:
-    return float(max(v.max(initial=0.0), -v.min(initial=0.0)))
-
-
-def _band(a_lo: float, a_hi: float, b: np.ndarray, c: np.ndarray, rho: float,
-          work: np.ndarray) -> tuple[int, int]:
-    """Columns [k0, k1) of conjugate's band for a block with ends a_lo, a_hi:
-    the first to the last column with bound >= -rho, or every column when
-    the bound is not finite.  Its four rows are the first 4 len(b) cells of
-    work; the differences of overflowed ends warn nothing the terms do not."""
-    n = len(b)
-    t_lo, t_hi, g, h = work[:4 * n].reshape(4, n)
-    with np.errstate(all="ignore"):
-        np.multiply(b, a_lo, out=t_lo)
-        t_lo -= c
-        np.multiply(b, a_hi, out=t_hi)
-        t_hi -= c
-        m_lo, m_hi = t_lo.argmax(), t_hi.argmax()
-        np.subtract(t_lo, t_lo[m_lo], out=g)
-        np.subtract(t_hi, t_hi[m_lo], out=h)
-        np.maximum(g, h, out=g)
-        if m_hi != m_lo:
-            np.subtract(t_lo, t_lo[m_hi], out=h)
-            t_hi -= t_hi[m_hi]
-            np.maximum(h, t_hi, out=h)
-            np.minimum(g, h, out=g)
-    # argmin finds a NaN first: a NaN would compare false below and cut
-    # the band by accident
-    if not np.isfinite(g[g.argmin()]):
-        return 0, n
-    keep = g >= -rho
-    return int(keep.argmax()), n - int(keep[::-1].argmax())
-
-
-def _ranges(starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The runs arange(s, s + w) over the pairs of starts and widths, end to end."""
-    return np.repeat(starts - (np.cumsum(widths) - widths), widths) + np.arange(widths.sum())
 
 
 def _closed_form(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._kernel import SCAN_CELLS, _ranges
 from .trend import DEFAULT_POLICY, Trend, TrendPolicy, classify, index_window
 from .verdicts import Verdict, fails, fuse_conjunction, holds, inconclusive
 
@@ -37,6 +38,9 @@ if TYPE_CHECKING:
     from .associated_weight import AssociatedWeight
 
 LADDER_MAX_INDEX = 16
+# log values this large can overflow products of their differences: the hull
+# scales them first, and moderate growth forms no bound from the minorant
+LOG_HUGE = 2.0 ** 1000
 # index range of constructed sequences and recoveries unless a caller sets J
 DEFAULT_J = 512
 
@@ -282,10 +286,11 @@ def _lower_hull_vertices(y: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull of (j, y_j); collinear points kept.
 
     The loop reads Python floats (y.tolist()): the same IEEE double
-    arithmetic as numpy scalars, so the same vertices, without the
-    per-element boxing of numpy scalar indexing.
+    arithmetic as numpy scalars, so the same vertices, without their
+    boxing.  From LOG_HUGE on, where the cross products overflow, y is
+    scaled by 2**-64 first: exact in the normal range, so no turn moves.
     """
-    y = y.tolist()
+    y = (y * 2.0 ** -64 if np.abs(y).max() >= LOG_HUGE else y).tolist()
     out: list[int] = []
     for i in range(len(y)):
         while len(out) >= 2:
@@ -310,7 +315,7 @@ def log_convex_minorant(M: WeightSequence) -> WeightSequence:
     edge-slope array (forced non-decreasing) is carried as the quotient view.
     """
     q = M.quotient_array
-    if not (len(q) > 2 and np.any(np.diff(q[1:]) < 0.0)):
+    if not (len(q) > 2 and np.any(q[2:] < q[1:-1])):
         return M
     y = M.log_values
     hx = _lower_hull_vertices(y)
@@ -398,15 +403,15 @@ def _mg_running(M: WeightSequence) -> tuple[int, np.ndarray]:
       over it is P_n exactly, whatever order it meets its operands in.
 
     Every row is formed over its full band [0, m], and the minorant is not
-    formed, when max|y| (which bounds H, as min y <= h <= y) is too large
-    for the bounds to stay finite, or when some y_j (j >= 1) is -0.0.  The
-    cells of a block are formed about SCAN_CELLS at a time (_band_minima).
+    formed, when max|y| (which bounds H, as min y <= h <= y) reaches
+    LOG_HUGE, or when some y_j (j >= 1) is -0.0.  The cells of a block are
+    formed about SCAN_CELLS at a time (_band_minima).
     """
     y = M.log_values
     J = M.J
     n = np.arange(2, J + 1)
     # min y <= h <= y, so max|y| bounds H before the minorant is formed
-    cut = (float(np.abs(y).max()) < 2.0 ** 1000
+    cut = (float(np.abs(y).max()) < LOG_HUGE
            and not np.any(np.signbit(y[1:]) & (y[1:] == 0.0)))
     if cut:
         h = M.associated_weight.hull.log_values
@@ -469,8 +474,6 @@ def _band_minima(y: np.ndarray, r: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
     """(min over j in [b_n, n // 2] of y[j] + y[n - j] for each row n of r,
     cells formed), about SCAN_CELLS cells at a time: the bands of a piece
     of rows lie end to end in one array, and minimum.reduceat cuts it."""
-    from .associated_weight import SCAN_CELLS  # it imports this module
-
     w = r // 2 - b + 1
     ends = np.cumsum(w)
     out = np.empty(r.size)
@@ -478,10 +481,9 @@ def _band_minima(y: np.ndarray, r: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
     while i < r.size:
         base = ends[i] - w[i]
         i1 = max(int(np.searchsorted(ends, base + SCAN_CELLS, side="right")), i + 1)
-        starts = ends[i:i1] - w[i:i1] - base
-        cols = np.arange(ends[i1 - 1] - base) + np.repeat(b[i:i1] - starts, w[i:i1])
+        cols = _ranges(b[i:i1], w[i:i1])
         out[i:i1] = np.minimum.reduceat(y[cols] + y[np.repeat(r[i:i1], w[i:i1]) - cols],
-                                        starts)
+                                        ends[i:i1] - w[i:i1] - base)
         i = i1
     return out, int(ends[-1])
 

@@ -19,8 +19,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .associated_weight import (OM1_LADDER, OM6_LADDER, SCAN_CELLS,
-                                check_om6_omega)
+from ._kernel import SCAN_CELLS, end_winner_bound, margin
+from .associated_weight import OM1_LADDER, OM6_LADDER, check_om6_omega
 from .grids import default_grid
 from .relations import (POW_BRIDGE, TRIANGLE_BRIDGE, pow_routes,
                         tildestrong_check, triangle_routes)
@@ -400,8 +400,7 @@ class PowerSeries:
         each of its points (the span cut of log_series_eval), so its first
         dominant index is the top one throughout; the trailing run of such
         blocks is not held, and no point past the held prefix lies inside
-        the window.  The cuts are taken with the rho of the whole grid,
-        which covers each of its blocks (a larger rho only widens a band),
+        the window.  The cuts take the rho of the whole grid (_kernel.margin)
         and the kernel is pointwise, so the held values are those of any
         evaluation on the same points.
         """
@@ -426,22 +425,10 @@ TAIL_CUT = 37.0
 
 def _band_cuts(cf: np.ndarray, js: np.ndarray, x_lo: np.ndarray,
                x_hi: np.ndarray, rho: float) -> np.ndarray:
-    """Rows a, s0, s1, b of the band of each block with ends x_lo, x_hi.
-
-    Row i of the (blocks x coefficients) arrays is the bound vector of block
-    i, formed by the elementwise expressions of log_series_eval, so the cuts
-    are the integers one block at a time gives.  A row with bound >= -rho
-    also clears the two edges, so [s0, s1) lies inside [a, b).
-    """
-    t_lo = cf + js * x_lo[:, None]
-    t_hi = cf + js * x_hi[:, None]
-    r = np.arange(len(t_lo))
-
-    def gap(k):
-        return np.maximum(t_lo - t_lo[r, k][:, None], t_hi - t_hi[r, k][:, None])
-
-    # bound[k_lo] = 0, so every cut below keeps at least that row
-    bound = np.minimum(gap(t_lo.argmax(axis=1)), gap(t_hi.argmax(axis=1)))
+    """Rows a, s0, s1, b of the band of each block with ends x_lo, x_hi,
+    from the _kernel.end_winner_bound of the terms js * x - (-cf), which are
+    cf + js * x to the bit.  [s0, s1) lies inside [a, b)."""
+    bound = end_winner_bound(x_lo, x_hi, js, -cf, np.empty(4 * len(x_lo) * len(cf)))
     n = bound.shape[1]
     a = (bound >= -(SERIES_CUT + rho)).argmax(axis=1)
     b = n - (bound >= -(TAIL_CUT + rho))[:, ::-1].argmax(axis=1)
@@ -457,13 +444,10 @@ def _block_cuts(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, ...]:
     with the rounding margin rho of log_series_eval."""
     c = f.log_abs_coeffs
     idx = np.nonzero(np.isfinite(c))[0]
-    cf = c[idx]
-    js = idx.astype(float)
-    rho = 8.0 * np.finfo(float).eps * (
-        np.max(np.abs(cf)) + js[-1] * np.max(np.abs(x), initial=0.0))
+    cf, js = c[idx], idx.astype(float)
+    rho = margin(x, js, cf)
     starts = np.arange(0, len(x), SCAN_CHUNK)
-    x_lo = np.minimum.reduceat(x, starts)
-    x_hi = np.maximum.reduceat(x, starts)
+    x_lo, x_hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
     cuts = np.empty((4, len(starts)), dtype=int)
     group = max(1, SCAN_CELLS // len(cf))
     for g in range(0, len(starts), group):
@@ -482,26 +466,14 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     so the value at x_i depends on (f, x_i) alone, whatever the block
     around it.
 
-    Each block of SCAN_CHUNK points [x_lo, x_hi] bounds every row against
-    the rows k in {k_lo, k_hi} that dominate its ends:
+    Each block of SCAN_CHUNK points bounds its rows by _kernel's
+    end_winner_bound (points a = x, indices b = j, c = -log|a_j|), and
+    rho = _kernel.margin(x, j, c) gives T_ji - M_i < bound_j + rho at every
+    point of the block.  Three cuts follow:
 
-        bound_j = min_k max(t_lo[j] - t_lo[k], t_hi[j] - t_hi[k]),
-        t_lo = c + j x_lo,  t_hi = c + j x_hi.
-
-    D_jk(x) = (c_j - c_k) + (j - k) x is linear, so its larger end value
-    bounds it on the block.  With u = eps/2 and S = max|c| + J max|x|, each
-    computed term and each t is within 2u S of its exact value, and each
-    difference of two t's rounds by at most 2u S more, so D_jk(x_end) is
-    within 6u S of its computed value.  Since M_i >= T_ki,
-
-        T_ji - M_i <= T_ji - T_ki <= D_jk(x_i) + 4u S <= bound_j + 10u S,
-
-    up to O(eps^2), and rho = 8 eps S = 16u S covers it.  Three cuts follow:
-
-    - Span: a row with bound_j < -rho has T_ji < M_i in every column, so it
-      holds no column maximum, not even a tied one.  The first-occurrence
-      argmax over the rows [s0, s1) from the first to the last row with
-      bound_j >= -rho is the one over all rows.
+    - Span: a row with bound_j < -rho holds no column maximum, not even a
+      tied one, so the first-occurrence argmax over the rows [s0, s1) from
+      the first to the last row with bound_j >= -rho is the one over all.
     - Leading edge: a row before s0 with bound_j < -(SERIES_CUT + rho) has
       T_ji - M_i < -746; rounding is monotone, so exp of the float
       difference is exactly 0.0 (as it is below about -745.13).  Adding
@@ -517,20 +489,17 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
       clamped at -TAIL_CUT before exp: a clamped term still adds nothing,
       and exp takes no subnormal or underflowing argument there.
 
-    The bound vectors of SCAN_CELLS // (finite coefficients) blocks (at
-    least one) are formed at once, as the rows of (blocks x coefficients)
-    arrays; the block ends come from minimum/maximum.reduceat over the block
-    starts, and every entry is the expression above, so each block gets the
-    cuts it would get alone (_band_cuts).  The terms go through in pieces
-    sized by cells: a run of consecutive blocks with equal cuts (a, s0, s1,
-    b) is one piece, split into pieces of max(2, SCAN_CELLS // (b - a))
-    points where it holds more than SCAN_CELLS cells.  Every point keeps the
-    rows of its block, so values and indices are those of one block at a
-    time.  One work array per call, of at most max(SCAN_CELLS, 2 (b - a))
-    cells, holds the terms: each piece fills a C-contiguous (rows, width)
-    view of its prefix with fl(j x) and adds c in place, which is
-    fl(c + fl(j x)) as addition commutes, and such a view sums row by row as
-    a fresh array does.
+    The bounds of SCAN_CELLS // (finite coefficients) blocks (at least one)
+    are formed at once (_band_cuts), each block's as it would be alone.  The
+    terms go through in pieces sized by cells: a run of consecutive blocks
+    with equal cuts (a, s0, s1, b) is one piece, split into pieces of
+    max(2, SCAN_CELLS // (b - a)) points where it holds more than SCAN_CELLS
+    cells.  Every point keeps the rows of its block, so values and indices
+    are those of one block at a time.  One work array per call, of at most
+    max(SCAN_CELLS, 2 (b - a)) cells, holds the terms: each piece fills a
+    C-contiguous (rows, width) view of its prefix with fl(j x) and adds c in
+    place, which is fl(c + fl(j x)) as addition commutes, and such a view
+    sums row by row as a fresh array does.
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("series evaluation needs finite log t")

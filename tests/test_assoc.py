@@ -17,10 +17,10 @@ from growthcomp import (AssociatedWeight, WeightSequence, associated_sequence,
                         is_log_convex, legendre_recover, log_convex_minorant,
                         normalize, q_gevrey, standard_battery)
 from growthcomp import associated_weight
+from growthcomp._kernel import SCAN_CELLS, SCAN_ROWS
 from growthcomp.associated_weight import (MIN_WINDOW_SPAN, OM1_LADDER,
-                                          OM6_LADDER, OMEGA_MODES, SCAN_CELLS,
-                                          SCAN_ROWS, conjugate, om1_ladder,
-                                          om6_ladder, recover)
+                                          OM6_LADDER, OMEGA_MODES, conjugate,
+                                          om1_ladder, om6_ladder, recover)
 
 # ---------------------------------------------------------------------------
 # counting route
@@ -485,14 +485,14 @@ def test_banded_conjugate_forms_a_small_share_of_the_terms(monkeypatch):
     # a band as wide as every column would still be bit for bit the dense
     # kernel; the bands hold about 1/32 of the terms here
     cells = []
-    band = associated_weight._band
+    band = associated_weight.band
 
     def counted(a_lo, a_hi, *args):
         k0, k1 = band(a_lo, a_hi, *args)
-        cells.append(k1 - k0)
+        cells.extend(k1 - k0)
         return k0, k1
 
-    monkeypatch.setattr(associated_weight, "_band", counted)
+    monkeypatch.setattr(associated_weight, "band", counted)
     x = default_grid().log_t
     P = gevrey(1.0, 4096).log_values
     b = np.arange(4097.0)

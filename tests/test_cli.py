@@ -107,6 +107,18 @@ def test_weight_analyze_recovers_the_associated_sequence_once(capsys, monkeypatc
         assert "sandwich" in {row["check"] for row in json.loads(out)["results"]}
 
 
+# the trend fits of the bridges still overflow on this input, with warnings
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_seq_compare_reads_a_walk_near_the_end_of_the_float_range(capsys, tmp_path):
+    y = np.concatenate(([0.0], np.cumsum(np.random.default_rng(0).normal(0.6, 1.5, 64))))
+    y[10] = -1.7e308
+    p = tmp_path / "walk.csv"
+    p.write_text("".join(f"{j},{v!r}\n" for j, v in enumerate(y.tolist())))
+    code, out, _ = run(capsys, "seq", "compare", f"file:{p}", "gevrey:1", "--J", "64")
+    assert code == 0
+    assert len(json.loads(out)["results"]) > 0
+
+
 def test_weight_analyze_abstains_on_normalization_before_t_one(capsys, tmp_path):
     # the table ends at t = 0.5, so omega on [t_min, 1] is not known
     p = tmp_path / "short.csv"

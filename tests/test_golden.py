@@ -12,7 +12,10 @@ weight_routes.txt pins decide_inclusion on weight sources (both weight
 crossings, both family swaps, the same-source routes, every verdict of the
 o-collapse gate, Holds and Fails of is_normalized) and system_equiv_weight,
 then all seven weight comparisons over every ordered pair of those weights.
-Regenerate the files with
+digests.txt pins the default lines of tools/digests.py: one sha256 per route
+of both bridges over all 420 ordered pairs at J = 64, 512 and 1024, and per
+moderate growth check over the battery at J = 64 to 4096 and over twelve
+seeded walks.  Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -22,6 +25,8 @@ only when a report is meant to change, and say why in the change log.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import importlib.util
 import io
 import os
 from pathlib import Path
@@ -29,7 +34,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from growthcomp import (RoutingError, SpaceSpec, decide_inclusion,
+import growthcomp
+from growthcomp import (RoutingError, SpaceSpec, State, decide_inclusion,
                         from_log_quotients, from_sequence, from_table, gevrey,
                         normalize, pow_routes, standard_battery,
                         system_equiv_weight, triangle_routes, weight_preceq,
@@ -39,6 +45,10 @@ from growthcomp import (RoutingError, SpaceSpec, decide_inclusion,
 from growthcomp.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location(
+    "digests", GOLDEN.parent.parent / "tools" / "digests.py")
+digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digests)
 
 CASES = {
     "seq_compare": ("seq", "compare", "gevrey:1", "qgevrey:1.5", "--J", "128"),
@@ -207,9 +217,34 @@ def test_golden_weight_routes():
     assert _weight_route_lines() == (GOLDEN / "weight_routes.txt").read_text()
 
 
+def test_golden_digests():
+    assert list(digests.lines()) == (GOLDEN / "digests.txt").read_text().splitlines()
+
+
+def test_golden_digests_move_on_a_planted_route_flip(monkeypatch):
+    # Holds and Fails of the roots route swapped: at J = 64 its line and the
+    # line over every route move, and no other line does
+    real = growthcomp.triangle_routes
+    swap = {State.HOLDS: State.FAILS, State.FAILS: State.HOLDS}
+
+    def planted(M, N):
+        out = real(M, N)
+        vd = out["roots"]
+        return {**out, "roots": dataclasses.replace(vd, state=swap.get(vd.state, vd.state))}
+
+    monkeypatch.setattr(growthcomp, "triangle_routes", planted)
+    want = [line for line in (GOLDEN / "digests.txt").read_text().splitlines()
+            if line.startswith("J=64 pairs=")]
+    got = list(digests.lines(route_js=(64,), mg_js=()))
+    assert len(got) == len(want)
+    moved = [g.split()[2] for g, w in zip(got, want) if g != w]
+    assert moved == ["all", "roots"]
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, argv in CASES.items():
         (GOLDEN / f"{name}.out").write_text(_report(argv))
     (GOLDEN / "bridges.txt").write_text(_bridge_lines())
     (GOLDEN / "weight_routes.txt").write_text(_weight_route_lines())
+    (GOLDEN / "digests.txt").write_text("".join(line + "\n" for line in digests.lines()))

@@ -219,6 +219,27 @@ def test_hull_on_python_floats_keeps_the_numpy_scalar_vertices():
         np.testing.assert_array_equal(_lower_hull_vertices(y), _numpy_scalar_hull(y))
 
 
+def _walk_near_the_float_range_end() -> np.ndarray:
+    y = np.concatenate(([0.0], np.cumsum(np.random.default_rng(0).normal(0.6, 1.5, 64))))
+    y[10] = -1.7e308
+    return y
+
+
+def test_hull_near_the_end_of_the_float_range_takes_its_turns_scaled():
+    # unscaled, (b - a) * (y[i] - y[a]) overflows to inf and the chain keeps
+    # the concave vertices 12, 13, ...; the minorant then failed its own
+    # quotient check
+    y = _walk_near_the_float_range_end()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _numpy_scalar_hull(y)[:4].tolist() == [0, 10, 12, 13]
+    hx = _lower_hull_vertices(y)
+    assert hx.tolist() == [0, 10, 64]
+    np.testing.assert_array_equal(hx, _numpy_scalar_hull(y * 2.0 ** -64))
+    h = log_convex_minorant(from_values(y))
+    assert h.meta["hull_vertices"] == [0, 10, 64]
+    assert np.all(h.log_values <= y) and np.all(np.diff(h.quotient_array[1:]) >= 0.0)
+
+
 def test_battery_members_superadditive(small_battery):
     # log-convex with origin 0 forces y[i] + y[j] <= y[i+j]
     for M in small_battery:

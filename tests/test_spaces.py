@@ -21,7 +21,8 @@ from growthcomp import (FLAVORS, InclusionVerdict, PowerSeries, RoutingError,
                         norm_estimate, normalize, seq_preceq, system_equiv,
                         system_equiv_weight, theta_series)
 from growthcomp.acceptance import THETA_PROBES
-from growthcomp.associated_weight import OM6_LADDER, SCAN_CELLS
+from growthcomp._kernel import SCAN_CELLS
+from growthcomp.associated_weight import OM6_LADDER
 from growthcomp.spaces import SCAN_CHUNK, TAIL_CUT, _band_cuts
 from growthcomp.trend import DEFAULT_POLICY, MIN_WINDOW_POINTS
 from growthcomp.weight_functions import FORALL_LADDER
