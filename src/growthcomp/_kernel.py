@@ -8,6 +8,8 @@ two ends, and margin is the one rounding margin of that bound, with its proof.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # cells of one block of a kernel (512 KB), so that it stays in cache: twice
@@ -48,25 +50,24 @@ def end_winner_bound(a_lo: np.ndarray, a_hi: np.ndarray, b: np.ndarray,
     max(t_lo[k] - t_lo[m], t_hi[k] - t_hi[m]), t_end = b * a_end[i] - c, for
     the blocks i with row ends a_lo[i] <= a_hi[i], in 4 blocks len(b) cells
     of work.  A block whose bound is not finite somewhere (a NaN compares
-    false) gets 0 in every column, so every cut keeps every column."""
-    t_lo, t_hi, g, h = work[:4 * len(a_lo) * len(b)].reshape(4, len(a_lo), len(b))
+    false) gets 0 in every column, so every cut keeps every column.  The
+    two ends are stacked, so each step is one numpy call for both."""
+    t, gh = work[:4 * len(a_lo) * len(b)].reshape(2, 2, len(a_lo), len(b))
+    g, h = gh
     r = np.arange(len(a_lo))
     with np.errstate(all="ignore"):
-        np.multiply(b, a_lo[:, None], out=t_lo)
-        t_lo -= c
-        np.multiply(b, a_hi[:, None], out=t_hi)
-        t_hi -= c
-        m_lo, m_hi = t_lo.argmax(axis=1), t_hi.argmax(axis=1)
-        np.subtract(t_lo, t_lo[r, m_lo][:, None], out=g)
-        np.subtract(t_hi, t_hi[r, m_lo][:, None], out=h)
+        np.multiply(b, a_lo[:, None], out=t[0])
+        np.multiply(b, a_hi[:, None], out=t[1])
+        t -= c
+        m_lo, m_hi = t.argmax(axis=2)
+        np.subtract(t, t[:, r, m_lo][:, :, None], out=gh)
         np.maximum(g, h, out=g)
-        if (m_hi != m_lo).any():
-            np.subtract(t_lo, t_lo[r, m_hi][:, None], out=h)
-            t_hi -= t_hi[r, m_hi][:, None]
-            np.maximum(h, t_hi, out=h)
+        if m_hi.tolist() != m_lo.tolist():
+            t -= t[:, r, m_hi][:, :, None]
+            np.maximum(*t, out=h)
             np.minimum(g, h, out=g)
     # min finds a NaN as it finds -inf
-    if not np.isfinite(g.min()):
+    if not math.isfinite(g.min()):
         g[~np.isfinite(g.min(axis=1))] = 0.0
     return g
 

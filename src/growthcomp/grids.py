@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trend import Abscissa
+
 # the default sampling grid: every comparison, inclusion, membership and
 # probe check samples it
 T_MIN = 1e-3
@@ -39,6 +41,15 @@ class Grid:
 
     def __len__(self) -> int:
         return len(self.log_t)
+
+    def axis(self, start: int = 0) -> Abscissa:
+        """The regression abscissa log_t[start:], held on this grid from its
+        first use, so every fit on that suffix shares its window scalars."""
+        held = vars(self).setdefault("_axes", {})
+        axis = held.get(start)
+        if axis is None:
+            axis = held[start] = Abscissa(self.log_t[start:])
+        return axis
 
     @staticmethod
     def geometric(t_min: float, t_max: float, n: int) -> "Grid":

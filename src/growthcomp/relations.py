@@ -99,7 +99,15 @@ def _little_o(samples: RungSamples) -> Verdict:
     # the ratio is judged in the log so its verdict is scale-free: a ratio
     # already tiny at the window start must still be seen to keep shrinking
     with np.errstate(divide="ignore"):
-        rep = classify(x[pos], np.log(r), policy, margin=policy.ratio_margin)
+        log_r = np.log(r)
+    # a weight of a sequence rises from 0, so pos and the points where log r
+    # is finite (r > 0) are suffixes of the window, whose grid holds their
+    # abscissa; the fit then reads the points the filter would keep
+    k, j = int(pos.argmax()), int((r > 0).argmax())
+    at, y = x[pos], log_r
+    if pos[k:].all() and (r[j:] > 0).all():
+        at, y = samples.grid.axis(k + j), log_r[j:]
+    rep = classify(at, y, policy, margin=policy.ratio_margin)
     if rep.kind is Trend.FALLING:
         return holds(witnesses={"log_ratio_slope": rep.slope},
                      evidence=((float(x[pos][-1]), float(r[-1])),),

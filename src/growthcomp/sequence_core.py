@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._kernel import SCAN_CELLS, _ranges
-from .trend import DEFAULT_POLICY, Trend, TrendPolicy, classify, index_window
+from .trend import (DEFAULT_POLICY, Trend, TrendPolicy, classify, index_abscissa,
+                    index_window)
 from .verdicts import Verdict, fails, fuse_conjunction, holds, inconclusive
 
 if TYPE_CHECKING:
@@ -214,11 +215,11 @@ def log_factorials(n: int) -> np.ndarray:
 
 def index_trend(d: np.ndarray, j_first: int, policy: TrendPolicy):
     """Trend of diagnostic d (indexed from j_first) over the trailing half of
-    its index range, regressed against log j.  Returns (report, j_window)."""
+    its index range, regressed against log j (held per range,
+    trend.index_abscissa).  Returns (report, j_window)."""
     j_last = j_first + len(d) - 1
     lo, hi = index_window(j_first, j_last)
-    rep = classify(np.log(np.arange(lo, j_last + 1, dtype=float)), d[lo - j_first:],
-                   policy._full_window)
+    rep = classify(index_abscissa(lo, j_last), d[lo - j_first:], policy._full_window)
     return rep, (lo, hi)
 
 

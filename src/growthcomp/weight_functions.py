@@ -28,7 +28,9 @@ rung once: the trends of the gap d = omega_w - omega_v, each fitted on
 first use.  The triangle claim reads them as they are; the preceq claim
 bounds omega_v - omega_w = -d and reads them through the negation
 (trend.classify), so a rung the triangle ladder has read costs the preceq
-ladder no fit.
+ladder no fit.  A fit on a rung that is a suffix of its grid reads the
+window scalars the grid holds for that suffix (grids.Grid.axis), formed by
+the first fit of any pair on that grid.
 
 Every power rung and every dilation rung with c <= 1 shares the window of
 v against w: a power leaves w's faithful end and such a dilation only
@@ -421,7 +423,7 @@ def strong_ratio_check(u: Weight, c: float,
 # ---------------------------------------------------------------------------
 
 def _race_kind(x: np.ndarray, d: np.ndarray, ref: np.ndarray,
-               policy: TrendPolicy) -> Trend:
+               policy: TrendPolicy, held: tuple | None = None) -> Trend:
     """Trend of d normalized by the baseline headroom.
 
     When a rung's visible gap is drag-dominated, d against the baseline gap
@@ -429,12 +431,19 @@ def _race_kind(x: np.ndarray, d: np.ndarray, ref: np.ndarray,
     toward zero) or the drag does (quotient flat or falling away).  The
     quotient is only meaningful where the headroom has opened; before that
     it is scale-noise, so the fit is restricted to the live stretch.  When
-    the headroom never opens (identity-like rungs) d races the floor."""
+    the headroom never opens (identity-like rungs) d races the floor.
+    held is (grid, start) when x is grid.log_t[start:]: then the fit reads
+    the grid's abscissa of x, or of the live stretch when that is a suffix."""
+    at = x if held is None else held[0].axis(held[1])
     live = ref > 1.0
     if int(live.sum()) >= MIN_WINDOW_POINTS:
-        x, d, ref = x[live], d[live], ref[live]
+        k = int(live.argmax())
+        if held is not None and live[k:].all():
+            at, d, ref = held[0].axis(held[1] + k), d[k:], ref[k:]
+        else:
+            at, d, ref = x[live], d[live], ref[live]
     q = d / np.maximum(ref, 1.0)
-    return classify(x, q, policy, margin=policy.ratio_margin).kind
+    return classify(at, q, policy, margin=policy.ratio_margin).kind
 
 
 def _escape_kind(x: np.ndarray, d: np.ndarray, policy: TrendPolicy) -> Trend:
@@ -445,11 +454,11 @@ def _escape_kind(x: np.ndarray, d: np.ndarray, policy: TrendPolicy) -> Trend:
     the race see that as flat on any finite window.  The average gain per
     e-fold regressed against log depth still resolves it: rising means the
     gap's growth rate is improving at the window end (escape pending),
-    flat means linear drift, falling means the gap is collapsing."""
-    u = x - x[0]
-    keep = u > 0.0
-    return classify(np.log(u[keep]), d[keep] / u[keep], policy,
-                    margin=policy.ratio_margin).kind
+    flat means linear drift, falling means the gap is collapsing.  x is
+    strictly increasing (points of a grid), so the depth is positive from
+    the second point on."""
+    u = x[1:] - x[0]
+    return classify(np.log(u), d[1:] / u, policy, margin=policy.ratio_margin).kind
 
 
 def _awake(wv: np.ndarray, ww: np.ndarray) -> np.ndarray | None:
@@ -473,12 +482,12 @@ def _risen(w: np.ndarray) -> int:
 
 
 def _window(v: Weight, w: Weight, *others: Weight) -> tuple | None:
-    """(x, v(x), w(x)) on the comparison grid of v, w and others; None when
-    the window is too short.  On the grid that the shortest span's
-    undilated sequence weight holds, an undilated weight of another
-    sequence reads omega from the slot its base keeps for its last partner
-    (AssociatedWeight._hold_on), so both bridges of a pair evaluate the
-    window once."""
+    """(grid, v(x), w(x)) on the comparison grid of v, w and others, x its
+    points; None when the window is too short.  On the grid that the
+    shortest span's undilated sequence weight holds, an undilated weight of
+    another sequence reads omega from the slot its base keeps for its last
+    partner (AssociatedWeight._hold_on), so both bridges of a pair evaluate
+    the window once."""
     low = min((v, w, *others), key=lambda u: u.log_t_reliable)
     g = _comparison_grid(low)
     if g is None or len(g) < MIN_WINDOW_POINTS:
@@ -488,7 +497,7 @@ def _window(v: Weight, w: Weight, *others: Weight) -> tuple | None:
             if (u.shift == 0.0 and u.base is not low.base
                     and isinstance(u.base, AssociatedWeight)):
                 u.base._hold_on(g.log_t)
-    return g.log_t, v.omega_log(g.log_t), w.omega_log(g.log_t)
+    return g, v.omega_log(g.log_t), w.omega_log(g.log_t)
 
 
 class RungSamples:
@@ -496,8 +505,8 @@ class RungSamples:
 
     family is "dilate" (rung c is w.dilate(c)) or "power" (w.power(c)); the
     baseline is w itself, the rung c = 1 of either family.  window is
-    _window(v, w), and each claim on the pair reads the same rung arrays
-    and the same trends, fitted with policy.
+    (x, v(x), w(x)) on the grid of _window(v, w), and each claim on the
+    pair reads the same rung arrays and the same trends, fitted with policy.
     Two facts make the window exact for every power rung and for every
     dilation rung with c <= 1:
 
@@ -523,6 +532,12 @@ class RungSamples:
     no earlier than v or the baseline: it is formed only from the index
     where the first of them leaves the plateau (start).  Tables, which may
     decrease, keep the mask over the whole window.
+
+    A rung whose x is a suffix of its window's grid (every rung of two
+    sequence weights) is fitted on the abscissa the grid holds for that
+    suffix (Grid.axis), and so is its race when the live stretch is a
+    suffix: every pair that reads the grid shares the window scalars of
+    each fit (trend.Abscissa).  A rung with holes is fitted on its points.
     """
 
     def __init__(self, v: Weight, w: Weight, family: str,
@@ -531,51 +546,73 @@ class RungSamples:
         self.w = w
         self.family = family
         self.policy = policy
-        self.window = _window(v, w)
+        self._window = _window(v, w)
         self.rungs: dict[float, tuple | None] = {}  # c -> (x, wv, ww, wb)
+        # c -> (grid, start) with the rung's x = grid.log_t[start:], or None
+        # for a skipped rung and a masked rung with holes
+        self._at: dict[float, tuple | None] = {}
         self.trends: dict[tuple[float, str], object] = {}  # (c, name) -> fit
         # where v or the baseline leaves the plateau; None unless both are
         # sequence weights, and then the rungs take the mask
         self._start = None
-        if self.window is not None and v.source is not None and w.source is not None:
-            _, wv, wb = self.window
+        if self._window is not None and v.source is not None and w.source is not None:
+            _, wv, wb = self._window
             self._start = min(_risen(wv), _risen(wb))
+
+    @property
+    def grid(self) -> Grid | None:
+        """The grid of the window."""
+        return None if self._window is None else self._window[0]
+
+    @property
+    def window(self) -> tuple | None:
+        """(x, v(x), w(x)) on the points x of the window's grid."""
+        if self._window is None:
+            return None
+        g, wv, wb = self._window
+        return g.log_t, wv, wb
 
     def rung(self, c: float) -> tuple | None:
         """Samples (x, wv, ww, wb) of rung c past the plateau; None to skip."""
         if c not in self.rungs:
-            self.rungs[c] = self._sample(c)
+            self.rungs[c], self._at[c] = self._sample(c)
         return self.rungs[c]
 
     def trend(self, c: float, name: str):
         """A trend of the gap d = ww - wv on rung c (not skipped), fitted on
         first use: "gap" is the TrendReport of d; "race" (_race_kind against
         the baseline gap wb - wv), "escape" (_escape_kind) and "base" (the
-        baseline gap's own trend) are kinds."""
+        baseline gap's own trend) are kinds.  A rung that is a suffix of
+        its grid is fitted on that grid's held abscissa."""
         key = (c, name)
         if key not in self.trends:
             x, wv, ww, wb = self.rungs[c]
+            held = self._at[c]
+            at = x if held is None else held[0].axis(held[1])
             if name == "gap":
-                fit = classify(x, ww - wv, self.policy)
+                fit = classify(at, ww - wv, self.policy)
             elif name == "race":
-                fit = _race_kind(x, ww - wv, wb - wv, self.policy)
+                fit = _race_kind(x, ww - wv, wb - wv, self.policy, held)
             elif name == "escape":
                 fit = _escape_kind(x, ww - wv, self.policy)
             else:
-                fit = classify(x, wb - wv, self.policy).kind
+                fit = classify(at, wb - wv, self.policy).kind
             self.trends[key] = fit
         return self.trends[key]
 
-    def _sample(self, c: float) -> tuple | None:
-        """(x, wv, ww, wb) of rung c past the plateau, as views when that
-        part is a suffix of the window; None to skip."""
+    def _sample(self, c: float) -> tuple:
+        """((x, wv, ww, wb), (grid, start)) of rung c past the plateau, the
+        arrays views from index start of the window's grid when that part
+        is a suffix of the window ((grid, start) None otherwise); (None,
+        None) to skip."""
         if self.family == "dilate" and c > 1.0:
             window = _window(self.v, self.w, self.w.dilate(c))
         else:
-            window = self.window
+            window = self._window
         if window is None:
-            return None
-        x, wv, wb = window
+            return None, None
+        g, wv, wb = window
+        x = g.log_t
         s = self._start if self._start is not None and c <= 1.0 else 0
         if c == 1.0:
             ww = wb[s:]
@@ -588,16 +625,16 @@ class RungSamples:
         if self._start is None:
             awake = _awake(wv, ww)
             if awake is None:
-                return None
+                return None, None
             k = int(awake.argmax())
             if awake[k:].all():
-                return x[k:], wv[k:], ww[k:], wb[k:]
-            return x[awake], wv[awake], ww[awake], wb[awake]
+                return (x[k:], wv[k:], ww[k:], wb[k:]), (g, k)
+            return (x[awake], wv[awake], ww[awake], wb[awake]), None
         kw = s + _risen(ww)
         if len(x) - kw < MIN_WINDOW_POINTS:
-            return None
+            return None, None
         k = min(_risen(wv), kw)
-        return x[k:], wv[k:], ww[k - s:], wb[k:]
+        return (x[k:], wv[k:], ww[k - s:], wb[k:]), (g, k)
 
 
 def _classify_rung(claim: str, samples: RungSamples, c: float) -> State:

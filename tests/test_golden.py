@@ -15,7 +15,8 @@ then all seven weight comparisons over every ordered pair of those weights.
 digests.txt pins the default lines of tools/digests.py: one sha256 per route
 of both bridges over all 420 ordered pairs at J = 64, 512 and 1024, and per
 moderate growth check over the battery at J = 64 to 4096 and over twelve
-seeded walks.  Regenerate the files with
+seeded walks.  states.txt pins its state table (M|N|route|state) of those
+pairs at J = 64 and 1024, read off the same sweeps.  Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -217,13 +218,27 @@ def test_golden_weight_routes():
     assert _weight_route_lines() == (GOLDEN / "weight_routes.txt").read_text()
 
 
-def test_golden_digests():
-    assert list(digests.lines()) == (GOLDEN / "digests.txt").read_text().splitlines()
+@pytest.fixture(scope="module")
+def sweeps():
+    """One route sweep per J of the pinned digests; the state table's J are among them."""
+    assert set(digests.STATE_J) <= set(digests.ROUTE_J)
+    return {J: digests.sweep(J) for J in digests.ROUTE_J}
+
+
+def test_golden_digests(sweeps):
+    got = list(digests.lines(sweeps=sweeps))
+    assert got == (GOLDEN / "digests.txt").read_text().splitlines()
+
+
+def test_golden_states(sweeps):
+    got = list(digests.lines(route_js=(), mg_js=(), state_js=digests.STATE_J, sweeps=sweeps))
+    assert got == (GOLDEN / "states.txt").read_text().splitlines()
 
 
 def test_golden_digests_move_on_a_planted_route_flip(monkeypatch):
-    # Holds and Fails of the roots route swapped: at J = 64 its line and the
-    # line over every route move, and no other line does
+    # Holds and Fails of the roots route swapped: at J = 64 its digest line
+    # and the line over every route move, and no other digest line does; in
+    # the state table exactly the flipped pairs' roots lines move
     real = growthcomp.triangle_routes
     swap = {State.HOLDS: State.FAILS, State.FAILS: State.HOLDS}
 
@@ -235,10 +250,20 @@ def test_golden_digests_move_on_a_planted_route_flip(monkeypatch):
     monkeypatch.setattr(growthcomp, "triangle_routes", planted)
     want = [line for line in (GOLDEN / "digests.txt").read_text().splitlines()
             if line.startswith("J=64 pairs=")]
-    got = list(digests.lines(route_js=(64,), mg_js=()))
-    assert len(got) == len(want)
+    got = list(digests.lines(route_js=(64,), mg_js=(), state_js=(64,)))
+    assert len(got) > len(want)
     moved = [g.split()[2] for g, w in zip(got, want) if g != w]
     assert moved == ["all", "roots"]
+    table = (GOLDEN / "states.txt").read_text().splitlines()
+    table = table[:table.index("J=1024 pairs=420")]
+    states = got[len(want):]
+    assert len(states) == len(table)
+    moved = [(g, w) for g, w in zip(states, table) if g != w]
+    flipped = [w for w in table if w.endswith(("|roots|Holds", "|roots|Fails"))]
+    assert len(flipped) > 0 and [w for _, w in moved] == flipped
+    for g, w in moved:
+        m, n, route, state = w.split("|")
+        assert g == f"{m}|{n}|{route}|{'Fails' if state == 'Holds' else 'Holds'}"
 
 
 if __name__ == "__main__":
@@ -247,4 +272,8 @@ if __name__ == "__main__":
         (GOLDEN / f"{name}.out").write_text(_report(argv))
     (GOLDEN / "bridges.txt").write_text(_bridge_lines())
     (GOLDEN / "weight_routes.txt").write_text(_weight_route_lines())
-    (GOLDEN / "digests.txt").write_text("".join(line + "\n" for line in digests.lines()))
+    sweeps = {}
+    (GOLDEN / "digests.txt").write_text(
+        "".join(line + "\n" for line in digests.lines(sweeps=sweeps)))
+    (GOLDEN / "states.txt").write_text("".join(
+        line + "\n" for line in digests.lines((), (), digests.STATE_J, sweeps)))

@@ -13,7 +13,8 @@ from growthcomp import (TrendPolicy, Verdict, bridge_pow_seq,
                         product, scale_pow, seq_approx, seq_preceq,
                         tildestrong_check, triangle_routes)
 from growthcomp import (AssociatedWeight, Grid, associated_weight, grids,
-                        q_gevrey, standard_battery, weight_functions)
+                        q_gevrey, relations, sequence_core, standard_battery,
+                        trend, weight_functions)
 from growthcomp.cli import main
 from growthcomp.weight_functions import RungSamples, forall_ladder, from_sequence
 
@@ -198,6 +199,89 @@ def test_the_preceq_ladder_reads_the_trends_the_triangle_ladder_fitted(
             assert len(calls) == sum(n for _, n in fits)
             fitted_later += len(calls)
     assert fitted_later > 0
+
+
+# ---------------------------------------------------------------------------
+# fits on held abscissae
+# ---------------------------------------------------------------------------
+
+def _bits(rep):
+    return rep.kind, rep.peak_inside, np.array([rep.slope]).view(np.int64)[0]
+
+
+@pytest.mark.parametrize("J", [64, 512, 1024])
+def test_every_held_fit_of_the_bridges_is_the_bare_array_fit(J, monkeypatch):
+    # every fit on a held abscissa (rung gap, baseline and race suffix
+    # fits, the little-o suffix, the index trends) against classify on a
+    # fresh copy of its points, over every route of every 21st ordered pair
+    real = trend.classify
+    held = []
+
+    def checked(x, y, policy, margin=None):
+        got = real(x, y, policy, margin)
+        if isinstance(x, trend.Abscissa):
+            held.append(len(x.x))
+            want = real(np.array(x.x), y, policy, margin)
+            assert _bits(got) == _bits(want), (len(x.x), policy, margin)
+        return got
+
+    for module in (weight_functions, relations, sequence_core):
+        monkeypatch.setattr(module, "classify", checked)
+    battery = standard_battery(J)
+    pairs = [(M, N) for M in battery for N in battery if M is not N][::21]
+    for M, N in pairs:
+        triangle_routes(M, N)
+        pow_routes(M, N)
+    assert len(held) > 20 * len(pairs)
+
+
+def test_a_sweep_forms_each_held_window_once(monkeypatch):
+    # the window and quarter scalars of each (grid, start, fraction) are
+    # formed at most once over all 420 ordered pairs, and most fits read
+    # scalars formed by an earlier fit
+    formed: dict[tuple, int] = {}
+    owners = []    # keeps every recorded array alive, so no id is reused
+    fits = []
+    moments = []
+    real_moments = trend._moments
+
+    def counted_moments(x, k):
+        moments.append(1)
+        return real_moments(x, k)
+
+    def recorded(part):
+        real = getattr(trend.Abscissa, part)
+
+        def method(self, fraction):
+            before = len(moments)
+            out = real(self, fraction)
+            if len(moments) > before and self.x.base is not None:
+                owners.append(self.x)
+                key = (part, id(self.x.base), len(self.x), fraction)
+                formed[key] = formed.get(key, 0) + 1
+            return out
+        return method
+
+    monkeypatch.setattr(trend, "_moments", counted_moments)
+    for part in ("window", "quarter"):
+        monkeypatch.setattr(trend.Abscissa, part, recorded(part))
+    real_classify = trend.classify
+
+    def counted(x, *args, **kwargs):
+        fits.append(isinstance(x, trend.Abscissa))
+        return real_classify(x, *args, **kwargs)
+
+    for module in (weight_functions, relations, sequence_core):
+        monkeypatch.setattr(module, "classify", counted)
+    battery = standard_battery(512)
+    for M in battery:
+        for N in battery:
+            if M is not N:
+                triangle_routes(M, N)
+                pow_routes(M, N)
+    assert max(formed.values()) == 1
+    windows = sum(1 for key in formed if key[0] == "window")
+    assert 0 < windows < sum(fits) // 5
 
 
 def test_mg_transfers_along_equivalence(g1, g2):

@@ -1,12 +1,15 @@
-"""Windowed trend classification: slices of a sorted abscissa."""
+"""Windowed trend classification: slices of a sorted abscissa, bare or held."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthcomp import trend
-from growthcomp.trend import DEFAULT_POLICY, Trend, TrendPolicy, TrendReport, classify
+from growthcomp.trend import (DEFAULT_POLICY, Abscissa, Trend, TrendPolicy, TrendReport,
+                              classify, index_abscissa)
 
 # ---------------------------------------------------------------------------
 # a mask-based reference: every window selected by comparing each point
@@ -131,9 +134,9 @@ def test_classify_fits_the_quarter_only_on_a_rising_or_falling_trend(monkeypatch
     calls = []
     real = trend.ls_slope
 
-    def counted(x, y):
+    def counted(x, y, mean, ss):
         calls.append(len(x))
-        return real(x, y)
+        return real(x, y, mean, ss)
 
     monkeypatch.setattr(trend, "ls_slope", counted)
     x = np.linspace(0.0, 4.0, 401)
@@ -161,7 +164,7 @@ def test_classify_fits_the_quarter_only_on_a_rising_or_falling_trend(monkeypatch
 
 
 def test_classify_reads_a_nan_slope_as_flat(monkeypatch):
-    monkeypatch.setattr(trend, "ls_slope", lambda x, y: float("nan"))
+    monkeypatch.setattr(trend, "ls_slope", lambda x, y, mean, ss: float("nan"))
     x = np.linspace(0.0, 4.0, 401)
     rep = classify(x, x, DEFAULT_POLICY)
     assert rep.kind is Trend.FLAT and not rep.peak_inside
@@ -237,3 +240,88 @@ def test_classify_commutes_with_negation_under_a_margin_override():
     y = 0.03 * x
     assert _assert_negated(x, y).kind is Trend.FLAT
     assert _assert_negated(x, y, margin=DEFAULT_POLICY.ratio_margin).kind is Trend.RISING
+
+
+# ---------------------------------------------------------------------------
+# a held abscissa fits as the bare array does, bit for bit
+# ---------------------------------------------------------------------------
+
+FRACTIONS = (0.25, 0.5, 1.0)
+
+
+def _bits(rep):
+    return rep.kind, rep.peak_inside, np.array([rep.slope]).view(np.int64)[0]
+
+
+def _assert_held_is_bare(x, ys, margin=None):
+    """One Abscissa of x, read by every y under every fraction in turn (so
+    its scalars are formed by the first fit and read by the rest), against
+    classify on a fresh copy of x; the negated y too."""
+    axis = Abscissa(x)
+    for fraction in FRACTIONS:
+        policy = TrendPolicy(window_fraction=fraction)
+        for y in ys:
+            for sign in (1.0, -1.0):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = classify(axis, sign * y, policy, margin=margin)
+                    want = classify(np.array(x), sign * y, policy, margin=margin)
+                assert _bits(got) == _bits(want), (fraction, len(x), sign)
+
+
+_sorted_x = st.lists(st.sampled_from((-2.0, -0.5, 0.0, 0.25, 1.0, 1.5, 3.0, 7.5)),
+                     min_size=2, max_size=40).map(lambda v: np.sort(np.array(v)))
+
+
+@given(_sorted_x, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_held_fits_equal_bare_fits_on_repeated_abscissae(x, seed):
+    rng = np.random.default_rng(seed)
+    n = len(x)
+    _assert_held_is_bare(x, (rng.normal(0.0, 1.0, n), 0.4 * x + rng.normal(0.0, 1e-3, n),
+                             np.where(x < x[-1], 0.0, 1.0)))
+    _assert_held_is_bare(x, (0.03 * x,), margin=DEFAULT_POLICY.ratio_margin)
+
+
+def test_held_fits_equal_bare_fits_on_edge_windows():
+    rng = np.random.default_rng(32)
+    cases = [
+        np.full(5, 2.5),                        # constant x: sum of squares 0
+        np.array([0.0, 1.0]),                   # n = 2
+        np.array([0.0, 1.0, 2.0]),              # n = 3
+        np.array([0.0, 0.1, 3.9, 4.0]),         # trailing window of 2 points
+        np.array([0.0, 0.1, 0.2, 4.0]),         # trailing window of 1 point
+        np.array([0.0, 1.0, 2.0, 3.2, 3.4, 4.0]),  # quarter falls back to the half
+        np.array([0.0, 3.0, 3.0, 3.0, 4.0]),    # the half holds one point too
+        np.linspace(0.0, 6.0, 601),
+        np.log(np.arange(129, 257, dtype=float)),
+    ]
+    for x in cases:
+        n = len(x)
+        _assert_held_is_bare(x, (x, -(x - x[-1] * 0.9) ** 2, rng.normal(0.0, 1.0, n),
+                                 np.zeros(n), np.array([0.0, 0.0, *([3.0] * (n - 2))])))
+
+
+def test_held_fits_take_the_filter_on_non_finite_or_overflowing_y():
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.0, 5.0, 64)
+    ys = [np.repeat([1e308, -1e308, 1e308, -1e308], 16), 0.4 * x + 1e308 * (x > 4.9)]
+    for bad in (np.nan, np.inf, -np.inf):
+        y = 0.4 * x + rng.normal(0.0, 0.05, x.size)
+        y[rng.integers(0, x.size, 8)] = bad
+        ys.append(y)
+    y = rng.normal(0.0, 1.0, x.size)
+    y[-60:] = np.nan    # fewer than two points survive
+    ys.append(y)
+    _assert_held_is_bare(x, ys)
+
+
+def test_a_held_abscissa_checks_the_shape_of_y():
+    with pytest.raises(ValueError, match="equal shape"):
+        classify(Abscissa(np.linspace(0.0, 1.0, 8)), np.ones(7), DEFAULT_POLICY)
+
+
+def test_index_abscissae_are_held_read_only_and_equal_the_bare_log():
+    a = index_abscissa(129, 256)
+    assert index_abscissa(129, 256) is a and not a.x.flags.writeable
+    np.testing.assert_array_equal(a.x.view(np.int64),
+                                  np.log(np.arange(129, 257, dtype=float)).view(np.int64))

@@ -25,7 +25,6 @@ from growthcomp import associated_weight, standard_battery, weight_functions
 from growthcomp.verdicts import State, fails
 from growthcomp.weight_functions import (FORALL_LADDER, PLATEAU_FLOOR,
                                          RungSamples, _awake, _comparison_grid,
-                                         _escape_kind, _race_kind,
                                          forall_ladder)
 
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden" / "table.csv"
@@ -623,11 +622,29 @@ def _ref_awake(wv, ww):
     return (wv > PLATEAU_FLOOR) | (ww > PLATEAU_FLOOR)
 
 
+def _ref_race_kind(x, d, ref, policy):
+    """The race fit on bare arrays, the live stretch found by its mask."""
+    live = ref > 1.0
+    if int(live.sum()) >= MIN_WINDOW_POINTS:
+        x, d, ref = x[live], d[live], ref[live]
+    q = d / np.maximum(ref, 1.0)
+    return classify(x, q, policy, margin=policy.ratio_margin).kind
+
+
+def _ref_escape_kind(x, d, policy):
+    """The escape fit on bare arrays, the positive depths found by their mask."""
+    u = x - x[0]
+    keep = u > 0.0
+    return classify(np.log(u[keep]), d[keep] / u[keep], policy,
+                    margin=policy.ratio_margin).kind
+
+
 class _RefRungs:
     """Rung samples as formed before rungs started where the pair leaves the
     plateau: each window evaluated afresh (on a copy of the grid's points,
     so nothing held is read), each dilation rung through a dilated Weight
-    over the whole window, and the awake part found by the mask."""
+    over the whole window, and the awake part found by the mask.  Every
+    trend is fitted on the bare arrays."""
 
     def __init__(self, v, w, family):
         self.v, self.w, self.family = v, w, family
@@ -674,9 +691,9 @@ class _RefRungs:
         if name == "gap":
             return classify(x, ww - wv, DEFAULT_POLICY)
         if name == "race":
-            return _race_kind(x, ww - wv, wb - wv, DEFAULT_POLICY)
+            return _ref_race_kind(x, ww - wv, wb - wv, DEFAULT_POLICY)
         if name == "escape":
-            return _escape_kind(x, ww - wv, DEFAULT_POLICY)
+            return _ref_escape_kind(x, ww - wv, DEFAULT_POLICY)
         return classify(x, wb - wv, DEFAULT_POLICY).kind
 
     def point(self, claim, c):
