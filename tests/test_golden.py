@@ -251,7 +251,6 @@ def test_golden_digests_move_on_a_planted_route_flip(monkeypatch):
     want = [line for line in (GOLDEN / "digests.txt").read_text().splitlines()
             if line.startswith("J=64 pairs=")]
     got = list(digests.lines(route_js=(64,), mg_js=(), state_js=(64,)))
-    assert len(got) > len(want)
     moved = [g.split()[2] for g, w in zip(got, want) if g != w]
     assert moved == ["all", "roots"]
     table = (GOLDEN / "states.txt").read_text().splitlines()

@@ -256,16 +256,24 @@ def _bits(rep):
 def _assert_held_is_bare(x, ys, margin=None):
     """One Abscissa of x, read by every y under every fraction in turn (so
     its scalars are formed by the first fit and read by the rest), against
-    classify on a fresh copy of x; the negated y too."""
+    classify on a fresh copy of x; the negated y too, whose held fit is the
+    held fit of y with the kind swapped and the slope negated (bar a NaN
+    slope, and the sign of a zero one)."""
     axis = Abscissa(x)
     for fraction in FRACTIONS:
         policy = TrendPolicy(window_fraction=fraction)
         for y in ys:
+            held = []
             for sign in (1.0, -1.0):
                 with np.errstate(over="ignore", invalid="ignore"):
                     got = classify(axis, sign * y, policy, margin=margin)
                     want = classify(np.array(x), sign * y, policy, margin=margin)
                 assert _bits(got) == _bits(want), (fraction, len(x), sign)
+                held.append(got)
+            rep, neg = held
+            if rep.slope != 0.0 and not np.isnan(rep.slope):
+                assert _bits(neg) == (SWAPPED[rep.kind], rep.peak_inside,
+                                      np.array([-rep.slope]).view(np.int64)[0])
 
 
 _sorted_x = st.lists(st.sampled_from((-2.0, -0.5, 0.0, 0.25, 1.0, 1.5, 3.0, 7.5)),
