@@ -31,6 +31,20 @@ transform).
 For non-log-convex input the closed-form route works on the log-convex
 minorant (the associated weight cannot see the difference); the scan route
 keeps the raw values.
+
+On sorted points the closed form comes in two stages.  Its counting runs
+(_runs) hold, for each index j = 0..J, how many consecutive points have j
+as their counting index, plus the few near-tie folds (point, index): only
+integers, formed by the searches and the tie of the points.  Their
+expansion (_expand) forms j*x - P[j] run by run and takes the folds.  The
+runs fix every index of every term, so a replay of held runs on the same
+points forms the same terms in the same order: the same bits, signed
+zeros included.  An AssociatedWeight holds, each filled on first use: its
+span grid; closed-form omega on that grid (floats, read by every window on
+it); one partner slot, the runs on the held grid of the last sequence it
+was compared against with the shorter span; and one slot per dilation rung
+c < 1, the runs on its own grid from a start, moved by log c.  Each slot of
+runs takes about 2 (J + 1) bytes, against 8 bytes per point for floats.
 """
 
 from __future__ import annotations
@@ -97,29 +111,54 @@ class AssociatedWeight:
         out.flags.writeable = False
         return out
 
+    def _runs_on(self, xs: np.ndarray) -> tuple:
+        """The runs (_runs) of closed-form omega at the points xs of a grid
+        (or a suffix of one, moved by a shift), width held as uint16: a run
+        holds at most len(xs) <= GRID_N points."""
+        width, i, j = _runs(self.hull.log_values, self.knots, xs)
+        return width.astype(np.uint16), i, j
+
     def _hold_on(self, xs: np.ndarray) -> None:
-        """Hold closed-form omega on xs, the held grid of a partner sequence,
-        in this sequence's one partner slot (read-only), unless the slot
-        holds xs already; the next partner's grid replaces it.  Only a
+        """Hold the runs of closed-form omega on xs, the held grid of a
+        partner sequence, in this sequence's one partner slot, unless the
+        slot holds xs already; the next partner's grid replaces it.  Only a
         comparison window fills it (weight_functions._window), so both
-        bridges of a pair evaluate their window once."""
+        bridges of a pair form their window's runs once."""
         held = vars(self).get("_partner")
         if held is None or held[0] is not xs:
-            # x + 0.0, as Weight.omega_log evaluates an undilated weight
-            out = self.omega_log(xs + 0.0)
-            out.flags.writeable = False
             # the dataclass is frozen: the slot goes where cached properties go
-            vars(self)["_partner"] = (xs, out)
+            vars(self)["_partner"] = (xs, self._runs_on(xs))
 
     def _held(self, xs: np.ndarray) -> np.ndarray | None:
         """Closed-form omega held on the points xs (the same array), or None:
-        grid_omega on this sequence's own grid once built, the partner slot
-        on the grid it was filled on."""
+        grid_omega on this sequence's own grid once built (read-only), the
+        expansion of the partner slot's runs on the grid it was filled on
+        (a new array; a grid holds no -0.0, so it is omega at xs + 0.0, as
+        Weight.omega_log evaluates an undilated weight, bit for bit)."""
         grid = vars(self).get("grid")
         if grid is not None and xs is grid.log_t:
             return self.grid_omega
         held = vars(self).get("_partner")
-        return held[1] if held is not None and held[0] is xs else None
+        if held is None or held[0] is not xs:
+            return None
+        return _expand(self.hull.log_values, xs, held[1])
+
+    def _rung(self, c: float, start: int) -> np.ndarray:
+        """Closed-form omega at grid.log_t[start:] + log c, the points of
+        the dilation rung c < 1 of this sequence's undilated weight from
+        index start of its own grid, bit for bit omega_log there, in a new
+        array.  Each rung has one slot, which holds the runs of its points
+        from the start it was last asked for (a new start replaces them):
+        formed on first use, expanded on every read.  Points no more than
+        the quotients take omega_log, since their runs would outnumber them."""
+        xs = self.grid.log_t[start:] + float(np.log(c))
+        if len(xs) < len(self.knots):
+            return self.omega_log(xs)
+        slots = vars(self).setdefault("_rungs", {})
+        held = slots.get(c)
+        if held is None or held[0] != start:
+            held = slots[c] = (start, self._runs_on(xs))
+        return _expand(self.hull.log_values, xs, held[1])
 
     def omega_log(self, x, mode: str = "closed_form") -> np.ndarray:
         """Associated weight at t = exp(x), for scalar or array x."""
@@ -219,43 +258,69 @@ def _closed_form(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> np.ndarray
     within tie of x; those few points fold in a+1..b in one ragged gather,
     each point's indices in rising order.
 
-    a and b are counted by one search per point, or, when the points are
-    sorted and outnumber the quotients, from where each quotient falls
-    among the points: quotient k lies in the windows of the points
-    [pb_k, pa_k), with pb_k = #{xs + tie < q_k} and pa_k = #{xs - tie <= q_k}
-    (xs - tie and xs + tie stay sorted, since rounding is monotone).  a is
-    the running count of the pa_k: the same comparisons as the search, so
-    the same integers.  b - a at point i counts the k with
+    When the points are sorted and outnumber the quotients, a and the folds
+    come as counting runs (_runs) and omega is their expansion (_expand);
+    otherwise a and b are counted by one search per point.
+    """
+    J = len(P) - 1
+    if len(xs) > J and not (xs[1:] < xs[:-1]).any():
+        return _expand(P, xs, _runs(P, knots, xs))
+    q = knots[1:]
+    tie = 4.0 * np.finfo(float).eps * (J * float(np.abs(xs).max(initial=0.0))
+                                       + float(np.abs(P).max()))
+    a = q.searchsorted(xs - tie, "left")
+    b = q.searchsorted(xs + tie, "right")
+    near = np.flatnonzero(b > a)
+    out = a.astype(float) * xs - P[a]
+    if len(near):
+        width = b[near] - a[near]
+        i, j = np.repeat(near, width), _ranges(a[near] + 1, width)
+        np.maximum.at(out, i, j.astype(float) * xs[i] - P[j])
+    return out
+
+
+def _runs(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> tuple:
+    """The counting runs of closed-form omega at the sorted points xs:
+    (width, i, j), with width[j] the number of points whose counting index
+    a is j (j = 0..J, so the runs lie end to end in index order), and the
+    folds (i, j): index j folds into point i, for the few points within tie
+    of quotient j.  _expand(P, xs, runs) is _closed_form(P, knots, xs) bit
+    for bit, for any number of sorted points.
+
+    The runs come from where each quotient falls among the points:
+    quotient k lies in the windows of the points [pb_k, pa_k), with
+    pb_k = #{xs + tie < q_k} and pa_k = #{xs - tie <= q_k} (xs - tie and
+    xs + tie stay sorted, since rounding is monotone).  a at point i counts
+    the k with pa_k <= i: the same comparisons as the search per point, so
+    the same integers, and run j spans the points [pa_j, pa_{j+1}) (pa_0 = 0,
+    pa_{J+1} = len(xs)).  b - a at point i counts the k with
     pb_k <= i < pa_k, which are a+1..b since q is sorted; so b is never
     formed, and each quotient with pb_k < pa_k folds into its points
-    instead: one expansion, over the few quotients within tie of a point.
-    The largest |x| of sorted points is at one of the two ends.
+    instead, each point's indices in rising order as the search folds them.
+    The largest |x| of sorted points is at one of the two ends, so tie is
+    the search's.
     """
     J = len(P) - 1
     q = knots[1:]
-    n = len(xs)
-    ordered = n > J and not (xs[1:] < xs[:-1]).any()
-    x_abs = max(abs(xs[0]), abs(xs[-1])) if ordered else np.abs(xs).max(initial=0.0)
+    x_abs = max(abs(xs[0]), abs(xs[-1]))
     tie = 4.0 * np.finfo(float).eps * (J * float(x_abs) + float(np.abs(P).max()))
-    # near: the quotients within tie of a point (sorted points) or the
-    # points within tie of a quotient (one search per point)
-    if ordered:
-        pa = (xs - tie).searchsorted(q, "right")
-        pb = (xs + tie).searchsorted(q, "left")
-        a = np.bincount(pa, minlength=n + 1)[:n].cumsum()
-        near = np.flatnonzero(pb < pa)
-        width = pa[near] - pb[near]
-    else:
-        a = q.searchsorted(xs - tie, "left")
-        b = q.searchsorted(xs + tie, "right")
-        near = np.flatnonzero(b > a)
-        width = b[near] - a[near]
-    out = a.astype(float) * xs - P[a]
-    if len(near):
-        if ordered:
-            i, j = _ranges(pb[near], width), np.repeat(near + 1, width)
-        else:
-            i, j = np.repeat(near, width), _ranges(a[near] + 1, width)
+    pa = (xs - tie).searchsorted(q, "right")
+    pb = (xs + tie).searchsorted(q, "left")
+    width = np.diff(pa, prepend=0, append=len(xs))
+    near = np.flatnonzero(pb < pa)
+    fold = pa[near] - pb[near]
+    return width, _ranges(pb[near], fold), np.repeat(near + 1, fold)
+
+
+def _expand(P: np.ndarray, xs: np.ndarray, runs: tuple) -> np.ndarray:
+    """Closed-form omega at the sorted points xs from their runs (_runs):
+    j*x - P[j] at each point of run j, formed in place as the search forms
+    a*x - P[a] (the same two roundings), then the folds, in a new array."""
+    width, i, j = runs
+    out = np.arange(len(P), dtype=float).repeat(width)
+    out *= xs
+    out -= P.repeat(width)
+    if len(i):
         np.maximum.at(out, i, j.astype(float) * xs[i] - P[j])
     return out
 

@@ -45,16 +45,21 @@ A comparison window samples the span grid (grids._span_grid) of the
 shortest faithful span among its weights: the default grid clipped at that
 end, or the whole span at the default grid's resolution past its top.  All
 weights of one sequence share its one AssociatedWeight
-(WeightSequence.associated_weight), which holds three things, each filled
-on first use: the span grid of its own faithful span, closed-form omega on
-that grid, and one partner slot: closed-form omega on the held grid of the
-last sequence it was compared against with the shorter span.  A window
-whose shortest span is an undilated sequence weight's takes that grid; the
-weight's omega there is read, not evaluated again, and so is the omega of
-an undilated weight of the other sequence, from its partner slot, so both
-bridges of a pair evaluate their window once.  Scale and offset apply as
-before.  Dilated weights, the rungs included, are evaluated every time, so
-each sequence holds one grid and two omega arrays.
+(WeightSequence.associated_weight), which holds, each filled on first use:
+the span grid of its own faithful span, closed-form omega on that grid,
+one partner slot and one slot per dilation rung c < 1.  The slots hold the
+counting runs of closed-form omega (associated_weight._runs: integers, one
+width per index and a few folds), whose expansion gives omega at their
+points bit for bit.  A window whose shortest span is an undilated sequence
+weight's takes that grid; the weight's omega there is read, not evaluated
+again, and the omega of an undilated weight of the other sequence is the
+expansion of the runs in its partner slot, formed on that grid once, so
+both bridges of a pair form their window's runs once.  A dilation rung
+c < 1 of an undilated sequence weight on its own grid expands the runs its
+slot holds for that rung and start, formed by the first pair that asks;
+dilated weights, other grids and short suffixes are evaluated every time.
+Scale and offset apply as before.  So each sequence holds one grid, one
+omega array and eleven sets of runs.
 
 On sequence weights omega is non-decreasing, so the awake part of every
 rung is a suffix of the window, found by one search, and its arrays are
@@ -485,9 +490,8 @@ def _window(v: Weight, w: Weight, *others: Weight) -> tuple | None:
     """(grid, v(x), w(x)) on the comparison grid of v, w and others, x its
     points; None when the window is too short.  On the grid that the
     shortest span's undilated sequence weight holds, an undilated weight of
-    another sequence reads omega from the slot its base keeps for its last
-    partner (AssociatedWeight._hold_on), so both bridges of a pair evaluate
-    the window once."""
+    another sequence expands the runs its base keeps for its last partner
+    (AssociatedWeight._hold_on), so both bridges of a pair form them once."""
     low = min((v, w, *others), key=lambda u: u.log_t_reliable)
     g = _comparison_grid(low)
     if g is None or len(g) < MIN_WINDOW_POINTS:
@@ -517,7 +521,9 @@ class RungSamples:
       evaluation of w's base at x plus the shift that w.dilate(c) holds,
       scaled and clamped as Weight.omega_log does, and a power rung is
       c * w(x), equal to w.power(c).omega_log(x) because every rung c is a
-      power of two.
+      power of two.  On the base's own grid, an undilated sequence weight's
+      dilation rung is the expansion of the runs its base holds for that
+      rung and start (AssociatedWeight._rung), formed on first use.
 
     A dilation rung with c > 1 pulls w's end in by log c, so it samples its
     own window.  Rungs and their trends are filled on first use, so a
@@ -620,8 +626,14 @@ class RungSamples:
             ww = c * wb[s:]
         else:
             w = self.w
-            # the shift of w.dilate(c), with no Weight built for it
-            ww = w._scaled(w.base.omega_log(x[s:] + (w.shift + float(np.log(c)))))
+            if w.shift == 0.0 and g is vars(w.base).get("grid"):
+                # the runs the base holds for this rung on its own grid
+                raw = w.base._rung(c, s)
+            else:
+                # the shift of w.dilate(c), with no Weight built for it
+                raw = w.base.omega_log(x[s:] + (w.shift + float(np.log(c))))
+            # 1.0 * x is x, so a weight with no scale and no clamp takes raw
+            ww = raw if w.scale == 1.0 and w.offset is None else w._scaled(raw)
         if self._start is None:
             awake = _awake(wv, ww)
             if awake is None:

@@ -81,12 +81,12 @@ def test_one_pair_samples_each_forall_ladder_once(ghalf, g1, monkeypatch):
 
 
 def test_both_bridges_of_a_pair_evaluate_their_window_once(monkeypatch, capsys):
-    # the longer sequence is evaluated on the shorter one's grid once for
-    # both bridges of a pair, and once for the four bridges of seq compare;
-    # each sequence holds one such evaluation, replaced by its next partner
+    # the runs of the longer sequence on the shorter one's grid are formed
+    # once for both bridges of a pair, and once for the four bridges of seq
+    # compare; each sequence holds one such set, replaced by its next partner
     J = 128
     on_short_grid = []
-    real = associated_weight._closed_form
+    real = associated_weight._runs
     short_grid = gevrey(1.0, J).associated_weight.grid.log_t
     long_top = q_gevrey(1.5, J).associated_weight.hull.log_values[-1]
 
@@ -95,7 +95,7 @@ def test_both_bridges_of_a_pair_evaluate_their_window_once(monkeypatch, capsys):
             on_short_grid.append(len(xs))
         return real(P, knots, xs)
 
-    monkeypatch.setattr(associated_weight, "_closed_form", counted)
+    monkeypatch.setattr(associated_weight, "_runs", counted)
     short, long = gevrey(1.0, J), q_gevrey(1.5, J)
     assert short.associated_weight.log_mu_max < long.associated_weight.log_mu_max
     triangle_routes(short, long)
@@ -103,7 +103,6 @@ def test_both_bridges_of_a_pair_evaluate_their_window_once(monkeypatch, capsys):
     assert len(on_short_grid) == 1
     held = vars(long.associated_weight)["_partner"]
     assert held[0] is short.associated_weight.grid.log_t
-    assert not held[1].flags.writeable
     assert "_partner" not in vars(short.associated_weight)
     # a third sequence, shorter still, takes the slot over
     shorter = gevrey(0.5, J)
