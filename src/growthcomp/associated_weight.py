@@ -32,19 +32,15 @@ For non-log-convex input the closed-form route works on the log-convex
 minorant (the associated weight cannot see the difference); the scan route
 keeps the raw values.
 
-On sorted points the closed form comes in two stages.  Its counting runs
-(_runs) hold, for each index j = 0..J, how many consecutive points have j
-as their counting index, plus the few near-tie folds (point, index): only
-integers, formed by the searches and the tie of the points.  Their
-expansion (_expand) forms j*x - P[j] run by run and takes the folds.  The
-runs fix every index of every term, so a replay of held runs on the same
-points forms the same terms in the same order: the same bits, signed
-zeros included.  An AssociatedWeight holds, each filled on first use: its
-span grid; closed-form omega on that grid (floats, read by every window on
-it); one partner slot, the runs on the held grid of the last sequence it
-was compared against with the shorter span; and one slot per dilation rung
-c < 1, the runs on its own grid from a start, moved by log c.  Each slot of
-runs takes about 2 (J + 1) bytes, against 8 bytes per point for floats.
+On sorted points the closed form comes in two stages: its counting runs
+(_runs: for each index j, how many consecutive points have j as their
+counting index, plus the few near-tie folds; integers only) and their
+expansion (_expand: j*x - P[j] run by run, then the folds).  The runs fix
+every index of every term, so a replay of held runs on the same points
+forms the same terms in the same order: the same bits, signed zeros
+included.  The partner slot and the dilation-rung slots of an
+AssociatedWeight hold runs, about 2 (J + 1) bytes each, against 8 bytes per
+point for floats.
 """
 
 from __future__ import annotations
@@ -144,13 +140,12 @@ class AssociatedWeight:
         return _expand(self.hull.log_values, xs, held[1])
 
     def _rung(self, c: float, start: int) -> np.ndarray:
-        """Closed-form omega at grid.log_t[start:] + log c, the points of
-        the dilation rung c < 1 of this sequence's undilated weight from
-        index start of its own grid, bit for bit omega_log there, in a new
-        array.  Each rung has one slot, which holds the runs of its points
-        from the start it was last asked for (a new start replaces them):
-        formed on first use, expanded on every read.  Points no more than
-        the quotients take omega_log, since their runs would outnumber them."""
+        """Closed-form omega at grid.log_t[start:] + log c (the dilation
+        rung c < 1 of the undilated weight on its own grid), bit for bit
+        omega_log there, in a new array.  Each rung's slot holds the runs
+        of its points from the start last asked for, formed on first use
+        and expanded on every read; a new start replaces them.  At most J
+        points take omega_log: their runs would outnumber them."""
         xs = self.grid.log_t[start:] + float(np.log(c))
         if len(xs) < len(self.knots):
             return self.omega_log(xs)

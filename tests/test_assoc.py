@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from growthcomp._kernel import SCAN_CELLS, SCAN_ROWS
 from growthcomp.associated_weight import (MIN_WINDOW_SPAN, OM1_LADDER,
                                           OM6_LADDER, OMEGA_MODES, conjugate,
                                           om1_ladder, om6_ladder, recover)
+from growthcomp.weight_functions import FORALL_LADDER
 
 # ---------------------------------------------------------------------------
 # counting route
@@ -225,6 +227,71 @@ def test_closed_form_equals_the_two_expansion_kernel_near_tie_runs(mu, steps, ex
     for pts in (xs, xs[::-1]):
         want, _ = _two_expansion_closed_form(aw.hull.log_values, aw.knots, pts)
         np.testing.assert_array_equal(aw.omega_log(pts).view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# counting runs: a replay is the evaluation, byte for byte
+# ---------------------------------------------------------------------------
+
+WALK_CSV = Path(__file__).resolve().parent / "golden" / "walk.csv"
+
+
+def _assert_replays(aw):
+    """Every rung c < 1 on aw's own grid from its start, its middle and a
+    suffix of at most J points (the search per point), and a partner grid:
+    each read of a held slot, and the expansion of the runs of any sorted
+    points, is omega_log there in tobytes(), signed zeros included."""
+    J, P = len(aw.knots) - 1, aw.hull.log_values
+    n = len(aw.grid)
+    for s in (0, n // 2, max(0, n - J)):
+        for c in FORALL_LADDER[1:]:
+            xs = aw.grid.log_t[s:] + float(np.log(c))
+            want = aw.omega_log(xs).tobytes()
+            for _ in range(2):
+                assert aw._rung(c, s).tobytes() == want, (c, s)
+            held = vars(aw).get("_rungs", {}).get(c)
+            assert (held is not None and held[0] == s) == (len(xs) > J)
+            assert associated_weight._expand(P, xs, aw._runs_on(xs)).tobytes() == want
+    partner = default_grid().clip(None, float(aw.grid.log_t[n // 3])).log_t
+    want = aw.omega_log(partner + 0.0).tobytes()
+    aw._hold_on(partner)
+    width, i, j = vars(aw)["_partner"][1]
+    assert width.dtype == np.uint16 and width.sum() == len(partner)
+    for _ in range(2):
+        assert aw._held(partner).tobytes() == want
+
+
+@pytest.mark.parametrize("J", [64, 512, 4096])
+def test_held_runs_replay_closed_form_omega_on_the_battery(J):
+    # fresh associated weights: the session's sequences may hold slots
+    for M in standard_battery(J):
+        _assert_replays(AssociatedWeight(M))
+
+
+def test_held_runs_replay_closed_form_omega_on_a_walk_hull():
+    _, log_m = np.loadtxt(WALK_CSV, delimiter=",", comments="#", unpack=True)
+    aw = AssociatedWeight(from_values(log_m, label="walk"))
+    assert not np.array_equal(aw.hull.log_values, log_m)
+    _assert_replays(aw)
+
+
+@given(_tie_run_quotients(), st.lists(st.integers(-4, 4), min_size=1, max_size=8),
+       st.integers(0, 64))
+@settings(max_examples=150, deadline=None)
+def test_runs_replay_closed_form_omega_near_tie_runs(mu, steps, extra):
+    # the points of the two-expansion near-tie test, all of them, a suffix
+    # moved by a shift, and a suffix of at most J points
+    M = from_log_quotients(mu)
+    aw = AssociatedWeight(M)
+    P, knots = aw.hull.log_values, aw.knots
+    q = knots[1:]
+    near = np.concatenate([q + s * np.spacing(np.maximum(np.abs(q), 1.0)) for s in steps])
+    xs = np.sort(np.concatenate((near, np.linspace(q[0] - 1.0, q[-1] + 1.0, M.J + extra))))
+    for pts in (xs, xs[len(xs) // 3:] + float(np.log(0.5)), xs[-M.J:]):
+        runs = associated_weight._runs(P, knots, pts)
+        want = aw.omega_log(pts).tobytes()
+        for _ in range(2):
+            assert associated_weight._expand(P, pts, runs).tobytes() == want
 
 
 @pytest.mark.parametrize("mode", OMEGA_MODES)

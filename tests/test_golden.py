@@ -15,8 +15,10 @@ then all seven weight comparisons over every ordered pair of those weights.
 digests.txt pins the default lines of tools/digests.py: one sha256 per route
 of both bridges over all 420 ordered pairs at J = 64, 512 and 1024, and per
 moderate growth check over the battery at J = 64 to 4096 and over twelve
-seeded walks.  states.txt pins its state table (M|N|route|state) of those
-pairs at J = 64 and 1024, read off the same sweeps.  Regenerate the files with
+seeded walks.  states.txt pins its route state table (M|N|route|state) of
+those pairs at J = 64 and 1024 and its member state table (M|check|state)
+at J = 64, 1024 and 4096, read off the same sweeps and checks.  Regenerate
+the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -220,9 +222,12 @@ def test_golden_weight_routes():
 
 @pytest.fixture(scope="module")
 def sweeps():
-    """One route sweep per J of the pinned digests; the state table's J are among them."""
+    """The route sweeps and battery checks of the pinned digests, one per J,
+    run by the first test that reads them; the state tables' J are among
+    them, so the state tables add no evaluation."""
     assert set(digests.STATE_J) <= set(digests.ROUTE_J)
-    return {J: digests.sweep(J) for J in digests.ROUTE_J}
+    assert set(digests.MG_STATE_J) <= set(digests.MG_J)
+    return {}
 
 
 def test_golden_digests(sweeps):
@@ -231,7 +236,8 @@ def test_golden_digests(sweeps):
 
 
 def test_golden_states(sweeps):
-    got = list(digests.lines(route_js=(), mg_js=(), state_js=digests.STATE_J, sweeps=sweeps))
+    got = list(digests.lines(route_js=(), mg_js=(), state_js=digests.STATE_J,
+                             mg_state_js=digests.MG_STATE_J, sweeps=sweeps))
     assert got == (GOLDEN / "states.txt").read_text().splitlines()
 
 
@@ -275,4 +281,5 @@ if __name__ == "__main__":
     (GOLDEN / "digests.txt").write_text(
         "".join(line + "\n" for line in digests.lines(sweeps=sweeps)))
     (GOLDEN / "states.txt").write_text("".join(
-        line + "\n" for line in digests.lines((), (), digests.STATE_J, sweeps)))
+        line + "\n" for line in digests.lines((), (), digests.STATE_J,
+                                              digests.MG_STATE_J, sweeps)))

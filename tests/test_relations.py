@@ -161,6 +161,54 @@ def test_a_sweep_builds_one_grid_per_member_and_evaluates_it_once(monkeypatch):
     assert all(n == 1 for _, n in own.values())
 
 
+def test_a_sweep_forms_each_rung_runs_once_and_holds_no_floats(monkeypatch):
+    # a fresh battery: the session one may hold slots already.  Over all 420
+    # ordered pairs the runs of each (member, rung) asked for on more points
+    # than J are formed once, and a shorter suffix is evaluated each time;
+    # every slot holds integers only (a partner slot keys them by the
+    # partner grid's own points), and all runs take at most 0.25 MB
+    battery = standard_battery(512)
+    asked: set = set()
+    short: set = set()
+    formed: dict = {}
+    real_rung = AssociatedWeight._rung
+
+    def counted(self, c, start):
+        before = vars(self).get("_rungs", {}).get(c)
+        out = real_rung(self, c, start)
+        key = (self.source.label, c)
+        (asked if len(self.grid) - start > self.source.J else short).add(key)
+        if vars(self).get("_rungs", {}).get(c) is not before:
+            formed[key] = formed.get(key, 0) + 1
+        return out
+
+    monkeypatch.setattr(AssociatedWeight, "_rung", counted)
+    for M in battery:
+        for N in battery:
+            if M is not N:
+                triangle_routes(M, N)
+                pow_routes(M, N)
+    assert len({M.label for M in battery}) == len(battery)
+    assert asked and formed == dict.fromkeys(asked, 1)
+    assert len(short) <= 10 and not short & asked
+    grids_held = [M.associated_weight.grid.log_t for M in battery]
+    total = 0
+    partners = 0
+    for M in battery:
+        slots = vars(M.associated_weight)
+        runs = [r for _, r in slots.get("_rungs", {}).values()]
+        if "_partner" in slots:
+            xs, held = slots["_partner"]
+            assert any(xs is g for g in grids_held)
+            runs.append(held)
+            partners += 1
+        for width, i, j in runs:
+            assert width.dtype == np.uint16 and i.dtype.kind == j.dtype.kind == "i"
+            total += width.nbytes + i.nbytes + j.nbytes
+    assert partners > 0
+    assert 0 < total <= 0.25 * 2 ** 20
+
+
 def test_the_preceq_ladder_reads_the_trends_the_triangle_ladder_fitted(
         ghalf, g1, monkeypatch):
     # both claims read one classification per rung: after the triangle
