@@ -144,11 +144,8 @@ class AssociatedWeight:
         rung c < 1 of the undilated weight on its own grid), bit for bit
         omega_log there, in a new array.  Each rung's slot holds the runs
         of its points from the start last asked for, formed on first use
-        and expanded on every read; a new start replaces them.  At most J
-        points take omega_log: their runs would outnumber them."""
+        and expanded on every read; a new start replaces them."""
         xs = self.grid.log_t[start:] + float(np.log(c))
-        if len(xs) < len(self.knots):
-            return self.omega_log(xs)
         slots = vars(self).setdefault("_rungs", {})
         held = slots.get(c)
         if held is None or held[0] != start:
@@ -297,7 +294,7 @@ def _runs(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> tuple:
     """
     J = len(P) - 1
     q = knots[1:]
-    x_abs = max(abs(xs[0]), abs(xs[-1]))
+    x_abs = max(abs(xs[0]), abs(xs[-1])) if len(xs) else 0.0
     tie = 4.0 * np.finfo(float).eps * (J * float(x_abs) + float(np.abs(P).max()))
     pa = (xs - tie).searchsorted(q, "right")
     pb = (xs + tie).searchsorted(q, "left")

@@ -57,7 +57,7 @@ expansion of the runs in its partner slot, formed on that grid once, so
 both bridges of a pair form their window's runs once.  A dilation rung
 c < 1 of an undilated sequence weight on its own grid expands the runs its
 slot holds for that rung and start, formed by the first pair that asks;
-dilated weights, other grids and short suffixes are evaluated every time.
+dilated weights and other grids are evaluated every time.
 Scale and offset apply as before.  So each sequence holds one grid, one
 omega array and eleven sets of runs.
 

@@ -237,20 +237,21 @@ WALK_CSV = Path(__file__).resolve().parent / "golden" / "walk.csv"
 
 
 def _assert_replays(aw):
-    """Every rung c < 1 on aw's own grid from its start, its middle and a
-    suffix of at most J points (the search per point), and a partner grid:
-    each read of a held slot, and the expansion of the runs of any sorted
-    points, is omega_log there in tobytes(), signed zeros included."""
+    """Every rung c < 1 on aw's own grid from its start, its middle, a
+    suffix of at most J points (the search per point) and its end, and a
+    partner grid: each read of a held slot, and the expansion of the runs
+    of any sorted points, is omega_log there in tobytes(), signed zeros
+    included."""
     J, P = len(aw.knots) - 1, aw.hull.log_values
     n = len(aw.grid)
-    for s in (0, n // 2, max(0, n - J)):
+    for s in (0, n // 2, max(0, n - J), n):
         for c in FORALL_LADDER[1:]:
             xs = aw.grid.log_t[s:] + float(np.log(c))
             want = aw.omega_log(xs).tobytes()
             for _ in range(2):
                 assert aw._rung(c, s).tobytes() == want, (c, s)
             held = vars(aw).get("_rungs", {}).get(c)
-            assert (held is not None and held[0] == s) == (len(xs) > J)
+            assert held[0] == s and held[1][0].sum() == len(xs)
             assert associated_weight._expand(P, xs, aw._runs_on(xs)).tobytes() == want
     partner = default_grid().clip(None, float(aw.grid.log_t[n // 3])).log_t
     want = aw.omega_log(partner + 0.0).tobytes()

@@ -163,13 +163,11 @@ def test_a_sweep_builds_one_grid_per_member_and_evaluates_it_once(monkeypatch):
 
 def test_a_sweep_forms_each_rung_runs_once_and_holds_no_floats(monkeypatch):
     # a fresh battery: the session one may hold slots already.  Over all 420
-    # ordered pairs the runs of each (member, rung) asked for on more points
-    # than J are formed once, and a shorter suffix is evaluated each time;
-    # every slot holds integers only (a partner slot keys them by the
+    # ordered pairs the runs of each (member, rung) asked for are formed
+    # once; every slot holds integers only (a partner slot keys them by the
     # partner grid's own points), and all runs take at most 0.25 MB
     battery = standard_battery(512)
     asked: set = set()
-    short: set = set()
     formed: dict = {}
     real_rung = AssociatedWeight._rung
 
@@ -177,7 +175,7 @@ def test_a_sweep_forms_each_rung_runs_once_and_holds_no_floats(monkeypatch):
         before = vars(self).get("_rungs", {}).get(c)
         out = real_rung(self, c, start)
         key = (self.source.label, c)
-        (asked if len(self.grid) - start > self.source.J else short).add(key)
+        asked.add(key)
         if vars(self).get("_rungs", {}).get(c) is not before:
             formed[key] = formed.get(key, 0) + 1
         return out
@@ -190,7 +188,6 @@ def test_a_sweep_forms_each_rung_runs_once_and_holds_no_floats(monkeypatch):
                 pow_routes(M, N)
     assert len({M.label for M in battery}) == len(battery)
     assert asked and formed == dict.fromkeys(asked, 1)
-    assert len(short) <= 10 and not short & asked
     grids_held = [M.associated_weight.grid.log_t for M in battery]
     total = 0
     partners = 0
