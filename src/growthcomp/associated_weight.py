@@ -298,8 +298,11 @@ def _runs(P: np.ndarray, knots: np.ndarray, xs: np.ndarray) -> tuple:
     tie = 4.0 * np.finfo(float).eps * (J * float(x_abs) + float(np.abs(P).max()))
     pa = (xs - tie).searchsorted(q, "right")
     pb = (xs + tie).searchsorted(q, "left")
-    width = np.diff(pa, prepend=0, append=len(xs))
+    width = np.append(pa, len(xs))
+    width[1:] -= pa
     near = np.flatnonzero(pb < pa)
+    if not len(near):
+        return width, near, near
     fold = pa[near] - pb[near]
     return width, _ranges(pb[near], fold), np.repeat(near + 1, fold)
 
