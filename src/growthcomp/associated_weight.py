@@ -152,6 +152,16 @@ class AssociatedWeight:
             held = slots[c] = (start, self._runs_on(xs))
         return _expand(self.hull.log_values, xs, held[1])
 
+    def _probe(self, c: float, make):
+        """The dilation probe c of this sequence (special_functions.theta_series),
+        made by make() on first use and held in its slot, with the window
+        it holds once read (spaces.PowerSeries._window)."""
+        slots = vars(self).setdefault("_probes", {})
+        f = slots.get(c)
+        if f is None:
+            f = slots[c] = make()
+        return f
+
     def omega_log(self, x, mode: str = "closed_form") -> np.ndarray:
         """Associated weight at t = exp(x), for scalar or array x."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))

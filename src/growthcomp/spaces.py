@@ -402,12 +402,13 @@ class PowerSeries:
         blocks is not held, and no point past the held prefix lies inside
         the window.  The cuts take the rho of the whole grid (_kernel.margin)
         and the kernel is pointwise, so the held values are those of any
-        evaluation on the same points.
+        evaluation on the same points.  The prefix is evaluated with those
+        same cuts (log_series_eval's cut), so they are formed once.
         """
         x = default_grid().log_t
-        _, cf, _, cuts = _block_cuts(self, x)
-        keep = int(np.max(np.nonzero(cuts[1] < len(cf) - 1)[0], initial=-1)) + 1
-        vals, args = log_series_eval(self, x[:keep * SCAN_CHUNK])
+        cut = _block_cuts(self, x)
+        keep = int(np.max(np.nonzero(cut[3][1] < len(cut[1]) - 1)[0], initial=-1)) + 1
+        vals, args = log_series_eval(self, x[:keep * SCAN_CHUNK], cut)
         inside = args < self.top_index
         vals.flags.writeable = inside.flags.writeable = False
         return vals, inside
@@ -456,7 +457,9 @@ def _block_cuts(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, ...]:
     return idx, cf, js, cuts
 
 
-def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def log_series_eval(f: PowerSeries, x: np.ndarray,
+                    cut: tuple[np.ndarray, ...] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """log sum_j |a_j| t^j at x = log t, plus the dominant index per point.
 
     The result is that of the dense kernel bit for bit: the full terms
@@ -500,11 +503,17 @@ def log_series_eval(f: PowerSeries, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     C-contiguous (rows, width) view of its prefix with fl(j x) and adds c in
     place, which is fl(c + fl(j x)) as addition commutes, and such a view
     sums row by row as a fresh array does.
+
+    cut, when given, is _block_cuts(f, y) for points y of which x is a
+    prefix of whole blocks: x's blocks are y's first blocks, with the same
+    ends, and y's rho is at least x's.  A larger rho only widens each band,
+    which the three cuts above allow, so the bits are those of x's own cuts.
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("series evaluation needs finite log t")
-    idx, cf, js, cuts = _block_cuts(f, x)
     starts = np.arange(0, len(x), SCAN_CHUNK)
+    idx, cf, js, cuts = _block_cuts(f, x) if cut is None else cut
+    cuts = cuts[:, :len(starts)]
     # a run of blocks with equal cuts starts where the cuts change
     first = np.ones(len(starts), dtype=bool)
     first[1:] = np.any(cuts[:, 1:] != cuts[:, :-1], axis=0)

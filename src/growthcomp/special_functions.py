@@ -9,6 +9,14 @@ radius the ratio of successive terms is below one half, the geometric tail is
 bounded explicitly, and outside it evaluation refuses rather than guesses.
 The tail bound reads the final quotient of the log-convex minorant, so it
 assumes the sequence continues at least log-convexly past the stored range.
+
+A sequence holds its dilation probes, one per c (AssociatedWeight._probe):
+theta_series returns the held series, so its coefficients, and the window
+its first membership or envelope check evaluates (spaces.PowerSeries._window),
+are formed once per (sequence, c).  theta_eval reads those coefficients, and
+bounds_check reads that window for a dilation probe and for the power probe
+c = 1, whose coefficients are the dilation probe c = 1's.  A power probe
+c >= 2 is built per call and its envelope evaluated on the certified points.
 """
 
 from __future__ import annotations
@@ -66,7 +74,16 @@ class ThetaFunction:
 
 
 def theta_series(T: ThetaFunction) -> PowerSeries:
-    """Stored coefficients of the probe as a power series (a truncation)."""
+    """Stored coefficients of the probe as a power series (a truncation).
+
+    A dilation probe is the one its sequence holds for c, made on first
+    use; a power probe is a new series with its own label."""
+    if T.kind == "dila":
+        return T._aw._probe(T.c, lambda: _series(T))
+    return _series(T)
+
+
+def _series(T: ThetaFunction) -> PowerSeries:
     P = T.source.log_values
     J = T.source.J
     j = np.arange(J + 1, dtype=float)
@@ -97,7 +114,8 @@ def _tail_log(T: ThetaFunction, x: np.ndarray | float) -> np.ndarray | float:
 
 def theta_eval(T: ThetaFunction, t: float) -> tuple[float, float]:
     """(log of the stored partial sum, err) with the true log value inside
-    [partial, partial + err].  Raises outside the certified radius."""
+    [partial, partial + err].  Raises outside the certified radius.  Sums
+    the coefficients of theta_series, held for a dilation probe."""
     if math.isnan(t):
         raise ValueError("t must be a number, got nan")
     if t < 0.0:
@@ -125,14 +143,32 @@ def bounds_check(T: ThetaFunction) -> Verdict:
     Lower: the partial sum already dominates exp(omega(c t / 2)) for the
     dilation kind and exp(c * omega(t / 2^(1/c))) for the power kind.  Upper
     (dilation kind only): partial sum plus tail stays below 2 exp(omega(c t)).
+
+    The certified points are a prefix of the default grid.  A dilation
+    probe, and the power probe c = 1, read the partial sums there off the
+    held window of the dilation probe c; the power probe c = 1 has its
+    coefficients, -j log 2 - 1 P_j against j (log 1 - log 2) - P_j, and its
+    certified points (log 1 = 0.0) bit for bit.  The window holds every
+    certified point: with q = log_mu_max the final quotient of the
+    log-convex minorant and k < J the minorant's vertex before J, so that
+    P_J - P_k = (J - k) q, a certified x has x + log c < q, so term k beats
+    the top term J by (J - k) (q - x - log c + log 2) > log 2, far over the
+    rounding of the terms.  The top index holds no maximum at x, so x's
+    block is not in the trailing run of top-only blocks the window leaves
+    out, and the kernel is pointwise: the held values are those of
+    log_series_eval on the certified points.  A power probe c >= 2 is
+    evaluated on them.
     """
     g = default_grid()
     mask = g.log_t < T.log_t_certified
-    if int(mask.sum()) < 2:
+    n = int(mask.sum())
+    if n < 2:
         return inconclusive("no certified grid points inside the faithful range")
     x = g.log_t[mask]
-    f = theta_series(T)
-    vals, _ = log_series_eval(f, x)
+    if T.kind == "dila" or T.c == 1.0:
+        vals = theta_series(ThetaFunction(T.source, "dila", T.c))._window[0][:n]
+    else:
+        vals, _ = log_series_eval(theta_series(T), x)
     if T.kind == "dila":
         lb = T._aw.omega_log(x + math.log(T.c) - LOG2)
         ub = LOG2 + T._aw.omega_log(x + math.log(T.c))
@@ -145,7 +181,6 @@ def bounds_check(T: ThetaFunction) -> Verdict:
     bad = lower_gap > BOUNDS_RTOL * scale
     if upper_gap is not None:
         bad |= upper_gap > BOUNDS_RTOL * np.maximum(1.0, np.abs(ub))
-    n = len(x)
     if np.any(bad):
         k = int(np.argmax(np.where(bad, lower_gap, -np.inf)))
         return fails(evidence=((float(np.exp(x[k])), float(lower_gap[k])),),

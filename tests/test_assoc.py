@@ -18,7 +18,7 @@ from growthcomp import (AssociatedWeight, WeightSequence, associated_sequence,
                         is_log_convex, legendre_recover, log_convex_minorant,
                         normalize, q_gevrey, standard_battery)
 from growthcomp import associated_weight
-from growthcomp._kernel import SCAN_CELLS, SCAN_ROWS
+from growthcomp._kernel import SCAN_CELLS, SCAN_ROWS, _ranges
 from growthcomp.associated_weight import (MIN_WINDOW_SPAN, OM1_LADDER,
                                           OM6_LADDER, OMEGA_MODES, conjugate,
                                           om1_ladder, om6_ladder, recover)
@@ -293,6 +293,38 @@ def test_runs_replay_closed_form_omega_near_tie_runs(mu, steps, extra):
         want = aw.omega_log(pts).tobytes()
         for _ in range(2):
             assert associated_weight._expand(P, pts, runs).tobytes() == want
+
+
+def test_runs_take_the_tie_of_the_largest_point_at_either_end():
+    # all points negative, so the largest |x| is the first point's; the
+    # point near q_1 lies within the tie of that |x| of it but not within
+    # the tie of the last point's |x|, so only a tie from both ends folds
+    # index 1 into it as the search per point does
+    M = from_log_quotients([-1000.0, -0.5, -0.25])
+    aw = AssociatedWeight(M)
+    P, knots = aw.hull.log_values, aw.knots
+    J, q = M.J, knots[1:]
+    xs = np.array([-2000.0, q[0] + 3e-12, -0.375, -1e-3])
+    eps = np.finfo(float).eps
+    tie = 4.0 * eps * (J * 2000.0 + np.abs(P).max())
+    tie_last = 4.0 * eps * (J * 1e-3 + np.abs(P).max())
+    assert tie_last < xs[1] - q[0] < tie
+    # the search per point (at most J + 1 points take it), and its integers
+    want = associated_weight._closed_form(P, knots, xs[:J])
+    assert associated_weight._expand(P, xs[:J], associated_weight._runs(
+        P, knots, xs[:J])).tobytes() == want.tobytes()
+    for pts in (xs, xs[:J]):
+        width, i, j = associated_weight._runs(P, knots, pts)
+        tie = 4.0 * eps * (J * np.abs(pts).max() + np.abs(P).max())
+        a = q.searchsorted(pts - tie, "left")
+        b = q.searchsorted(pts + tie, "right")
+        assert width.tobytes() == np.bincount(a, minlength=J + 1).tobytes()
+        near = np.flatnonzero(b > a)
+        folds = np.stack([np.repeat(near, b[near] - a[near]),
+                          _ranges(a[near] + 1, b[near] - a[near])])
+        order = np.lexsort((j, i))
+        assert np.stack([i[order], j[order]]).tobytes() == folds.tobytes()
+        assert (1, 1) in zip(i.tolist(), j.tolist())
 
 
 @pytest.mark.parametrize("mode", OMEGA_MODES)
