@@ -629,7 +629,9 @@ def membership(f: PowerSeries, S: SpaceSpec,
     """Does the series belong to the space, judged on the faithful window.
 
     A truncated series is read from its held window (PowerSeries._window),
-    evaluated once per series.  A polynomial is evaluated per call, on the
+    evaluated once per series; a dilation probe of theta_series is held by
+    its sequence, so its window is formed once per (sequence, c), shared
+    with bounds_check.  A polynomial is evaluated per call, on the
     grid up to the widest faithful end among the members the check may
     visit, by the first member that reads it; each member reads its prefix.
     """
